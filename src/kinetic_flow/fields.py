@@ -46,13 +46,15 @@ LIBRARY = (
 
 def _smooth_step(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1.  Shape-preserving,
-    scalar input included (no boolean indexing)."""
+    scalar input included; ``exp`` runs only inside the band 0 < t < 1."""
     t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
     band = (t > 0.0) & (t < 1.0)
-    tb = np.where(band, t, 0.5)
+    tb = t[band]
     lo = np.exp(-1.0 / tb)
     hi = np.exp(-1.0 / (1.0 - tb))
-    return np.where(band, lo / (lo + hi), np.where(t >= 1.0, 1.0, 0.0))
+    out[band] = lo / (lo + hi)
+    return out
 
 
 def smooth_plateau(r, r_inner, r_outer):
@@ -244,9 +246,20 @@ def _mollifier_rule(phase_dim, order=16):
     return nodes, weights
 
 
+# bytes of shifted quadrature nodes per MollifiedField convolution chunk;
+# bounds the temporaries of one evaluation whatever the batch size, and
+# every state's sum reads the same node values in the same order
+CONVOLVE_CHUNK_BYTES = 1 << 18
+
+
 @dataclass
 class MollifiedField:
-    """Coefficients of ``base`` convolved with the bump at scale 1/n."""
+    """Coefficients of ``base`` convolved with the bump at scale 1/n.
+
+    The convolution runs over the flattened batch in chunks of at most
+    CONVOLVE_CHUNK_BYTES of shifted nodes, so temporary memory stays
+    bounded however many states one call asks for.
+    """
 
     base: CoefficientField
     n: int
@@ -278,11 +291,15 @@ class MollifiedField:
     def _convolve(self, fn, t, z, value_ndim):
         z = _check_state(z, self.dim)
         nodes, weights = _mollifier_rule(self.phase_dim)
-        shifted = z[..., None, :] - nodes / self.n
-        vals = fn(t, shifted)
-        q_axis = vals.ndim - value_ndim - 1
+        offsets = nodes / self.n
         w = weights.reshape((-1,) + (1,) * value_ndim)
-        return np.sum(vals * w, axis=q_axis)
+        flat = z.reshape(-1, z.shape[-1])
+        out = np.empty((flat.shape[0],) + (self.dim,) * value_ndim)
+        step = max(1, CONVOLVE_CHUNK_BYTES // offsets.nbytes)
+        for lo in range(0, flat.shape[0], step):
+            shifted = flat[lo:lo + step, None, :] - offsets
+            out[lo:lo + step] = np.sum(fn(t, shifted) * w, axis=1)
+        return out.reshape(z.shape[:-1] + out.shape[1:])
 
     def drift(self, t, z):
         return self._convolve(self.base.drift, t, z, 1)

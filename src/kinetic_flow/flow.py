@@ -40,7 +40,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
-from .integrator import WORK_CHUNK, BrownianGrid, evolve, evolve_coupled
+from .integrator import WORK_CHUNK, BrownianGrid, evolve
+from .parallel import parallel_map
 
 __all__ = [
     "MomentEstimate",
@@ -352,33 +353,49 @@ def homeomorphism_check(ensemble, t=None):
 # mollification ladder / strong convergence
 
 
-def _drift_lp_gap(field_a, field_b, p, horizon, box_half_width,
-                  points_per_axis=129, num_times=3):
-    """Space-time L^p distance of two drifts over a centered box.
+@dataclass(frozen=True)
+class _LpBox:
+    """Centered space box and time nodes of the space-time L^p distance.
 
-    (int_0^T ||b_a(s,.) - b_b(s,.)||_p^p ds)^{1/p} with tensor trapezoid in
-    space and trapezoid over num_times nodes in time.  The box must cover
-    both supports; outside it the integrand vanishes.
+    ``zs`` is the tensor mesh, ``weight`` the trapezoid weights (1/2 at
+    box faces), ``cell`` the volume h^{2d} of one mesh cell.
     """
-    pd = 2 * field_a.dim
+
+    zs: np.ndarray
+    weight: np.ndarray
+    cell: float
+    ts: np.ndarray
+
+
+def _lp_box(dim, horizon, box_half_width, points_per_axis=129, num_times=3):
+    pd = 2 * dim
     axes = [np.linspace(-box_half_width, box_half_width, points_per_axis)
             for _ in range(pd)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    zs = np.stack(mesh, axis=-1)
     h = axes[0][1] - axes[0][0]
-    # trapezoid weights: 1/2 at box faces
     w = np.ones(points_per_axis)
     w[0] = w[-1] = 0.5
     weight = w
     for _ in range(pd - 1):
         weight = np.multiply.outer(weight, w)
-    ts = np.linspace(0.0, horizon, num_times)
-    norms_p = np.empty(num_times)
-    for k, t in enumerate(ts):
-        gap = field_a.drift(t, zs) - field_b.drift(t, zs)
+    return _LpBox(np.stack(mesh, axis=-1), weight, h**pd,
+                  np.linspace(0.0, horizon, num_times))
+
+
+def _drift_lp_gap(drifts_a, drifts_b, box, p):
+    """Space-time L^p distance of two drifts sampled on ``box``.
+
+    (int_0^T ||b_a(s,.) - b_b(s,.)||_p^p ds)^{1/p} with tensor trapezoid in
+    space and trapezoid over the box's time nodes; ``drifts_a`` and
+    ``drifts_b`` hold each drift on the mesh at every time node.  The box
+    must cover both supports; outside it the integrand vanishes.
+    """
+    norms_p = np.empty(len(box.ts))
+    for k, (ba, bb) in enumerate(zip(drifts_a, drifts_b)):
+        gap = ba - bb
         mag = np.sqrt(np.sum(gap * gap, axis=-1))
-        norms_p[k] = np.sum(weight * mag**p) * h**pd
-    return float(np.trapezoid(norms_p, ts) ** (1.0 / p))
+        norms_p[k] = np.sum(box.weight * mag**p) * box.cell
+    return float(np.trapezoid(norms_p, box.ts) ** (1.0 / p))
 
 
 @dataclass
@@ -439,6 +456,13 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     e_n is controlled by evaluating each rung on the requested grid and on
     its dt/2 refinement of the same noise (summed-increment coupling);
     dt_ok records per-rung agreement within 10%.
+
+    Each ladder level is built, evolved on both grids and sampled on the
+    L^p box exactly once, as one task of `parallel_map` (KF_WORKERS
+    threads); results are gathered in ladder order and every rung is then
+    reduced from the two cached levels, so the table does not depend on
+    the worker count.  The cache holds every level's coupled paths at
+    once.
     """
     ladder = [int(n) for n in n_ladder]
     if len(ladder) < 3:
@@ -462,25 +486,30 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     coarse = fine.coarsened(2)
     if lp_box_half_width is None:
         lp_box_half_width = max(family(n).support_radius for n in ladder) + 0.5
-
+    box = _lp_box(d, horizon, lp_box_half_width, lp_points_per_axis)
     starts = np.tile(z0, (num_paths, 1))
+
+    def level(n):
+        f = family(n)
+        paths = [evolve(f, starts, grid).states for grid in (coarse, fine)]
+        return paths, [f.drift(t, box.zs) for t in box.ts]
+
+    levels = parallel_map(level, ladder)
     ns, e_coarse, e_fine, bounds, dt_ok = [], [], [], [], []
-    for n in ladder[:-1]:
-        fa, fb = family(n), family(2 * n)
-        gaps = {}
-        for label, grid in (("coarse", coarse), ("fine", fine)):
-            ta, tb = evolve_coupled(fa, fb, starts, grid)
-            sep = np.linalg.norm(ta.states - tb.states, axis=-1)
+    for n, (paths_a, drifts_a), (paths_b, drifts_b) in zip(
+            ladder[:-1], levels[:-1], levels[1:]):
+        gaps = []
+        for sa, sb in zip(paths_a, paths_b):
+            sep = np.linalg.norm(sa - sb, axis=-1)
             sup = sep.max(axis=1)
-            gaps[label] = float(np.mean(sup**q) ** (1.0 / q))
-        lp = _drift_lp_gap(fa, fb, p, horizon, lp_box_half_width,
-                           points_per_axis=lp_points_per_axis)
+            gaps.append(float(np.mean(sup**q) ** (1.0 / q)))
+        lp = _drift_lp_gap(drifts_a, drifts_b, box, p)
         ns.append(n)
-        e_coarse.append(gaps["coarse"])
-        e_fine.append(gaps["fine"])
+        e_coarse.append(gaps[0])
+        e_fine.append(gaps[1])
         bounds.append(lp + float(n) ** (2.0 * d / p - 1.0))
-        scale = max(gaps["coarse"], gaps["fine"], 1e-12)
-        dt_ok.append(abs(gaps["coarse"] - gaps["fine"]) <= 0.1 * scale)
+        scale = max(gaps[0], gaps[1], 1e-12)
+        dt_ok.append(abs(gaps[0] - gaps[1]) <= 0.1 * scale)
     return ConvergenceTable(np.array(ns, dtype=float), np.array(e_coarse),
                             np.array(e_fine), np.array(bounds),
                             np.array(dt_ok), q, p, dt, num_paths)

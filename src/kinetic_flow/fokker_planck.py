@@ -32,7 +32,6 @@ from .errors import (
     DivergenceError,
     ValidationError,
 )
-from .fields import CoefficientField
 from .integrator import DIVERGENCE_THRESHOLD, BrownianGrid, evolve
 from .kernel import kernel_covariance
 
@@ -196,8 +195,8 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     are dropped from all checkpoints with their count bounded by
     ``divergence_fraction``; beyond that the run aborts.
     """
-    if not isinstance(field, CoefficientField):
-        raise ValidationError("field must be a CoefficientField")
+    if not all(hasattr(field, attr) for attr in ("dim", "drift", "sigma")):
+        raise ValidationError("field must provide dim, drift and sigma")
     if law.phase_dim != 2 * field.dim:
         raise ValidationError("initial law dimension does not match the field")
     horizon = float(horizon)

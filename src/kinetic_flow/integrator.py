@@ -24,7 +24,6 @@ __all__ = [
     "Trajectory",
     "Reducer",
     "evolve",
-    "evolve_coupled",
     "ensemble",
     "EnsembleResult",
     "DIVERGENCE_THRESHOLD",
@@ -245,13 +244,6 @@ def evolve(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
     if not np.all(np.isfinite(out)):
         raise DivergenceError("non-finite state encountered during integration")
     return Trajectory(times, out)
-
-
-def evolve_coupled(field_a, field_b, z0, brownian, scheme="em"):
-    """Two fields, identical initial states and identical noise, in lockstep."""
-    traj_a = evolve(field_a, z0, brownian, scheme=scheme)
-    traj_b = evolve(field_b, z0, brownian, scheme=scheme)
-    return traj_a, traj_b
 
 
 # ---------------------------------------------------------------------------

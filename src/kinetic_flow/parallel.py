@@ -7,6 +7,10 @@ are pure functions of their arguments (every random stream in the
 package is seeded explicitly), results are collected by task index, and
 all downstream reductions run in that fixed order.  Concurrency can
 therefore change scheduling and nothing observable.
+
+Callers: the ``flow`` experiment maps its delta ladder of two-point
+moments, and ``flow.convergence_study`` (the ``converge`` experiment and
+criterion 8) maps the levels of its mollification ladder.
 """
 
 import os

@@ -26,6 +26,9 @@ from .parallel import parallel_map
 __all__ = ["run_experiment", "manifest_hash"]
 
 _DELTA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
+# time slices of the zvonkin experiment's resolvent grid; its paths must
+# step on the same grid
+_ZVONKIN_SLICES = 128
 _FMT = "%.17g"
 
 
@@ -118,9 +121,14 @@ def _run_zvonkin(cfg, out_dir):
     field = _build_field(cfg)
     if field.constant_sigma is None:
         raise ValidationError("zvonkin experiment needs a constant-sigma field")
+    steps = max(int(round(cfg.horizon / cfg.dt)), 1)
+    if steps != _ZVONKIN_SLICES:
+        raise ValidationError(
+            f"zvonkin runs on a fixed {_ZVONKIN_SLICES}-slice time grid: "
+            f"need T/dt = {_ZVONKIN_SLICES}, got {steps}")
     result = zvonkin.search_lambda(
         field.drift, cfg.horizon, field.generator_a(),
-        box_half_width=8.0, points_per_axis=128, num_slices=128,
+        box_half_width=8.0, points_per_axis=128, num_slices=_ZVONKIN_SLICES,
         dim=cfg.d, lam_init=cfg.lam,
     )
     _write_rows(os.path.join(out_dir, "contraction.csv"),
@@ -128,7 +136,6 @@ def _run_zvonkin(cfg, out_dir):
                 [("%d" % (k + 1), inc)
                  for k, inc in enumerate(result.increments)])
     transform = zvonkin.zvonkin_transform(result.u, field.constant_sigma)
-    steps = max(int(round(cfg.horizon / cfg.dt)), 1)
     grid = BrownianGrid(cfg.seed, cfg.horizon / steps, steps, cfg.d)
     z0 = np.zeros(2 * cfg.d)
     z0[0] = 0.3

@@ -175,6 +175,35 @@ def test_spaces_runner_outputs(tmp_path):
     assert np.all(norms > 0.0) and np.all(np.isfinite(norms))
 
 
+def test_fokker_planck_runner_accepts_mollified_field(tmp_path):
+    out = tmp_path / "run"
+    cfg = parse_config_text(
+        f"experiment = fokker-planck\nseed = 3\nT = 0.25\ndt = 0.0625\n"
+        f"N = 40\nfield.name = hoelder-drift\nfield.mollify = 4\n"
+        f"output = {out}\n")
+    files = run_experiment(cfg)
+    assert files == ["atoms.csv", "residual.csv", "manifest.txt"]
+    assert read_lines(out / "atoms.csv")[0] == "t,atom_id,x1,v1"
+    assert len(read_lines(out / "residual.csv")) > 1
+
+
+def test_zvonkin_runner_refuses_grid_before_work(tmp_path, monkeypatch,
+                                                 capsys):
+    from kinetic_flow import zvonkin
+
+    def never(*args, **kwargs):
+        raise AssertionError("search_lambda ran before the grid check")
+
+    monkeypatch.setattr(zvonkin, "search_lambda", never)
+    out = tmp_path / "run"
+    path = write_config(
+        tmp_path, f"experiment = zvonkin\nseed = 1\nT = 1\ndt = 0.015625\n"
+                  f"lambda = 1\nfield.name = hoelder-drift\noutput = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "128-slice time grid" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_runner_rejects_bad_input():
     with pytest.raises(ValidationError):
         run_experiment("not a config")

@@ -5,11 +5,13 @@ import pytest
 
 from kinetic_flow.errors import ValidationError
 from kinetic_flow.fields import (
+    CONVOLVE_CHUNK_BYTES,
     CoefficientField,
     check_UE,
     library_field,
     mollified,
     smooth_plateau,
+    _mollifier_rule,
     _smooth_step,
 )
 from kinetic_flow.grids import GridFunction
@@ -39,6 +41,25 @@ def test_smooth_step_endpoints_and_scalars():
     # scalar calls agree with the vectorized path elementwise
     assert np.array_equal(arr, np.array([_smooth_step(float(x)) for x in xs]))
     assert np.all(np.diff(arr) >= 0.0)
+
+
+def test_band_only_smooth_step_matches_where_formula():
+    def where_formula(t):
+        t = np.asarray(t, dtype=float)
+        band = (t > 0.0) & (t < 1.0)
+        tb = np.where(band, t, 0.5)
+        lo = np.exp(-1.0 / tb)
+        hi = np.exp(-1.0 / (1.0 - tb))
+        return np.where(band, lo / (lo + hi), np.where(t >= 1.0, 1.0, 0.0))
+
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-0.5, 1.5, size=(37, 23))
+    xs[0, :4] = [0.0, 1.0, -3.0, 7.0]
+    for t in (xs, xs[:, ::3], np.array([0.0, 1.0]), np.array(0.25),
+              np.array(0.0), np.array(1.0), np.array(-2.0), 0.75):
+        got, want = _smooth_step(t), where_formula(t)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_smooth_plateau_shape():
@@ -160,6 +181,29 @@ def test_sigma_sup_gap_nonincreasing_in_n():
     gaps = [np.abs(mollified(base, n).sigma(0.0, z)
                    - base.sigma(0.0, z)).max() for n in (2, 4, 8, 16)]
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+def test_chunked_convolution_matches_unchunked():
+    def unchunked(m, fn, z, value_ndim):
+        nodes, weights = _mollifier_rule(m.phase_dim)
+        vals = fn(0.0, np.asarray(z)[..., None, :] - nodes / m.n)
+        w = weights.reshape((-1,) + (1,) * value_ndim)
+        return np.sum(vals * w, axis=vals.ndim - value_ndim - 1)
+
+    nodes, _ = _mollifier_rule(2)
+    chunk = CONVOLVE_CHUNK_BYTES // nodes.nbytes
+    rng = np.random.default_rng(5)
+    shapes = [(2,), (chunk - 1, 2), (chunk, 2), (chunk + 1, 2), (3, 7, 2)]
+    for name in ("hoelder-drift", "anisotropic-sigma"):
+        base = library_field(name, 1)
+        m = mollified(base, 4)
+        for shape in shapes:
+            z = rng.uniform(-5.0, 5.0, size=shape)
+            assert np.array_equal(m.drift(0.0, z),
+                                  unchunked(m, base.drift, z, 1))
+            if name == "anisotropic-sigma":
+                assert np.array_equal(m.sigma(0.0, z),
+                                      unchunked(m, base.sigma, z, 2))
 
 
 def test_mollified_rejects_bad_level():

@@ -133,6 +133,26 @@ def test_convergence_study_flat_family_degenerates():
         table.slope()
 
 
+def test_convergence_study_levels_independent_of_workers(monkeypatch):
+    field = library_field("hoelder-drift", 1)
+    tables = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("KF_WORKERS", workers)
+        tables.append(convergence_study(field, (2, 4, 8), 2.0, 128, 0.25,
+                                        1.0 / 16, 7.0, z0=np.array([0.3, 0.0]),
+                                        master_seed=5, lp_points_per_axis=65))
+    serial, pooled = tables
+    for key in ("n", "e", "e_fine", "bound", "dt_ok"):
+        assert np.array_equal(getattr(serial, key), getattr(pooled, key))
+    # caching the levels leaves every e_n and B_n bit for bit as it was
+    assert [repr(float(x)) for x in serial.e] == [
+        "0.005803750263401782", "0.0009257974135139845"]
+    assert [repr(float(x)) for x in serial.e_fine] == [
+        "0.005800159328549603", "0.0009362336208310615"]
+    assert [repr(float(x)) for x in serial.bound] == [
+        "0.659286195361074", "0.3858834138883508"]
+
+
 def test_convergence_study_ladder_validation():
     field = library_field("hoelder-drift", 1)
     with pytest.raises(ValidationError):

@@ -11,7 +11,6 @@ from kinetic_flow.integrator import (
     Reducer,
     ensemble,
     evolve,
-    evolve_coupled,
 )
 
 
@@ -148,7 +147,8 @@ def test_coupled_identical_inputs_bitwise():
     field = library_field("hoelder-drift", 1)
     g = BrownianGrid(11, 1.0 / 64, 64, 1)
     z0 = np.tile([0.2, 0.1], (30, 1))
-    ta, tb = evolve_coupled(field, field, z0, g, scheme="em")
+    ta = evolve(field, z0, g, scheme="em")
+    tb = evolve(field, z0, g, scheme="em")
     assert np.array_equal(ta.states, tb.states)
 
 
