@@ -27,7 +27,7 @@ from . import (
 from .errors import KineticFlowError, ValidationError
 from .fields import CoefficientField, library_field, mollified
 from .grids import GridFunction
-from .integrator import BrownianGrid, Trajectory, ensemble, evolve
+from .integrator import BrownianGrid, Trajectory, evolve
 from .kernel import apply_semigroup, kernel_covariance, kernel_sample
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "GridFunction",
     "BrownianGrid",
     "Trajectory",
-    "ensemble",
     "evolve",
     "apply_semigroup",
     "kernel_covariance",

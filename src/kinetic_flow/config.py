@@ -9,6 +9,7 @@ filled at parse time so a config echo reproduces the run exactly.
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ValidationError
+from .fields import LIBRARY
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text"]
 
@@ -21,15 +22,6 @@ EXPERIMENTS = (
     "fokker-planck",
     "spaces",
 )
-
-FIELD_NAMES = (
-    "free",
-    "constant-sigma-smooth-b",
-    "langevin",
-    "hoelder-drift",
-    "anisotropic-sigma",
-)
-
 
 def _parse_int(raw):
     try:
@@ -92,6 +84,11 @@ _REQUIRED = {
 # experiments whose integrability index feeds an occupation/convergence
 # exponent and must satisfy p > 2d+1
 _P_GATED = ("krylov", "converge")
+# experiments that run at d = 1 only: krylov's bumps and fokker-planck's
+# test dictionary are one dimensional, and zvonkin's 129 slices of a
+# 128^{2d} grid and converge's 129^{2d} drift mesh do not fit in memory
+# beyond d = 1
+_D1_ONLY = ("krylov", "fokker-planck", "zvonkin", "converge")
 
 
 @dataclass(frozen=True)
@@ -127,10 +124,10 @@ class ExperimentConfig:
             raise ValidationError("N must be >= 1")
         if self.lam < 0:
             raise ValidationError("lambda must be nonnegative")
-        if self.field_name not in FIELD_NAMES:
+        if self.field_name not in LIBRARY:
             raise ValidationError(
                 f"unknown field.name {self.field_name!r}; "
-                f"library: {', '.join(FIELD_NAMES)}"
+                f"library: {', '.join(LIBRARY)}"
             )
         if self.mollify < 0:
             raise ValidationError("field.mollify must be >= 0")
@@ -141,6 +138,9 @@ class ExperimentConfig:
                 f"{self.experiment} needs p > 2d+1 = {2 * self.d + 1}, "
                 f"got p = {self.p:g}"
             )
+        if self.experiment in _D1_ONLY and self.d != 1:
+            raise ValidationError(
+                f"{self.experiment} runs at d = 1 only, got d = {self.d}")
 
 
 def parse_config_text(text):

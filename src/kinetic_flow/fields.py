@@ -1,4 +1,4 @@
-"""Drift/diffusion field library, mollification, and regularity reports.
+"""Drift/diffusion field library, mollification, and the ellipticity check.
 
 A CoefficientField bundles the drift b(t, z) (values in R^d) and diffusion
 sigma(t, z) (values in R^{d x d}) of the kinetic system on phase space
@@ -11,7 +11,6 @@ Gauss-Legendre rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -19,8 +18,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import ValidationError
-from .grids import GridFunction
-from .spaces import Mollifier, lp_norm, spectral_derivative
+from .spaces import Mollifier
 
 __all__ = [
     "CoefficientField",
@@ -29,10 +27,8 @@ __all__ = [
     "mollified",
     "check_UE",
     "UEReport",
-    "bessel_regularity_report",
-    "RegularityReport",
-    "sigma_sobolev_report",
     "smooth_plateau",
+    "LIBRARY",
 ]
 
 LIBRARY = (
@@ -311,16 +307,7 @@ class MollifiedField:
             return np.broadcast_to(m, z.shape[:-1] + m.shape).copy()
         return self._convolve(self.base.sigma, t, z, 2)
 
-    def generator_a(self, t=0.0, z=None):
-        if z is None:
-            if self.base.constant_sigma is None:
-                raise ValidationError(
-                    "generator_a without a state needs a constant-sigma field"
-                )
-            s = self.base.constant_sigma
-            return 0.5 * s @ s.T
-        s = self.sigma(t, z)
-        return 0.5 * np.einsum("...ij,...kj->...ik", s, s)
+    generator_a = CoefficientField.generator_a
 
 
 def mollified(base, n):
@@ -341,91 +328,24 @@ class UEReport:
     num_samples: int
 
 
-def check_UE(field, K, num_samples=512, t_span=(0.0, 1.0), radius=None, slack=0.0):
+# quasi-random (t, z) points check_UE samples, t in [0, 1] and z in the
+# support box
+UE_SAMPLES = 512
+
+
+def check_UE(field, K, slack=0.0):
     """Sample sigma's singular values at quasi-random (t, z) points.
 
     Passes iff every singular value lies in [1/K - slack, K + slack].
     """
     if K < 1.0:
         raise ValidationError(f"ellipticity constant must be >= 1, got {K}")
-    dim = field.dim
-    radius = field.support_radius if radius is None else float(radius)
-    eng = qmc.Sobol(d=2 * dim + 1, scramble=False)
-    pts = eng.random(int(num_samples))
-    t = t_span[0] + (t_span[1] - t_span[0]) * pts[:, 0]
-    z = radius * (2.0 * pts[:, 1:] - 1.0)
+    eng = qmc.Sobol(d=2 * field.dim + 1, scramble=False)
+    pts = eng.random(UE_SAMPLES)
+    t = pts[:, 0]
+    z = field.support_radius * (2.0 * pts[:, 1:] - 1.0)
     sig = np.stack([field.sigma(ti, zi) for ti, zi in zip(t, z)])
     svals = np.linalg.svd(sig, compute_uv=False)
     lo, hi = float(svals.min()), float(svals.max())
     ok = (lo >= 1.0 / K - slack - 1e-12) and (hi <= K + slack + 1e-12)
-    return UEReport(ok, float(K), lo, hi, int(num_samples))
-
-
-# ---------------------------------------------------------------------------
-# regularity reports
-
-
-@dataclass
-class RegularityReport:
-    norm: float            # (integral of the p-th power over [0, T])^(1/p)
-    integral_p: float      # int_0^T || . ||_p^p dt
-    slice_norms: np.ndarray
-    t_nodes: np.ndarray
-
-
-def _drift_grid(field, t, box_half_width, points_per_axis):
-    d = field.dim
-    kinds = ("x",) * d + ("v",) * d
-
-    def sample(*coords):
-        z = np.stack(coords, axis=-1)
-        return field.drift(t, z)
-
-    return GridFunction.from_callable(sample, box_half_width, points_per_axis, kinds)
-
-
-def bessel_regularity_report(field, alpha, p, box_half_width, points_per_axis,
-                             horizon=1.0, num_t_nodes=5):
-    """Time-integrated position-regularity norm of the drift.
-
-    Computes ||(I - Delta_x)^(alpha/2) b_t||_p on grid slices at trapezoid
-    nodes over [0, horizon] and returns the L^p-in-time aggregate.  The
-    diffusion's regularity is reported separately by sigma_sobolev_report;
-    the two are never folded into one threshold.
-    """
-    if p <= 1:
-        raise ValidationError(f"regularity report requires p > 1, got {p}")
-    if alpha < 0:
-        raise ValidationError("alpha must be nonnegative")
-    from .spaces import _apply_multiplier  # shared multiplier core
-
-    t_nodes = np.linspace(0.0, horizon, int(num_t_nodes))
-    slice_norms = []
-    for t in t_nodes:
-        f = _drift_grid(field, t, box_half_width, points_per_axis)
-        if alpha > 0:
-            axes = f.axes_of_kind("x")
-            f = _apply_multiplier(f, axes, lambda k2: (1.0 + k2) ** (alpha / 2.0))
-        slice_norms.append(lp_norm(f, p))
-    slice_norms = np.asarray(slice_norms)
-    integral_p = float(np.trapezoid(slice_norms**p, t_nodes))
-    return RegularityReport(integral_p ** (1.0 / p), integral_p, slice_norms, t_nodes)
-
-
-def sigma_sobolev_report(field, p, box_half_width, points_per_axis, t=0.0):
-    """Grid L^p norm of the full gradient of sigma's entries at one time."""
-    if p <= 1:
-        raise ValidationError(f"regularity report requires p > 1, got {p}")
-    d = field.dim
-    kinds = ("x",) * d + ("v",) * d
-
-    def sample(*coords):
-        z = np.stack(coords, axis=-1)
-        return field.sigma(t, z).reshape(coords[0].shape + (d * d,))
-
-    f = GridFunction.from_callable(sample, box_half_width, points_per_axis, kinds)
-    grads = []
-    for axis in range(f.num_grid_axes):
-        grads.append(spectral_derivative(f, axis).values)
-    gmag = np.sqrt(np.sum(np.stack(grads, axis=-1) ** 2, axis=(-2, -1)))
-    return lp_norm(f.with_values(gmag), p)
+    return UEReport(ok, float(K), lo, hi, UE_SAMPLES)

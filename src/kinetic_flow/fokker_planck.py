@@ -22,7 +22,7 @@ form is differentiated numerically.
 """
 
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm as _norm, qmc
@@ -32,7 +32,12 @@ from .errors import (
     DivergenceError,
     ValidationError,
 )
-from .integrator import DIVERGENCE_THRESHOLD, BrownianGrid, evolve
+from .integrator import (
+    DIVERGENCE_FRACTION,
+    DIVERGENCE_THRESHOLD,
+    BrownianGrid,
+    evolve,
+)
 from .kernel import kernel_covariance
 
 __all__ = [
@@ -179,21 +184,16 @@ class EmpiricalMeasure:
         se = vals.std(ddof=1) / np.sqrt(self.num_atoms) if self.num_atoms > 1 else 0.0
         return float(vals.mean()), float(se)
 
-    def mean(self):
-        return self.atoms.mean(axis=0)
-
-    def covariance(self):
-        return np.cov(self.atoms.T, ddof=1)
-
 
 def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
-                     scheme="em", master_seed=0, divergence_fraction=1e-3):
+                     scheme="em", master_seed=0):
     """Evolve ``num_atoms`` independent draws of ``law`` and snapshot them.
 
     Returns one EmpiricalMeasure per checkpoint (default: every grid
-    time).  Atoms whose trajectory norm crosses the divergence threshold
-    are dropped from all checkpoints with their count bounded by
-    ``divergence_fraction``; beyond that the run aborts.
+    time).  Atoms whose trajectory norm crosses DIVERGENCE_THRESHOLD are
+    dropped from all checkpoints and from ``atom_ids``; more than
+    DIVERGENCE_FRACTION of them raises DivergenceError, as does any
+    non-finite state.
     """
     if not all(hasattr(field, attr) for attr in ("dim", "drift", "sigma")):
         raise ValidationError("field must provide dim, drift and sigma")
@@ -219,10 +219,10 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     sup_norm = np.max(np.linalg.norm(traj.states, axis=-1), axis=1)
     keep = sup_norm <= DIVERGENCE_THRESHOLD
     dropped = int(num_atoms - keep.sum())
-    if dropped > divergence_fraction * num_atoms:
+    if dropped > DIVERGENCE_FRACTION * num_atoms:
         raise DivergenceError(
             f"{dropped}/{num_atoms} atoms diverged "
-            f"(> {divergence_fraction:.1e} allowed)"
+            f"(> {DIVERGENCE_FRACTION:.1e} allowed)"
         )
     ids = np.flatnonzero(keep)
     return [
@@ -340,8 +340,7 @@ class TestFunction:
         )
 
 
-def monomial_bump(x_power, v_power, *, r_in=2.5, r_out=4.0, amplitude=1.0,
-                  name=None):
+def monomial_bump(x_power, v_power, *, r_in=2.5, r_out=4.0, name=None):
     """x^i v^j times separable plateau cutoffs in x and v (d=1 only).
 
     Compactly supported, identically x^i v^j on the plateau square, and
@@ -353,7 +352,6 @@ def monomial_bump(x_power, v_power, *, r_in=2.5, r_out=4.0, amplitude=1.0,
         raise ValidationError("monomial powers must be nonnegative")
     if not 0.0 < r_in < r_out:
         raise ValidationError("need 0 < r_in < r_out")
-    amp = float(amplitude)
     label = name or f"x{i}v{j}[{r_in:g},{r_out:g}]"
 
     def split(z):
@@ -375,27 +373,27 @@ def monomial_bump(x_power, v_power, *, r_in=2.5, r_out=4.0, amplitude=1.0,
         x, v = split(z)
         cx, _, _ = _cut_pieces(x, r_in, r_out)
         cv, _, _ = _cut_pieces(v, r_in, r_out)
-        return amp * mono(x, i) * cx * mono(v, j) * cv
+        return mono(x, i) * cx * mono(v, j) * cv
 
     def grad_x(z):
         x, v = split(z)
         cx, cx1, _ = _cut_pieces(x, r_in, r_out)
         cv, _, _ = _cut_pieces(v, r_in, r_out)
-        gx = amp * (mono_d1(x, i) * cx + mono(x, i) * cx1) * mono(v, j) * cv
+        gx = (mono_d1(x, i) * cx + mono(x, i) * cx1) * mono(v, j) * cv
         return gx[..., None]
 
     def grad_v(z):
         x, v = split(z)
         cx, _, _ = _cut_pieces(x, r_in, r_out)
         cv, cv1, _ = _cut_pieces(v, r_in, r_out)
-        gv = amp * mono(x, i) * cx * (mono_d1(v, j) * cv + mono(v, j) * cv1)
+        gv = mono(x, i) * cx * (mono_d1(v, j) * cv + mono(v, j) * cv1)
         return gv[..., None]
 
     def hess_v(z):
         x, v = split(z)
         cx, _, _ = _cut_pieces(x, r_in, r_out)
         cv, cv1, cv2 = _cut_pieces(v, r_in, r_out)
-        hv = amp * mono(x, i) * cx * (
+        hv = mono(x, i) * cx * (
             mono_d2(v, j) * cv + 2.0 * mono_d1(v, j) * cv1 + mono(v, j) * cv2
         )
         return hv[..., None, None]
@@ -409,8 +407,8 @@ _DICTIONARY_POWERS = (
 )
 
 
-def test_dictionary(num_members=12):
-    """Default weak-form dictionary: monomial-times-bump members, d=1.
+def test_dictionary():
+    """Default weak-form dictionary: 12 monomial-times-bump members, d=1.
 
     Ten monomials at the standard radii plus two repeats at shifted
     radii, so support effects do not share one cutoff scale.
@@ -418,11 +416,7 @@ def test_dictionary(num_members=12):
     members = [monomial_bump(i, j) for i, j in _DICTIONARY_POWERS]
     members.append(monomial_bump(0, 1, r_in=1.5, r_out=2.5, name="x0v1[narrow]"))
     members.append(monomial_bump(1, 0, r_in=3.0, r_out=5.0, name="x1v0[wide]"))
-    if not 10 <= num_members <= len(members):
-        raise ValidationError(
-            f"dictionary size must lie in [10, {len(members)}]"
-        )
-    return members[:num_members]
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +439,8 @@ class ResidualTable:
     integrability: float
     num_atoms: int
 
-    def row(self, name):
-        try:
-            i = self.phi_names.index(name)
-        except ValueError:
-            raise ValidationError(f"no test function named {name!r}") from None
-        return self.residuals[i], self.std_errors[i]
-
     def final_residuals(self):
         return self.residuals[:, -1]
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.residuals)))
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -732,28 +716,25 @@ def measure_distance(mu, nu, metric="sliced-w1", *, num_directions=32,
     raise ValidationError(f"unknown metric {metric!r}; use sliced-w1 or test-sup")
 
 
-def two_sample_floor(gaussian, num_atoms, *, metric="sliced-w1",
-                     num_directions=32, num_test_bumps=20, master_seed=0,
-                     num_repeats=3):
-    """Sampling floor of the metric at this atom count.
+# independent sample pairs averaged by two_sample_floor
+FLOOR_REPEATS = 3
 
-    Mean distance between pairs of independent ``num_atoms``-draws from
-    the exact law; an empirical measure matching the law cannot be
-    expected to sit below this scale.
+
+def two_sample_floor(gaussian, num_atoms, *, master_seed=0):
+    """Sampling floor of the default sliced-W1 metric at this atom count.
+
+    Mean distance between FLOOR_REPEATS pairs of independent
+    ``num_atoms``-draws from the exact law; an empirical measure matching
+    the law cannot be expected to sit below this scale.
     """
     if not isinstance(gaussian, GaussianMeasure):
         raise ValidationError("floor reference must be a GaussianMeasure")
-    if num_repeats < 1:
-        raise ValidationError("need at least one repeat")
     total = 0.0
-    for k in range(num_repeats):
+    for k in range(FLOOR_REPEATS):
         mu = gaussian.as_empirical(num_atoms, master_seed=master_seed + 2 * k)
         nu = gaussian.as_empirical(num_atoms, master_seed=master_seed + 2 * k + 1)
-        total += measure_distance(mu, nu, metric,
-                                  num_directions=num_directions,
-                                  num_test_bumps=num_test_bumps,
-                                  master_seed=master_seed)
-    return total / num_repeats
+        total += measure_distance(mu, nu, master_seed=master_seed)
+    return total / FLOOR_REPEATS
 
 
 # ---------------------------------------------------------------------------
@@ -789,18 +770,9 @@ class RefinementStudy:
         y = np.log(self.debiased[usable])
         return float(np.polyfit(x, y, 1)[0])
 
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["dt", "debiased_residual", "mc_floor",
-                             "integrability"])
-            for row in zip(self.dts, self.debiased, self.floors, self.gates):
-                writer.writerow([f"{c:.17g}" for c in row])
-
 
 def residual_refinement_study(field, law, dt_ladder, num_atoms, *,
-                              horizon=1.0, test_set=None, scheme="em",
-                              master_seed=0, replicas=4):
+                              horizon=1.0, master_seed=0, replicas=4):
     """Measure how the weak residual contracts as dt is refined.
 
     Each rung runs ``replicas`` independent particle ensembles; the
@@ -814,8 +786,7 @@ def residual_refinement_study(field, law, dt_ladder, num_atoms, *,
         raise ValidationError("dt ladder must be positive and strictly decreasing")
     if replicas < 2:
         raise ValidationError("variance subtraction needs at least two replicas")
-    if test_set is None:
-        test_set = test_dictionary()
+    test_set = test_dictionary()
 
     debiased, floors, gates = [], [], []
     for r, dt in enumerate(dts):
@@ -824,7 +795,7 @@ def residual_refinement_study(field, law, dt_ladder, num_atoms, *,
         for j in range(replicas):
             seed = int(master_seed) + 1009 * r + j
             measures = particle_measure(field, law, num_atoms, horizon, dt,
-                                        scheme=scheme, master_seed=seed)
+                                        master_seed=seed)
             table = weak_residual(measures, field, test_set,
                                   control_variate=True)
             means.append(table.final_residuals())

@@ -9,7 +9,6 @@ first.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -126,64 +125,14 @@ class GridFunction:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_callable(cls, fn, box_half_width, points_per_axis, axis_kinds, meta=None):
+    def from_callable(cls, fn, box_half_width, points_per_axis, axis_kinds):
         """Sample ``fn(*coords)`` on the grid (fn must broadcast)."""
         mesh = grid_mesh(box_half_width, points_per_axis, len(axis_kinds))
         values = np.asarray(fn(*mesh), dtype=float)
-        return cls(values, box_half_width, tuple(axis_kinds), meta or {})
+        return cls(values, box_half_width, tuple(axis_kinds))
 
     def with_values(self, values, **meta):
         out = replace(self, values=np.asarray(values, dtype=float))
         if meta:
             out.meta = {**self.meta, **meta}
         return out
-
-    # -- serialization ----------------------------------------------------
-
-    def to_csv(self, path):
-        """Write ``axis0,...,axis{k-1},value`` rows in row-major grid order.
-
-        Scalar functions only; serialize vector fields one component at a
-        time.  Floats are written with 17 significant digits so a round trip
-        is bitwise faithful.
-        """
-        if not self.is_scalar:
-            raise ValidationError("CSV serialization is defined for scalar values only")
-        k = self.num_grid_axes
-        ax = self.axis_coordinates()
-        header = [f"axis{i}" for i in range(k)] + ["value"]
-        flat = self.values.reshape(-1)
-        idx = np.stack(
-            np.meshgrid(*([np.arange(self.points_per_axis)] * k), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, k)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row, val in zip(idx, flat):
-                writer.writerow([f"{ax[j]:.17g}" for j in row] + [f"{val:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path, axis_kinds, box_half_width=None):
-        """Rebuild a scalar GridFunction written by :meth:`to_csv`.
-
-        The box half-width is recovered from the coordinate columns when not
-        given: the leftmost coordinate of a symmetric periodic axis is -L.
-        """
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [list(map(float, row)) for row in reader]
-        k = len(header) - 1
-        if k != len(axis_kinds):
-            raise ValidationError(
-                f"file has {k} axis columns, {len(axis_kinds)} axis kinds given"
-            )
-        data = np.asarray(rows)
-        m = round(len(rows) ** (1.0 / k))
-        if m**k != len(rows):
-            raise ValidationError("row count is not a perfect tensor grid")
-        values = data[:, -1].reshape((m,) * k)
-        if box_half_width is None:
-            box_half_width = -data[:, 0].min()
-        return cls(values, box_half_width, tuple(axis_kinds))

@@ -2,18 +2,17 @@
 
 Noise comes from counter-based Philox streams keyed by (master_seed,
 key-chunk), so any (master_seed, path_index, step_index) triple maps to one
-increment no matter how work is scheduled; reductions accumulate in fixed
-path order, which makes every ensemble statistic byte-stable across worker
-counts.  Two schemes: plain Euler ('em') and 'kinetic-exact', which replaces
-the free-flight part of the step with an exact draw from the two-block
+increment no matter how work is scheduled; callers reduce paths in fixed
+path order, which makes every statistic byte-stable across worker counts.
+Two schemes: plain Euler ('em') and 'kinetic-exact', which replaces the
+free-flight part of the step with an exact draw from the two-block
 Gaussian transition (drift still Euler).  Both consume the same velocity
 normals, so the schemes are synchronously coupled under a shared grid.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +21,9 @@ from .errors import DivergenceError, ValidationError
 __all__ = [
     "BrownianGrid",
     "Trajectory",
-    "Reducer",
     "evolve",
-    "ensemble",
-    "EnsembleResult",
     "DIVERGENCE_THRESHOLD",
+    "DIVERGENCE_FRACTION",
     "WORK_CHUNK",
 ]
 
@@ -36,7 +33,11 @@ KEY_CHUNK = 256
 # paths per vectorized work unit; fixed for the same reason
 WORK_CHUNK = 4096
 
+# a path whose state norm crosses DIVERGENCE_THRESHOLD has diverged; a
+# particle run drops such paths and aborts once more than
+# DIVERGENCE_FRACTION of them have
 DIVERGENCE_THRESHOLD = 1e6
+DIVERGENCE_FRACTION = 1e-3
 
 
 def _philox_key(master_seed, block_index):
@@ -149,15 +150,6 @@ class Trajectory:
     def final(self):
         return self.states[:, -1, :]
 
-    def to_csv(self, path, path_index=0):
-        d = self.phase_dim // 2
-        header = ["t"] + [f"x{i+1}" for i in range(d)] + [f"v{i+1}" for i in range(d)]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for t, z in zip(self.times, self.states[path_index]):
-                writer.writerow([f"{t:.17g}"] + [f"{c:.17g}" for c in z])
-
 
 def _exact_noise_factors(field, dt):
     sig = field.constant_sigma
@@ -185,26 +177,21 @@ def _step_batch(field, scheme, times, states, d, k, dt, dW, extra_normals):
     return np.concatenate([x_new, v_new], axis=-1)
 
 
-def _evolve_block(field, z0_block, times, brownian, scheme, path_lo, path_hi,
-                  shared_stream):
+def _evolve_block(field, z0_block, times, brownian, scheme, stream_lo,
+                  stream_hi):
+    """Integrate one work chunk driven by noise streams [stream_lo, stream_hi).
+
+    A single stream broadcasts over every row of the block.
+    """
     d = field.dim
     steps = len(times) - 1
-    if shared_stream is None:
-        if scheme == "kinetic-exact":
-            normals = brownian.normals(path_lo, path_hi)
-            dws = np.sqrt(brownian.dt) * normals[:, :, :d]
-            extras = normals[:, :, d:]
-        else:
-            dws = brownian.increments(path_lo, path_hi)
-            extras = None
+    if scheme == "kinetic-exact":
+        normals = brownian.normals(stream_lo, stream_hi)
+        dws = np.sqrt(brownian.dt) * normals[:, :, :d]
+        extras = normals[:, :, d:]
     else:
-        if scheme == "kinetic-exact":
-            normals = brownian.normals(shared_stream, shared_stream + 1)
-            dws = np.sqrt(brownian.dt) * normals[:, :, :d]
-            extras = normals[:, :, d:]
-        else:
-            dws = brownian.increments(shared_stream, shared_stream + 1)
-            extras = None
+        dws = brownian.increments(stream_lo, stream_hi)
+        extras = None
     out = np.empty((z0_block.shape[0], steps + 1, 2 * d))
     out[:, 0, :] = z0_block
     state = z0_block.copy()
@@ -221,7 +208,8 @@ def evolve(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
 
     z0: (2d,) or (n, 2d).  Per-path noise by default (path i uses stream
     path_offset + i); pass ``shared_stream=j`` to drive every initial point
-    with stream j (replica-style coupling).  NaN/inf states abort.
+    with stream j (replica-style coupling).  A NaN/inf state raises
+    DivergenceError.
     """
     if scheme not in ("em", "kinetic-exact"):
         raise ValidationError(f"unknown scheme {scheme!r}")
@@ -235,83 +223,11 @@ def evolve(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
     for lo in range(0, n, WORK_CHUNK):
         hi = min(lo + WORK_CHUNK, n)
         if shared_stream is None:
-            block = _evolve_block(field, z0[lo:hi], times, brownian, scheme,
-                                  path_offset + lo, path_offset + hi, None)
+            streams = (path_offset + lo, path_offset + hi)
         else:
-            block = _evolve_block(field, z0[lo:hi], times, brownian, scheme,
-                                  0, 0, shared_stream)
-        out[lo:hi] = block
+            streams = (shared_stream, shared_stream + 1)
+        out[lo:hi] = _evolve_block(field, z0[lo:hi], times, brownian, scheme,
+                                   *streams)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("non-finite state encountered during integration")
     return Trajectory(times, out)
-
-
-# ---------------------------------------------------------------------------
-# ensembles
-
-
-@dataclass
-class Reducer:
-    """Named per-path statistic: fn(times, states_block) -> (n_paths,)."""
-
-    name: str
-    fn: callable
-
-    def __call__(self, times, states):
-        return np.asarray(self.fn(times, states), dtype=float)
-
-
-@dataclass
-class EnsembleResult:
-    estimates: dict
-    std_errors: dict
-    num_paths: int
-    num_diverged: int
-    per_path: dict = dc_field(default_factory=dict)
-
-    def row(self, name):
-        return (name, self.estimates[name], self.std_errors[name], self.num_paths)
-
-
-def ensemble(field, z0, brownian, reducers, scheme="em", keep_per_path=False,
-             divergence_fraction=1e-3):
-    """Monte Carlo over per-path streams with ordered deterministic reduction.
-
-    Paths whose state norm crosses the divergence threshold are dropped from
-    every statistic (count recorded); if more than ``divergence_fraction`` of
-    the ensemble diverges the run aborts with DivergenceError.
-    """
-    z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    n = z0.shape[0]
-    if n < 2:
-        raise ValidationError("ensemble needs at least 2 paths")
-    values = {r.name: [] for r in reducers}
-    alive_masks = []
-    times = None
-    for lo in range(0, n, WORK_CHUNK):
-        hi = min(lo + WORK_CHUNK, n)
-        block = _evolve_block(field, z0[lo:hi],
-                              np.linspace(0.0, brownian.horizon, brownian.num_steps + 1),
-                              brownian, scheme, lo, hi, None)
-        times = np.linspace(0.0, brownian.horizon, brownian.num_steps + 1)
-        norms = np.max(np.abs(block), axis=(1, 2))
-        alive = np.isfinite(norms) & (norms <= DIVERGENCE_THRESHOLD)
-        alive_masks.append(alive)
-        for r in reducers:
-            vals = np.where(alive, np.nan_to_num(r(times, block), nan=0.0), 0.0)
-            values[r.name].append(vals)
-    alive = np.concatenate(alive_masks)
-    diverged = int(n - alive.sum())
-    if diverged > divergence_fraction * n:
-        raise DivergenceError(
-            f"{diverged}/{n} paths diverged (> {divergence_fraction:.1e} allowed)"
-        )
-    kept = int(alive.sum())
-    estimates, std_errors, per_path = {}, {}, {}
-    for name, chunks in values.items():
-        allv = np.concatenate(chunks)[alive]
-        estimates[name] = float(np.mean(allv))
-        std_errors[name] = float(np.std(allv, ddof=1) / np.sqrt(kept))
-        if keep_per_path:
-            per_path[name] = allv
-    return EnsembleResult(estimates, std_errors, kept, diverged, per_path)

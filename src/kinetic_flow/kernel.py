@@ -1,15 +1,14 @@
 """Gaussian transition kernel of the free kinetic system.
 
-For dX = V dt, dV = sigma(t) dW the transition operator over [t, s] acts as
+For dX = V dt, dV = sigma dW with constant sigma the transition operator
+over [t, s] acts as
 
     P_{t,s} f(x, v) = E f(x + (s-t) v + X_gap, v + V_gap),
 
 where (X_gap, V_gap) is the centered Gaussian displacement with covariance
-blocks
+blocks, for a = sigma sigma* / 2 and h = s - t,
 
-    C_xx = int_t^s (s-r)^2 (sigma sigma*)(r) dr,
-    C_xv = int_t^s (s-r)   (sigma sigma*)(r) dr,
-    C_vv = int_t^s         (sigma sigma*)(r) dr.
+    C_xx = 2a h^3 / 3,    C_xv = a h^2,    C_vv = 2a h.
 
 The operator factors as (Gaussian blur) followed by (shear x -> x + (s-t) v);
 both factors are exact on band-limited periodic data, which is what the two
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DegenerateKernelError, ProbeInvalidError, ValidationError
-from .grids import GridFunction
 
 __all__ = [
     "KernelCovariance",
@@ -79,11 +77,8 @@ class KernelCovariance:
             return np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
 
 
-def _as_diffusion(a, dim=None):
-    """Normalize `a` (scalar, matrix, or callable of t) to a callable + flag."""
-    if callable(a):
-        probe = np.atleast_2d(np.asarray(a(0.0), dtype=float))
-        return (lambda t: np.atleast_2d(np.asarray(a(t), dtype=float))), probe.shape[0], False
+def _as_diffusion(a):
+    """Validate `a` (scalar or matrix) as a square symmetric PSD matrix."""
     mat = np.asarray(a, dtype=float)
     if mat.ndim == 0:
         mat = mat.reshape(1, 1)
@@ -93,47 +88,28 @@ def _as_diffusion(a, dim=None):
         raise ValidationError("diffusion matrix must be symmetric")
     if np.linalg.eigvalsh(mat).min() < -1e-12:
         raise ValidationError("diffusion matrix must be positive semidefinite")
-    return (lambda t: mat), mat.shape[0], True
+    return mat
 
 
-def kernel_covariance(a, t, s, quad_panels=48):
+def kernel_covariance(a, t, s):
     """Covariance blocks of the displacement over [t, s] for generator matrix a.
 
-    ``a`` is the second-order coefficient (so sigma sigma* = 2a), given as a
-    constant scalar/matrix or a callable of time.  Constant coefficients use
-    the closed forms 2a h^3/3, a h^2, 2a h; time-dependent ones are
-    integrated by composite Gauss-Legendre (order 8 per panel), which holds
-    1e-10 relative accuracy on smooth coefficients.
+    ``a`` is the constant second-order coefficient (so sigma sigma* = 2a),
+    a scalar or a matrix; the blocks are the closed forms 2a h^3/3, a h^2,
+    2a h.
     """
     h = float(s) - float(t)
     if h < MIN_TIME_GAP:
         raise DegenerateKernelError(
             f"time gap {h:.3e} below stable factorization floor {MIN_TIME_GAP:.3e}"
         )
-    a_of_t, dim, is_const = _as_diffusion(a)
-    if is_const:
-        two_a = 2.0 * a_of_t(0.0)
-        return KernelCovariance(
-            gap=h,
-            c_xx=two_a * h**3 / 3.0,
-            c_xv=two_a * h**2 / 2.0,
-            c_vv=two_a * h,
-        )
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(t, s, quad_panels + 1)
-    c_xx = np.zeros((dim, dim))
-    c_xv = np.zeros((dim, dim))
-    c_vv = np.zeros((dim, dim))
-    for left, right in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        for u, w in zip(nodes, weights):
-            r = mid + half * u
-            two_a = 2.0 * a_of_t(r)
-            wt = w * half
-            c_vv += wt * two_a
-            c_xv += wt * (s - r) * two_a
-            c_xx += wt * (s - r) ** 2 * two_a
-    return KernelCovariance(gap=h, c_xx=c_xx, c_xv=c_xv, c_vv=c_vv)
+    two_a = 2.0 * _as_diffusion(a)
+    return KernelCovariance(
+        gap=h,
+        c_xx=two_a * h**3 / 3.0,
+        c_xv=two_a * h**2 / 2.0,
+        c_vv=two_a * h,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +269,17 @@ def _apply_shear(f, values, h):
     return np.fft.ifftn(spec * phase, axes=x_axes).real
 
 
-def apply_semigroup(f, t, s, a, method="spectral", hermite_order=160, tail_tol=1e-6):
+# Gauss-Hermite nodes per axis of the 'hermite' semigroup backend
+HERMITE_ORDER = 160
+
+
+def apply_semigroup(f, t, s, a, method="spectral", tail_tol=1e-6):
     """Apply the transition operator P_{t,s} to a periodic GridFunction.
 
     method 'spectral' multiplies by the analytic Gaussian characteristic
     function; 'hermite' rebuilds that multiplier from tensor Gauss-Hermite
-    quadrature in the displacement (each displaced evaluation being an exact
-    spectral translation).  The backend used is recorded in the result's
+    quadrature of order HERMITE_ORDER in the displacement (each displaced
+    evaluation being an exact spectral translation).  The backend used is recorded in the result's
     meta.  Fields with visible mass near the periodic seam are rejected at
     relative tolerance ``tail_tol``; pass ``np.inf`` only for data that is
     genuinely periodic (a constant, say), where wrap-around is not an error.
@@ -317,13 +297,10 @@ def apply_semigroup(f, t, s, a, method="spectral", hermite_order=160, tail_tol=1
     if method == "spectral":
         mult = _blur_multiplier_spectral(f, cov)
     else:
-        mult = _blur_multiplier_hermite(f, cov, hermite_order)
+        mult = _blur_multiplier_hermite(f, cov, HERMITE_ORDER)
     blurred = _apply_blur(f, mult)
     sheared = _apply_shear(f, blurred, cov.gap)
-    out = f.with_values(sheared, backend=method, gap=cov.gap)
-    if method == "hermite":
-        out.meta["hermite_order"] = hermite_order
-    return out
+    return f.with_values(sheared, backend=method, gap=cov.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +313,19 @@ def apply_semigroup(f, t, s, a, method="spectral", hermite_order=160, tail_tol=1
 # smoothing exponents.  A grid cannot represent these bumps over a
 # multi-decade ladder, which is why the probe is analytic.
 
+# width of the probe bump, narrow against every smoothing scale of a ladder
+PROBE_WIDTH = 1e-6
+# tensor Gauss-Hermite orders of the gradient and anisotropic probes
+GRADIENT_PROBE_ORDER = 12
+ANISOTROPIC_PROBE_ORDER = 96
 
-def _probe_second_moment(cov, bump_width):
+
+def _probe_second_moment(cov):
     """Inverse-shape matrix and shear for the pushed-forward probe spectrum."""
     if cov.dim != 1:
         raise ValidationError("scaling probes are implemented for d = 1")
     c = cov.matrix()
-    omega_inv = 2.0 * c + 2.0 * bump_width**2 * np.eye(2)
+    omega_inv = 2.0 * c + 2.0 * PROBE_WIDTH**2 * np.eye(2)
     omega = np.linalg.inv(omega_inv)
     return omega
 
@@ -386,10 +369,10 @@ def _fit_slope(h, values):
     return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
-def gradient_scaling_probe(a, k, m, h_ladder, bump_width=1e-6, quad_order=12):
+def gradient_scaling_probe(a, k, m, h_ladder):
     """Fit the decay exponent of ||d_x^k d_v^m P_{0,h} f||_2 / ||P_{0,h} f||_2.
 
-    ``f`` is the fixed Gaussian probe bump of width ``bump_width`` (narrow
+    ``f`` is the fixed Gaussian probe bump of width PROBE_WIDTH (narrow
     against every smoothing scale in the ladder, so the normalized norm decays
     at the anisotropic rate -(3k+m)/2; (k, m) = (0, 0) gives slope 0, the
     contraction).  Norms are evaluated in closed form in Fourier space, the
@@ -402,11 +385,11 @@ def gradient_scaling_probe(a, k, m, h_ladder, bump_width=1e-6, quad_order=12):
     norms = []
     for gap in h:
         cov = kernel_covariance(a, 0.0, gap)
-        omega = _probe_second_moment(cov, bump_width)
+        omega = _probe_second_moment(cov)
         val = _gauss_hermite_expect(
             lambda k1, k2: k1 ** (2 * k) * (k2 + gap * k1) ** (2 * m),
             omega,
-            max(quad_order, k + m + 2),
+            max(GRADIENT_PROBE_ORDER, k + m + 2),
         )
         norms.append(math.sqrt(max(val, 0.0)))
     norms = np.asarray(norms)
@@ -416,7 +399,7 @@ def gradient_scaling_probe(a, k, m, h_ladder, bump_width=1e-6, quad_order=12):
     return _fit_slope(h, norms), norms
 
 
-def anisotropic_smoothing_probe(a, alpha, h_ladder, bump_width=1e-6, quad_order=96):
+def anisotropic_smoothing_probe(a, alpha, h_ladder):
     """Normalized position-regularity norm of P_{0,h} f across an h ladder.
 
     Returns the sequence  sqrt(E (1 + K_x^2)^alpha) * h^(3 alpha / 2)  for the
@@ -429,11 +412,11 @@ def anisotropic_smoothing_probe(a, alpha, h_ladder, bump_width=1e-6, quad_order=
     products = []
     for gap in h:
         cov = kernel_covariance(a, 0.0, gap)
-        omega = _probe_second_moment(cov, bump_width)
+        omega = _probe_second_moment(cov)
         val = _gauss_hermite_expect(
             lambda k1, k2: (1.0 + k1 * k1) ** alpha,
             omega,
-            quad_order,
+            ANISOTROPIC_PROBE_ORDER,
         )
         products.append(math.sqrt(max(val, 0.0)) * gap ** (1.5 * alpha))
     return np.asarray(products)

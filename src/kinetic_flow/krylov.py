@@ -47,6 +47,8 @@ __all__ = [
 # truncation radius of the bumps, in width units; the cut band contributes
 # less than e^{-4.5 p} of the L^p norm, invisible for p >= 3
 TRUNCATION_RADII = (3.0, 4.0)
+# smallest bump family krylov_ratio fits its constant over
+MIN_FAMILY = 20
 
 
 def krylov_beta(d, p):
@@ -125,38 +127,39 @@ class PhaseBump:
 DEFAULT_WIDTH_PAIRS = (
     (0.0156, 0.25), (0.04, 0.4), (0.05, 0.05), (0.15, 0.15),
 )
+# half-widths of the (x, v) box the Halton centers fill
+CENTER_BOX = (1.5, 2.0)
+# The family amplitude matters only to the exponential-moment checks,
+# where both sides scale differently: 3 keeps the family's MGF tests
+# inside the regime where the subadditive 2^k bound is active (k >= 1 at
+# lambda = 1 for the family's fitted constant); occupation ratios are
+# amplitude-invariant.
+FAMILY_AMPLITUDE = 3.0
 
 
-def bump_family(num_members=20, *, x_box=1.5, v_box=2.0, width_pairs=None,
-                amplitude=3.0, anchor=(0.0, 0.0)):
+def bump_family(num_members=20):
     """Family of bumps with quasi-random centers and laddered widths.
 
-    The first len(width_pairs) members sit at ``anchor`` (one per width
-    pair), so the family probes the ensemble's starting point at every
-    width scale; remaining centers come from an unscrambled Halton
-    sequence over [-x_box, x_box] x [-v_box, v_box] (deterministic), width
-    pairs cycling.  d=1.
-
-    The default amplitude 3 matters only to the exponential-moment
-    checks, where both sides scale differently: it keeps the family's
-    MGF tests inside the regime where the subadditive 2^k bound is active
-    (k >= 1 at lambda = 1 for the family's fitted constant); occupation
-    ratios are amplitude-invariant.
+    The first len(DEFAULT_WIDTH_PAIRS) members sit at the origin (one per
+    width pair), so the family probes the ensemble's starting point at
+    every width scale; remaining centers come from an unscrambled Halton
+    sequence over the CENTER_BOX rectangle (deterministic), width pairs
+    cycling.  Every member has amplitude FAMILY_AMPLITUDE.  d=1.
     """
     if num_members < 1:
         raise ValidationError("need at least one bump")
-    pairs = DEFAULT_WIDTH_PAIRS if width_pairs is None else tuple(width_pairs)
+    pairs = DEFAULT_WIDTH_PAIRS
     sampler = qmc.Halton(d=2, scramble=False)
     pts = sampler.random(num_members)
-    lo = np.array([-x_box, -v_box])
-    hi = np.array([x_box, v_box])
+    hi = np.array(CENTER_BOX)
+    lo = -hi
     centers = lo + pts * (hi - lo)
     bumps = []
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = np.zeros(2)
     for i in range(num_members):
         wx, wv = pairs[i % len(pairs)]
         where = anchor if i < len(pairs) else centers[i]
-        bumps.append(PhaseBump(tuple(where), wx, wv, amplitude))
+        bumps.append(PhaseBump(tuple(where), wx, wv, FAMILY_AMPLITUDE))
     return bumps
 
 
@@ -171,6 +174,25 @@ def _window_indices(times, t0, t1):
     return i0, i1
 
 
+def _window_occupation(trajectory, fn, t0, t1, dt):
+    """Per-path trapezoid of fn(Z_s) over the window [t0, t1] at step dt."""
+    i0, i1 = _window_indices(trajectory.times, t0, t1)
+    vals = fn(trajectory.states[:, i0:i1 + 1, :])
+    w = np.full(i1 - i0 + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return vals @ w
+
+
+def _simulate(field, z0, num_paths, horizon, dt, master_seed, trajectory=None):
+    """``trajectory`` if given, else num_paths paths started at z0."""
+    if trajectory is not None:
+        return trajectory
+    steps = int(round(horizon / dt))
+    z0 = np.zeros(2 * field.dim) if z0 is None else np.asarray(z0, dtype=float)
+    brownian = BrownianGrid(master_seed, dt, steps, field.dim)
+    return evolve(field, np.tile(z0, (num_paths, 1)), brownian)
+
+
 def occupation_functional(trajectory, f, t0, t1):
     """Per-path trapezoid quadrature of f along the paths, averaged.
 
@@ -178,13 +200,9 @@ def occupation_functional(trajectory, f, t0, t1):
     (PhaseBump instances qualify).  Returns mean +- SE over paths, reduced
     in path order.
     """
-    i0, i1 = _window_indices(trajectory.times, t0, t1)
-    dt = trajectory.times[1] - trajectory.times[0]
-    vals = f.value(trajectory.states[:, i0:i1 + 1, :]) if hasattr(f, "value") \
-        else f(trajectory.states[:, i0:i1 + 1, :])
-    w = np.full(i1 - i0 + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    per_path = vals @ w
+    fn = f.value if hasattr(f, "value") else f
+    per_path = _window_occupation(trajectory, fn, t0, t1,
+                                  trajectory.times[1] - trajectory.times[0])
     n = per_path.size
     mean = float(np.mean(per_path))
     se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -234,8 +252,7 @@ class KrylovTable:
 
 
 def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
-                 z0=None, scheme="em", master_seed=0, restart=False,
-                 min_family=20):
+                 z0=None, master_seed=0, restart=False):
     """Occupation/norm ratios over a bump family and a window ladder.
 
     For each bump f and window [t0, t1] the ratio
@@ -248,16 +265,17 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
     stand-in for the conditional form of the estimate; restarted rows get
     f_id suffixed with '|r'.
     """
-    if len(bumps) < min_family:
-        raise ValidationError(f"bump family needs >= {min_family} members")
+    if len(bumps) < MIN_FAMILY:
+        raise ValidationError(f"bump family needs >= {MIN_FAMILY} members")
     for i, f in enumerate(bumps):
+        if f.dim != field.dim:
+            raise ValidationError(
+                f"bump {i} has dimension {f.dim}, the field {field.dim}")
         if f.lp_norm(p) == 0.0:
             raise ValidationError(f"bump {i} has zero norm")
     beta = krylov_beta(field.dim, p)
-    steps = int(round(horizon / dt))
-    z0 = np.zeros(2 * field.dim) if z0 is None else np.asarray(z0, dtype=float)
-    brownian = BrownianGrid(master_seed, dt, steps, field.dim)
-    traj = evolve(field, np.tile(z0, (num_paths, 1)), brownian, scheme=scheme)
+    traj = _simulate(field, z0, num_paths, horizon, dt, master_seed)
+    steps = len(traj.times) - 1
 
     f_ids, rows_w, ests, ses, norms, ratios = [], [], [], [], [], []
 
@@ -279,7 +297,7 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
         for (t0, t1) in [w for w in win_list if w[0] > 0.0]:
             i0, _ = _window_indices(traj.times, t0, t1)
             sub = BrownianGrid(master_seed + 104729, dt, steps - i0, field.dim)
-            re_traj = evolve(field, traj.states[:, i0, :], sub, scheme=scheme)
+            re_traj = evolve(field, traj.states[:, i0, :], sub)
             re_traj.times = re_traj.times + t0
             add_rows(re_traj, t0, t1, suffix="|r")
     return KrylovTable(f_ids, rows_w, np.array(ests), np.array(ses),
@@ -312,8 +330,7 @@ class MgfReport:
 
 
 def khasminskii_mgf(field, f, lam, t0, t1, num_paths, horizon, dt, *,
-                    fitted_c, p, z0=None, scheme="em", master_seed=0,
-                    trajectory=None):
+                    fitted_c, p, z0=None, master_seed=0, trajectory=None):
     """Monte Carlo MGF of the occupation integral against the 2^k bound.
 
     bound = 2^(T (2 C lam ||f||_{L^p([0,T]x R^2d)})^(1/beta)) with C the
@@ -329,19 +346,8 @@ def khasminskii_mgf(field, f, lam, t0, t1, num_paths, horizon, dt, *,
     if fitted_c <= 0.0:
         raise ValidationError("need a positive fitted constant")
     beta = krylov_beta(field.dim, p)
-    traj = trajectory
-    if traj is None:
-        steps = int(round(horizon / dt))
-        z0 = (np.zeros(2 * field.dim) if z0 is None
-              else np.asarray(z0, dtype=float))
-        brownian = BrownianGrid(master_seed, dt, steps, field.dim)
-        traj = evolve(field, np.tile(z0, (num_paths, 1)), brownian,
-                      scheme=scheme)
-    i0, i1 = _window_indices(traj.times, t0, t1)
-    vals = f.value(traj.states[:, i0:i1 + 1, :])
-    w = np.full(i1 - i0 + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    occ = vals @ w
+    traj = _simulate(field, z0, num_paths, horizon, dt, master_seed, trajectory)
+    occ = _window_occupation(traj, f.value, t0, t1, dt)
     norm_t = f.spacetime_norm(p, 0.0, horizon)
 
     emps, bounds, passes, maxes, ks = [], [], [], [], []
@@ -377,26 +383,15 @@ class FactorialReport:
 
 
 def moment_factorial_check(field, f, m_ladder, t0, t1, num_paths, horizon,
-                           dt, *, fitted_c, p, z0=None, scheme="em",
-                           master_seed=0, trajectory=None):
+                           dt, *, fitted_c, p, z0=None, master_seed=0,
+                           trajectory=None):
     """m-th moments of int f(Z) ds against the factorial bound."""
     m_ladder = [int(m) for m in m_ladder]
     if not m_ladder or any(m < 1 or m > 6 for m in m_ladder):
         raise ValidationError("m ladder must be a nonempty subset of {1,...,6}")
     beta = krylov_beta(field.dim, p)
-    traj = trajectory
-    if traj is None:
-        steps = int(round(horizon / dt))
-        z0 = (np.zeros(2 * field.dim) if z0 is None
-              else np.asarray(z0, dtype=float))
-        brownian = BrownianGrid(master_seed, dt, steps, field.dim)
-        traj = evolve(field, np.tile(z0, (num_paths, 1)), brownian,
-                      scheme=scheme)
-    i0, i1 = _window_indices(traj.times, t0, t1)
-    vals = f.value(traj.states[:, i0:i1 + 1, :])
-    w = np.full(i1 - i0 + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    occ = vals @ w
+    traj = _simulate(field, z0, num_paths, horizon, dt, master_seed, trajectory)
+    occ = _window_occupation(traj, f.value, t0, t1, dt)
     unit = fitted_c * f.spacetime_norm(p, 0.0, horizon) * (t1 - t0) ** beta
     ms, moments, bounds, passes = [], [], [], []
     for m in m_ladder:

@@ -186,9 +186,7 @@ def _run_fokker_planck(cfg, out_dir):
     quarter_idx = sorted({0, last // 4, last // 2, 3 * last // 4, last})
     fp.checkpoints_to_csv([measures[i] for i in quarter_idx],
                           os.path.join(out_dir, "atoms.csv"))
-    table = fp.weak_residual(measures, field,
-                             fp.test_dictionary() if cfg.d == 1 else
-                             [fp.TestFunction.constant(1.0)])
+    table = fp.weak_residual(measures, field, fp.test_dictionary())
     table.to_csv(os.path.join(out_dir, "residual.csv"))
     return (["atoms.csv", "residual.csv"],
             {"integrability": "%.17g" % table.integrability})

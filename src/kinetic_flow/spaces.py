@@ -15,7 +15,6 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ValidationError
-from .grids import GridFunction
 
 __all__ = [
     "Mollifier",
@@ -135,14 +134,14 @@ def fractional_laplacian(f, axes, s):
     return _apply_multiplier(f, axes, lambda k2: -(k2**s))
 
 
-def spectral_derivative(f, axis, order=1):
-    """Partial derivative along one grid axis via (i k)^order."""
+def spectral_derivative(f, axis):
+    """First partial derivative along one grid axis via i k."""
     if not 0 <= axis < f.num_grid_axes:
         raise ValidationError(f"axis {axis} out of range")
     k = f.wavenumbers()
     shape = [1] * f.num_grid_axes
     shape[axis] = f.points_per_axis
-    mult = (1j * k).reshape(shape) ** order
+    mult = (1j * k).reshape(shape)
     mult = mult.reshape(mult.shape + (1,) * len(f.component_shape))
     grid_axes = tuple(range(f.num_grid_axes))
     spec = np.fft.fftn(f.values, axes=grid_axes)
@@ -259,11 +258,16 @@ class LipschitzReport:
     num_pairs: int
 
 
-def lipschitz_via_maximal_check(f, constant=None, max_points=1024):
+# sample points lipschitz_via_maximal_check scans exhaustively; larger grids
+# are strided down to about this many
+LIPSCHITZ_MAX_POINTS = 1024
+
+
+def lipschitz_via_maximal_check(f, constant=None):
     """Check |f(a)-f(b)| <= C |a-b| (Mg(a) + Mg(b)) with g = |grad f|.
 
-    Scans grid-point pairs (exhaustively up to ``max_points`` sample points,
-    strided beyond) and returns the smallest constant that works on the
+    Scans grid-point pairs (exhaustively up to LIPSCHITZ_MAX_POINTS sample
+    points, strided beyond) and returns the smallest constant that works on the
     scanned pairs plus the violation count for a supplied ``constant``.
     Pairs with zero right-hand side and zero increment are skipped; a zero
     right-hand side with a nonzero increment yields an infinite fitted
@@ -278,7 +282,7 @@ def lipschitz_via_maximal_check(f, constant=None, max_points=1024):
     k = f.num_grid_axes
     n = f.points_per_axis
     total = n**k
-    stride = max(1, int(np.ceil((total / max_points) ** (1.0 / k))))
+    stride = max(1, int(np.ceil((total / LIPSCHITZ_MAX_POINTS) ** (1.0 / k))))
     sl = (slice(None, None, stride),) * k
     sub_vals = f.values[sl].reshape(-1)
     sub_m = m[sl].reshape(-1)

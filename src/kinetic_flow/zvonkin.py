@@ -30,15 +30,23 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridFunction, grid_mesh
-from .integrator import evolve
+from .integrator import WORK_CHUNK, evolve
 from .kernel import (
     _apply_blur,
     _apply_shear,
-    _blur_multiplier_hermite,
     _blur_multiplier_spectral,
     _tail_mass_check,
+    apply_semigroup,
     kernel_covariance,
 )
+
+# Picard stops once the sup-norm increment drops below PICARD_TOL and gives
+# up after PICARD_MAX_ITER sweeps
+PICARD_TOL = 1e-8
+PICARD_MAX_ITER = 32
+# paths within this many grid cells of the periodic seam leave the
+# residual statistics
+SEAM_MARGIN_CELLS = 4
 
 
 def _axis_kinds(dim):
@@ -165,18 +173,6 @@ class SpaceTimeField:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def sample(cls, fn, num_slices, horizon, box_half_width, points_per_axis,
-               dim, diffusion, lam=0.0):
-        """Evaluate fn(t, z) -> (..., d) on every slice of the grid."""
-        times = np.linspace(0.0, float(horizon), int(num_slices) + 1)
-        mesh = grid_mesh(box_half_width, points_per_axis, 2 * dim)
-        pts = np.stack(mesh, axis=-1)
-        vals = np.empty((times.size,) + pts.shape[:-1] + (dim,))
-        for i, t in enumerate(times):
-            vals[i] = np.asarray(fn(t, pts), dtype=float)
-        return cls(times, vals, box_half_width, diffusion, lam)
-
-    @classmethod
     def zeros(cls, num_slices, horizon, box_half_width, points_per_axis,
               dim, diffusion, lam=0.0):
         times = np.linspace(0.0, float(horizon), int(num_slices) + 1)
@@ -187,9 +183,6 @@ class SpaceTimeField:
 
     def slice_grid(self, i):
         return GridFunction(self.values[i], self.box_half_width, self.axis_kinds)
-
-    def sup(self):
-        return float(np.max(np.abs(self.values)))
 
     def grad_v(self):
         """All velocity derivatives, shape (slices, grid..., component, v-axis)."""
@@ -212,39 +205,28 @@ class SpaceTimeField:
             return float(np.max(np.abs(gv)))
         return float(np.max(np.linalg.norm(gv, ord=2, axis=(-2, -1))))
 
-    def interpolate(self, i, pts):
-        """Cubic tensor interpolation of slice i at points (m, 2d)."""
-        pts = np.asarray(pts, dtype=float)
-        coords = ((pts + self.box_half_width) / self.spacing).T
-        arr = self.values[i]
-        out = [
-            ndimage.map_coordinates(arr[..., c], coords, order=3, mode="grid-wrap")
-            for c in range(self.dim)
-        ]
-        return np.stack(out, axis=-1)
-
 
 # ---------------------------------------------------------------------------
 # Duhamel quadrature
 
 
-def duhamel_resolvent(source, lam, horizon=None, a=None, *, method="recursive",
-                      backend="spectral", hermite_order=160, tail_tol=1e-6):
+def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
+                      tail_tol=1e-6):
     """u_t = integral_t^T exp(lam (t-s)) P_{t,s} f_s ds, trapezoid in s.
 
-    The slice grid of the source is the quadrature grid; the s = t endpoint
-    contributes through P_{t,t} = identity.  'recursive' evaluates the
-    trapezoid sum by one fixed-gap transition per backward step (the
-    transition operators compose exactly, so this equals the direct sum up
-    to rounding); 'direct' performs the O(slices^2) sum and exists to
-    cross-check the recursion.  Both share the seam guard of the kernel
-    applies via tail_tol.
+    P is the transition operator of the source's own diffusion, applied by
+    the spectral kernel backend.  The slice grid of the source is the
+    quadrature grid; the s = t endpoint contributes through
+    P_{t,t} = identity.  'recursive' evaluates the trapezoid sum by one
+    fixed-gap transition per backward step (the transition operators
+    compose exactly, so this equals the direct sum up to rounding);
+    'direct' performs the O(slices^2) sum and exists to cross-check the
+    recursion.  Both share the seam guard of the kernel applies via
+    tail_tol.
     """
     if lam < 0:
         raise ValidationError("lam must be >= 0")
-    if a is None:
-        a = source.diffusion
-    a = _as_constant_diffusion(a, source.dim)
+    a = source.diffusion
     if horizon is not None and not np.isclose(horizon, source.horizon):
         raise ValidationError("horizon does not match the source time grid")
     if method not in ("recursive", "direct"):
@@ -257,12 +239,7 @@ def duhamel_resolvent(source, lam, horizon=None, a=None, *, method="recursive",
 
     if method == "recursive":
         cov = kernel_covariance(a, 0.0, step)
-        if backend == "spectral":
-            mult = _blur_multiplier_spectral(template, cov)
-        elif backend == "hermite":
-            mult = _blur_multiplier_hermite(template, cov, hermite_order)
-        else:
-            raise ValidationError(f"unknown backend {backend!r}")
+        mult = _blur_multiplier_spectral(template, cov)
         decay = np.exp(-lam * step)
         half = 0.5 * step
         for i in range(nt - 1, -1, -1):
@@ -271,16 +248,12 @@ def duhamel_resolvent(source, lam, horizon=None, a=None, *, method="recursive",
             stepped = _apply_shear(carry, _apply_blur(carry, mult), cov.gap)
             out[i] = decay * stepped + half * g[i]
     else:
-        from .kernel import apply_semigroup
-
         for i in range(nt):
             acc = 0.5 * step * np.array(g[i])
             for j in range(i + 1, nt + 1):
                 gap = source.times[j] - source.times[i]
                 applied = apply_semigroup(
-                    source.slice_grid(j), 0.0, gap, a,
-                    method=backend, hermite_order=hermite_order,
-                    tail_tol=tail_tol,
+                    source.slice_grid(j), 0.0, gap, a, tail_tol=tail_tol,
                 ).values
                 w = 0.5 * step if j == nt else step
                 acc += w * np.exp(-lam * gap) * applied
@@ -310,15 +283,14 @@ class PicardResult:
 
 
 def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
-                 num_slices, dim=1, tol=1e-8, max_iter=32, backend="spectral",
-                 method="recursive", static_drift=True, tail_tol=1e-6):
+                 num_slices, dim=1, tail_tol=1e-6):
     """Iterate u^{k+1} = resolvent(b . grad_v u^k + b) from u^0 = 0.
 
-    drift is a callable (t, z) -> (..., d); static_drift=True evaluates it
-    once at t = 0 (the library fields are autonomous).  Stops when the
-    sup-norm increment drops below tol; a monotone increment growth or an
-    exhausted max_iter raises LambdaTooSmallError carrying the observed
-    contraction ratio.
+    drift is a callable (t, z) -> (..., d), evaluated once at t = 0 (the
+    library fields are autonomous).  Stops when the sup-norm increment
+    drops below PICARD_TOL; a monotone increment growth or PICARD_MAX_ITER
+    sweeps without convergence raise LambdaTooSmallError carrying the
+    observed contraction ratio.
     """
     if lam <= 0:
         raise ValidationError("picard iteration needs lam > 0")
@@ -326,32 +298,26 @@ def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
     times = np.linspace(0.0, float(horizon), int(num_slices) + 1)
     mesh = grid_mesh(box_half_width, points_per_axis, 2 * dim)
     pts = np.stack(mesh, axis=-1)
-    if static_drift:
-        b0 = np.asarray(drift(0.0, pts), dtype=float)
-        b_slices = np.broadcast_to(b0[None], (times.size,) + b0.shape)
-    else:
-        b_slices = np.stack(
-            [np.asarray(drift(t, pts), dtype=float) for t in times]
-        )
+    b0 = np.asarray(drift(0.0, pts), dtype=float)
+    b_slices = np.broadcast_to(b0[None], (times.size,) + b0.shape)
     if not np.all(np.isfinite(b_slices)):
         raise ValidationError("drift produced non-finite values on the grid")
 
     u = SpaceTimeField.zeros(num_slices, horizon, box_half_width,
                              points_per_axis, dim, a, lam)
     increments = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         if it == 1:
             g = np.array(b_slices)
         else:
             gv = u.grad_v()
             g = b_slices + np.einsum("...j,...cj->...c", b_slices, gv)
         src = SpaceTimeField(times, g, box_half_width, a)
-        u_next = duhamel_resolvent(src, lam, method=method, backend=backend,
-                                   tail_tol=tail_tol)
+        u_next = duhamel_resolvent(src, lam, tail_tol=tail_tol)
         inc = float(np.max(np.abs(u_next.values - u.values)))
         increments.append(inc)
         u = u_next
-        if inc < tol:
+        if inc < PICARD_TOL:
             return PicardResult(u, np.asarray(increments), it)
         if len(increments) >= 3 and increments[-1] > increments[-2] > increments[-3]:
             raise LambdaTooSmallError(
@@ -360,16 +326,15 @@ def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
             )
     ratio = increments[-1] / increments[-2] if len(increments) > 1 else np.inf
     raise LambdaTooSmallError(
-        f"no contraction below tol={tol:g} within {max_iter} sweeps at "
-        f"lam={lam:g} (last ratio {ratio:.3g})",
+        f"no contraction below tol={PICARD_TOL:g} within {PICARD_MAX_ITER} "
+        f"sweeps at lam={lam:g} (last ratio {ratio:.3g})",
         observed_ratio=ratio,
     )
 
 
 def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
                   num_slices, dim=1, lam_init=1.0, max_doublings=14,
-                  gradient_target=0.5, tol=1e-8, max_iter=32,
-                  backend="spectral", static_drift=True, tail_tol=1e-6):
+                  gradient_target=0.5):
     """Double lam until the fixed point exists and sup |grad_v u| <= target.
 
     Returns the accepted PicardResult; the rate is in result.u.lam.  A lam
@@ -382,10 +347,7 @@ def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
         try:
             res = picard_solve(
                 drift, lam, horizon, a, box_half_width=box_half_width,
-                points_per_axis=points_per_axis, num_slices=num_slices,
-                dim=dim, tol=tol, max_iter=max_iter, backend=backend,
-                static_drift=static_drift, tail_tol=tail_tol,
-            )
+                points_per_axis=points_per_axis, num_slices=num_slices, dim=dim)
         except (LambdaTooSmallError, AccuracyError):
             lam *= 2.0
             continue
@@ -462,18 +424,22 @@ class ZvonkinTransform:
         gv = self.velocity_gradient(i, pts)
         return (np.eye(self.dim) + gv) @ self.sigma
 
-    def in_domain(self, pts, margin_cells=4):
-        """True where every coordinate sits clear of the periodic seam."""
+    def in_domain(self, pts):
+        """True where every coordinate sits SEAM_MARGIN_CELLS clear of the
+        periodic seam."""
         pts = np.asarray(pts, dtype=float)
-        lim = self.u.box_half_width - margin_cells * self.u.spacing
+        lim = self.u.box_half_width - SEAM_MARGIN_CELLS * self.u.spacing
         return np.all(np.abs(pts) <= lim, axis=-1)
 
-    def velocity_ratio_sample(self, rng, num_pairs, *, sample_radius=None,
-                              min_separation=1e-8):
-        """Ratios |H(x,v) - H(x,v')| / |v - v'| at random slices and points."""
+    def velocity_ratio_sample(self, rng, num_pairs):
+        """Ratios |H(x,v) - H(x,v')| / |v - v'| at random slices and points.
+
+        Points fill the central half of the box; velocity pairs closer
+        than 1e-8 are redrawn.
+        """
         d = self.dim
-        if sample_radius is None:
-            sample_radius = 0.5 * self.u.box_half_width
+        sample_radius = 0.5 * self.u.box_half_width
+        min_separation = 1e-8
         idx = rng.integers(0, self.u.num_slices, size=num_pairs)
         x = rng.uniform(-sample_radius, sample_radius, size=(num_pairs, d))
         v = rng.uniform(-sample_radius, sample_radius, size=(num_pairs, d))
@@ -537,13 +503,9 @@ class ResidualReport:
     dt: float
     scheme: str
 
-    def max_abs_mean(self):
-        return float(np.max(np.abs(self.mean[-1])))
-
 
 def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
-                             checkpoints=None, scheme="em", quadrature="trapezoid",
-                             block_paths=4096, margin_cells=4):
+                             checkpoints=None, scheme="em", quadrature="trapezoid"):
     """Statistics of R_t = H_t(Z_t) - H_0(Z_0) - lam int u ds - int Theta dW.
 
     Z is integrated with the given scheme on the same field and noise grid
@@ -552,8 +514,8 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
     not be the Ito integral), while the time integral of u along the path
     uses ``quadrature`` ('trapezoid' or 'left'; trapezoid cancels the
     O(dt) quadrature bias, leaving the scheme's own weak error).  Paths
-    that reach within margin_cells of the periodic seam are excluded from
-    that checkpoint onward and counted.  Returns mean and standard error
+    that reach within SEAM_MARGIN_CELLS of the periodic seam are excluded
+    from that checkpoint onward and counted.  Returns mean and standard error
     of R across surviving paths at each checkpoint.
     """
     if quadrature not in ("trapezoid", "left"):
@@ -600,14 +562,14 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
     counts = np.zeros(nc, dtype=int)
     excluded = np.zeros(nc, dtype=int)
 
-    for lo in range(0, num_paths, block_paths):
-        hi = min(lo + block_paths, num_paths)
+    for lo in range(0, num_paths, WORK_CHUNK):
+        hi = min(lo + WORK_CHUNK, num_paths)
         traj = evolve(field, np.array(z0[lo:hi]), brownian, scheme=scheme,
                       path_offset=lo)
         dw = brownian.increments(lo, hi)
         states = traj.states
         nb = hi - lo
-        alive = transform.in_domain(states[:, 0], margin_cells)
+        alive = transform.in_domain(states[:, 0])
         u0 = transform.shift(0, states[:, 0])
         h0 = states[:, 0, d:] + u0
         integ = np.zeros((nb, d))
@@ -616,13 +578,13 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
         for i in range(steps):
             pts = states[:, i]
             if i > 0:
-                alive &= transform.in_domain(pts, margin_cells)
+                alive &= transform.in_domain(pts)
             integ += transform.shift(i, pts)
             th = transform.theta(i, pts)
             mart += np.einsum("ncj,nj->nc", th, dw[:, i])
             if i + 1 == cp_idx[ci]:
                 pts_c = states[:, i + 1]
-                alive_c = alive & transform.in_domain(pts_c, margin_cells)
+                alive_c = alive & transform.in_domain(pts_c)
                 u_c = transform.shift(i + 1, pts_c)
                 h_c = pts_c[:, d:] + u_c
                 if quadrature == "trapezoid":
@@ -697,23 +659,3 @@ def pde_defect(u, source):
     lu = transport + diffuse
     return dtu + lu[1:-1] - u.lam * vals[1:-1] + source.values[1:-1]
 
-
-def freeze_diffusion(field, *, reference=None, sample_radius=None,
-                     num_samples=256, seed=0):
-    """Constant diffusion surrogate for a variable-sigma field.
-
-    Returns (a at the reference point, sup relative deviation of a over a
-    sampled ball).  The deviation is the honesty metric to report whenever
-    a variable-sigma system is fed through the constant-sigma PDE backend.
-    """
-    d = field.dim
-    z_ref = np.zeros(2 * d) if reference is None else np.asarray(reference, float)
-    a0 = field.generator_a(0.0, z_ref)
-    if sample_radius is None:
-        sample_radius = field.support_radius
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-sample_radius, sample_radius, size=(num_samples, 2 * d))
-    a_all = field.generator_a(0.0, pts)
-    dev = np.linalg.norm(a_all - a0, axis=(-2, -1))
-    scale = max(np.linalg.norm(a0), 1e-300)
-    return a0, float(np.max(dev) / scale)

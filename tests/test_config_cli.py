@@ -86,6 +86,26 @@ def test_parse_p_gate():
         ExperimentConfig("converge", 0, "out", p=2.0)
 
 
+@pytest.mark.parametrize("experiment,keys", [
+    ("krylov", "T = 1\ndt = 0.015625\nN = 100\np = 7\n"),
+    ("fokker-planck", "T = 1\ndt = 0.0625\nN = 100\n"),
+    ("zvonkin", "T = 1\nlambda = 1\n"),
+    ("converge", "T = 1\ndt = 0.0625\nN = 100\np = 7\nn_ladder = 4,8,16\n"),
+])
+def test_parse_refuses_d_above_one(experiment, keys, tmp_path, capsys):
+    text = f"experiment = {experiment}\nseed = 1\nd = 2\n{keys}"
+    with pytest.raises(ValidationError, match="runs at d = 1 only, got d = 2"):
+        parse_config_text(text + "output = out\n")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text + f"output = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "d = 1 only" in capsys.readouterr().err
+    assert not out.exists()
+    # the flow experiment runs at any d
+    parse_config_text("experiment = flow\nseed = 1\nd = 2\nT = 1\n"
+                      "dt = 0.0625\nN = 100\noutput = out\n")
+
+
 # ---------------------------------------------------------------------------
 # worker pool
 

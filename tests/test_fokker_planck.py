@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from kinetic_flow.errors import ValidationError
-from kinetic_flow.fields import library_field
+from kinetic_flow.errors import DivergenceError, ValidationError
+from kinetic_flow.fields import CoefficientField, library_field
 from kinetic_flow.fokker_planck import (
     EmpiricalMeasure,
     GaussianMeasure,
@@ -19,6 +19,12 @@ from kinetic_flow.fokker_planck import (
     two_sample_floor,
     uniform_ball,
     weak_residual,
+)
+from kinetic_flow.integrator import (
+    DIVERGENCE_FRACTION,
+    DIVERGENCE_THRESHOLD,
+    BrownianGrid,
+    evolve,
 )
 
 
@@ -90,6 +96,48 @@ def test_particle_measure_checkpoint_subset():
     with pytest.raises(ValidationError):
         particle_measure(field, point_mass([0.0, 0.0]), 50, 0.25, 1.0 / 32,
                          checkpoints=[0.13])
+
+
+def unit_sigma(t, z):
+    return np.broadcast_to(np.eye(1), np.asarray(z).shape[:-1] + (1, 1))
+
+
+def kick_field(level):
+    """Zero drift until v exceeds ``level``, then a finite 1e8 kick that
+    carries the atom far past the divergence threshold."""
+    return CoefficientField(
+        1, lambda t, z: np.where(np.asarray(z)[..., 1:] > level, 1e8, 0.0),
+        unit_sigma, 1e9, "kick", {}, np.eye(1))
+
+
+def test_particle_measure_drops_and_counts_diverged_atoms():
+    n, dt = 8000, 1.0 / 16
+    field = kick_field(3.2)
+    measures = particle_measure(field, point_mass([0.0, 0.0]), n, 1.0, dt,
+                                master_seed=4)
+    # the same noise drives a plain evolve of the point mass
+    ref = evolve(field, np.zeros((n, 2)), BrownianGrid(4, dt, 16, 1))
+    kicked = np.any(ref.states[:, :-1, 1] > 3.2, axis=1)
+    assert 0 < kicked.sum() <= DIVERGENCE_FRACTION * n
+    assert np.all(np.max(np.abs(ref.states[kicked]), axis=(1, 2))
+                  > DIVERGENCE_THRESHOLD)
+    assert np.array_equal(measures[0].atom_ids, np.flatnonzero(~kicked))
+    for mu in measures:
+        assert np.array_equal(mu.atom_ids, measures[0].atom_ids)
+        assert mu.total_requested == n
+        assert np.array_equal(mu.atoms, ref.states[~kicked, round(mu.t / dt)])
+    with pytest.raises(DivergenceError, match="atoms diverged"):
+        particle_measure(kick_field(2.0), point_mass([0.0, 0.0]), n, 1.0, dt,
+                         master_seed=4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_particle_measure_aborts_on_non_finite_state():
+    blowup = CoefficientField(
+        1, lambda t, z: 1e3 * np.asarray(z)[..., 1:] ** 3, unit_sigma,
+        1e9, "blowup", {}, np.eye(1))
+    with pytest.raises(DivergenceError, match="non-finite"):
+        particle_measure(blowup, point_mass([0.0, 1.0]), 16, 2.0, 0.25)
 
 
 def test_empirical_measure_validation():

@@ -1,8 +1,7 @@
-"""Grid container and its CSV contract."""
+"""Grid container and its axis convention."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kinetic_flow.errors import ValidationError
 from kinetic_flow.grids import GridFunction, grid_axis
@@ -22,52 +21,6 @@ def test_from_callable_and_kinds():
     assert f.axes_of_kind("v") == (1,)
     assert f.is_scalar
     assert np.isclose(f.cell_volume, (6.0 / 16) ** 2)
-
-
-def test_csv_round_trip_bitwise(tmp_path):
-    rng = np.random.default_rng(7)
-    f = GridFunction(rng.normal(size=(16, 16)), 3.0, ("x", "v"))
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    g = GridFunction.from_csv(path, ("x", "v"))
-    assert np.array_equal(f.values, g.values)
-    assert g.box_half_width == f.box_half_width
-
-
-def test_csv_format_contract(tmp_path):
-    f = GridFunction(np.arange(9.0).reshape(3, 3), 1.5, ("x", "v"))
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw                       # LF endings
-    lines = raw.decode("utf-8").splitlines()
-    assert lines[0] == "axis0,axis1,value"        # mandatory header
-    # 17 significant digits survive a float round trip exactly
-    val = lines[1].split(",")[-1]
-    assert float(val) == f.values[0, 0]
-
-
-def test_csv_rejects_vector_and_mismatched_kinds(tmp_path):
-    vec = GridFunction(np.zeros((8, 8, 2)), 2.0, ("x", "v"))
-    with pytest.raises(ValidationError):
-        vec.to_csv(tmp_path / "vec.csv")
-    f = GridFunction(np.zeros((4, 4)), 2.0, ("x", "v"))
-    p = tmp_path / "f.csv"
-    f.to_csv(p)
-    with pytest.raises(ValidationError):
-        GridFunction.from_csv(p, ("x",))
-
-
-@given(seed=st.integers(0, 10**9), n=st.integers(2, 12))
-@settings(max_examples=25, deadline=None)
-def test_csv_round_trip_property(tmp_path_factory, seed, n):
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(scale=10.0 ** rng.integers(-8, 8), size=(n, n))
-    f = GridFunction(vals, float(rng.uniform(0.5, 20.0)), ("x", "v"))
-    path = tmp_path_factory.mktemp("csv") / "f.csv"
-    f.to_csv(path)
-    g = GridFunction.from_csv(path, ("x", "v"))
-    assert np.array_equal(f.values, g.values)
 
 
 def test_constructor_validation():

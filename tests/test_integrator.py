@@ -1,4 +1,4 @@
-"""Path integrator: noise lattice, schemes, coupling, ensembles."""
+"""Path integrator: noise lattice, schemes, coupling, chunking, divergence."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
-from kinetic_flow.integrator import (
-    BrownianGrid,
-    Reducer,
-    ensemble,
-    evolve,
-)
+from kinetic_flow.integrator import WORK_CHUNK, BrownianGrid, evolve
 
 
 def zero_noise_field():
@@ -179,48 +174,36 @@ def test_coupled_pathwise_gronwall():
 
 
 # ---------------------------------------------------------------------------
-# ensembles
+# chunking and divergence
 
 
-def final_speed():
-    return Reducer("final_speed", lambda t, s: np.abs(s[:, -1, 1]))
-
-
-def test_ensemble_zero_noise_zero_variance():
-    field = zero_noise_field()
-    g = BrownianGrid(3, 1.0 / 32, 32, 1)
-    res = ensemble(field, np.tile([0.1, 0.7], (64, 1)), g, [final_speed()],
-                   scheme="em")
-    # identical paths leave only accumulation rounding in the spread
-    assert res.std_errors["final_speed"] <= 1e-15
-    assert np.isclose(res.estimates["final_speed"], 0.7, atol=1e-14)
-    assert res.num_diverged == 0
-
-
-def test_ensemble_prefix_consistency():
-    # doubling the ensemble cannot change the statistic stream of the
-    # first half
+def test_evolve_prefix_consistency():
+    # doubling the batch cannot change the first half, and every path keeps
+    # its own stream when the batch crosses a WORK_CHUNK boundary
+    n = WORK_CHUNK // 2 + 4
     field = library_field("hoelder-drift", 1)
-    g = BrownianGrid(9, 1.0 / 64, 64, 1)
-    small = ensemble(field, np.tile([0.2, -0.1], (128, 1)), g,
-                     [final_speed()], keep_per_path=True)
-    big = ensemble(field, np.tile([0.2, -0.1], (256, 1)), g,
-                   [final_speed()], keep_per_path=True)
-    assert np.array_equal(small.per_path["final_speed"],
-                          big.per_path["final_speed"][:128])
+    g = BrownianGrid(9, 1.0 / 16, 16, 1)
+    small = evolve(field, np.tile([0.2, -0.1], (n, 1)), g)
+    big = evolve(field, np.tile([0.2, -0.1], (2 * n, 1)), g)
+    assert 2 * n > WORK_CHUNK
+    assert np.array_equal(small.states, big.states[:n])
+    free = evolve(library_field("free", 1), np.zeros((2 * n, 2)), g)
+    assert np.array_equal(free.states[:, 1:, 1],
+                          np.cumsum(g.increments(0, 2 * n)[..., 0], axis=1))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_ensemble_divergence_policy():
-    # the cubic drift is supposed to overflow; that is the detector's input
-    blowup = CoefficientField(
+def blowup_field():
+    """Cubic velocity drift that overflows to inf within a few steps."""
+    return CoefficientField(
         1, lambda t, z: 1e3 * np.asarray(z)[..., 1:] ** 3,
         lambda t, z: np.broadcast_to(np.eye(1),
                                      np.asarray(z).shape[:-1] + (1, 1)),
         1e9, "blowup", {}, np.eye(1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_evolve_divergence_policy():
+    # the cubic drift is supposed to overflow; that is the detector's input
     g = BrownianGrid(1, 0.25, 8, 1)
     with pytest.raises(DivergenceError):
-        ensemble(blowup, np.tile([0.0, 1.0], (16, 1)), g, [final_speed()])
-    with pytest.raises(ValidationError):
-        ensemble(library_field("free", 1), np.zeros((1, 2)), g,
-                 [final_speed()])
+        evolve(blowup_field(), np.tile([0.0, 1.0], (16, 1)), g)

@@ -154,6 +154,10 @@ def test_krylov_ratio_validation():
         krylov_ratio(field, bumps[:5], 4.0, [(0.0, 0.5)], 256, 1.0, 1.0 / 64)
     with pytest.raises(ValidationError, match="need p > 3"):
         krylov_ratio(field, bumps, 2.0, [(0.0, 0.5)], 256, 1.0, 1.0 / 64)
+    # d = 1 bumps cannot probe a d = 2 field; refused before simulating
+    with pytest.raises(ValidationError, match="bump 0 has dimension 1"):
+        krylov_ratio(library_field("hoelder-drift", 2), bumps, 7.0,
+                     [(0.0, 0.5)], 256, 1.0, 1.0 / 64)
 
 
 # ---------------------------------------------------------------------------
