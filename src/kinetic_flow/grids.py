@@ -9,13 +9,13 @@ first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["GridFunction", "grid_axis", "grid_mesh"]
+__all__ = ["GridFunction", "fourier_multiply", "grid_axis", "grid_mesh"]
 
 
 def grid_axis(box_half_width, points_per_axis):
@@ -35,6 +35,17 @@ def grid_mesh(box_half_width, points_per_axis, num_axes):
     return np.meshgrid(*([ax] * num_axes), indexing="ij")
 
 
+def fourier_multiply(values, mult, axes):
+    """Apply the Fourier multiplier ``mult`` over ``axes`` of ``values``.
+
+    ``values`` is transformed by fftn over ``axes``, multiplied by ``mult``
+    (shaped over the leading grid axes, broadcast over trailing component
+    axes), transformed back and returned as its real part.
+    """
+    mult = mult.reshape(mult.shape + (1,) * (values.ndim - mult.ndim))
+    return np.fft.ifftn(np.fft.fftn(values, axes=axes) * mult, axes=axes).real
+
+
 @dataclass
 class GridFunction:
     """Function samples on a uniform periodic tensor grid.
@@ -49,14 +60,11 @@ class GridFunction:
     axis_kinds : tuple of str
         One of 'x' or 'v' per grid axis, e.g. ('x', 'v') for a d=1 phase
         space slice.
-    meta : dict
-        Free-form provenance (backend used, tolerances, ...).
     """
 
     values: np.ndarray
     box_half_width: float
     axis_kinds: tuple
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -119,6 +127,12 @@ class GridFunction:
         n = self.points_per_axis
         return 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
 
+    def mode_vectors(self):
+        """Wavenumbers of each grid axis, shaped to broadcast over the grid."""
+        k = self.wavenumbers()
+        g = self.num_grid_axes
+        return [k.reshape((1,) * a + (-1,) + (1,) * (g - a - 1)) for a in range(g)]
+
     def axes_of_kind(self, kind):
         return tuple(i for i, a in enumerate(self.axis_kinds) if a == kind)
 
@@ -131,8 +145,5 @@ class GridFunction:
         values = np.asarray(fn(*mesh), dtype=float)
         return cls(values, box_half_width, tuple(axis_kinds))
 
-    def with_values(self, values, **meta):
-        out = replace(self, values=np.asarray(values, dtype=float))
-        if meta:
-            out.meta = {**self.meta, **meta}
-        return out
+    def with_values(self, values):
+        return replace(self, values=np.asarray(values, dtype=float))

@@ -79,8 +79,10 @@ class BrownianGrid:
         hi_block = (path_hi - 1) // KEY_CHUNK
         for blk in range(lo_block, hi_block + 1):
             rng = np.random.Generator(np.random.Philox(key=_philox_key(self.master_seed, blk)))
-            draw = rng.standard_normal((KEY_CHUNK, self.num_steps, 2 * self.dim))
-            blocks.append(draw)
+            # standard_normal fills in C order, so the first rows of a block
+            # are the same whether or not the rest is drawn
+            rows = min(KEY_CHUNK, path_hi - blk * KEY_CHUNK)
+            blocks.append(rng.standard_normal((rows, self.num_steps, 2 * self.dim)))
         stacked = np.concatenate(blocks, axis=0)
         offset = path_lo - lo_block * KEY_CHUNK
         return stacked[offset : offset + (path_hi - path_lo)]

@@ -15,7 +15,10 @@ both factors are exact on band-limited periodic data, which is what the two
 grid backends exploit: the spectral backend multiplies by the analytic
 characteristic function, the Gauss-Hermite backend rebuilds the same
 multiplier from tensor quadrature in the displacement, so the pair form a
-mutual cross-check with independent failure modes.
+mutual cross-check with independent failure modes.  ``KernelStep`` builds
+both factors and the periodic-seam guard once for a grid layout and a gap;
+``apply_semigroup`` and the resolvent recursion apply the transition
+through it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DegenerateKernelError, ProbeInvalidError, ValidationError
+from .grids import fourier_multiply
 
 __all__ = [
     "KernelCovariance",
+    "KernelStep",
+    "diffusion_matrix",
     "kernel_covariance",
     "kernel_density",
     "kernel_sample",
@@ -77,13 +83,19 @@ class KernelCovariance:
             return np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
 
 
-def _as_diffusion(a):
-    """Validate `a` (scalar or matrix) as a square symmetric PSD matrix."""
+def diffusion_matrix(a, dim=None):
+    """Validate ``a`` as a finite symmetric PSD (dim, dim) diffusion matrix.
+
+    A scalar stands for a times the identity (of size 1 when dim is None);
+    a matrix must be square, and (dim, dim) when dim is given.
+    """
     mat = np.asarray(a, dtype=float)
     if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"diffusion matrix must be square, got shape {mat.shape}")
+        mat = float(mat) * np.eye(1 if dim is None else dim)
+    n = mat.shape[0] if dim is None else dim
+    if mat.shape != (n, n) or not np.all(np.isfinite(mat)):
+        raise ValidationError(
+            f"diffusion must be a finite square matrix of size {n}, got shape {mat.shape}")
     if not np.allclose(mat, mat.T, atol=1e-12):
         raise ValidationError("diffusion matrix must be symmetric")
     if np.linalg.eigvalsh(mat).min() < -1e-12:
@@ -103,7 +115,7 @@ def kernel_covariance(a, t, s):
         raise DegenerateKernelError(
             f"time gap {h:.3e} below stable factorization floor {MIN_TIME_GAP:.3e}"
         )
-    two_a = 2.0 * _as_diffusion(a)
+    two_a = 2.0 * diffusion_matrix(a)
     return KernelCovariance(
         gap=h,
         c_xx=two_a * h**3 / 3.0,
@@ -168,73 +180,26 @@ def _phase_space_split(f):
     return x_axes, v_axes
 
 
-def _tail_mass_check(f, cov, tol=1e-6):
-    """Reject fields whose mass would be transported across the periodic seam."""
-    if not np.isfinite(tol):
-        _phase_space_split(f)
-        return
-    x_axes, v_axes = _phase_space_split(f)
-    d = len(x_axes)
-    L = f.box_half_width
-    h = cov.gap
-    sig_x = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_xx)), 0.0))
-    sig_v = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_vv)), 0.0))
-    reach_x = 5.0 * (sig_x + h * sig_v)
-    reach_v = 5.0 * sig_v
-    mesh = f.mesh()
-    mag = np.abs(f.values)
-    if f.component_shape:
-        mag = np.sqrt(np.sum(f.values**2, axis=tuple(range(f.num_grid_axes, f.values.ndim))))
-    escapes = np.zeros(mag.shape, dtype=bool)
-    for i in range(d):
-        x_i, v_i = mesh[x_axes[i]], mesh[v_axes[i]]
-        escapes |= np.abs(x_i + h * v_i) + reach_x > L
-        escapes |= np.abs(v_i) + reach_v > L
-    total = mag.sum()
-    if total == 0.0:
-        return
-    if mag[escapes].sum() > tol * total:
-        raise AccuracyError(
-            "field mass within kernel reach of the periodic boundary exceeds "
-            f"{tol:g} of total; enlarge the box or shrink the gap"
-        )
-
-
-def _mode_vectors(f):
-    k = f.wavenumbers()
-    n = f.points_per_axis
-    g = f.num_grid_axes
-    comps = []
-    for a in range(g):
-        shape = [1] * g
-        shape[a] = n
-        comps.append(k.reshape(shape))
-    return comps
-
-
-def _blur_multiplier_spectral(f, cov):
-    ks = _mode_vectors(f)
+def _blur_multiplier_spectral(ks, cov):
     m = cov.matrix()
-    g = f.num_grid_axes
-    quad = np.zeros((f.points_per_axis,) * g)
-    for i in range(g):
-        for j in range(g):
+    quad = np.zeros((ks[0].size,) * len(ks))
+    for i in range(len(ks)):
+        for j in range(len(ks)):
             if m[i, j] != 0.0:
                 quad = quad + m[i, j] * ks[i] * ks[j]
     return np.exp(-0.5 * quad)
 
 
-def _blur_multiplier_hermite(f, cov, order):
+def _blur_multiplier_hermite(ks, cov, order):
     # E exp(i k . A u) approximated by tensor Gauss-Hermite; separability in the
     # standardized coordinates collapses the tensor sum to a product of 1-d sums.
     nodes, weights = np.polynomial.hermite_e.hermegauss(order)
     weights = weights / weights.sum()
     chol = cov.cholesky()
-    ks = _mode_vectors(f)
-    g = f.num_grid_axes
-    mult = np.ones((f.points_per_axis,) * g, dtype=complex)
+    g = len(ks)
+    mult = np.ones((ks[0].size,) * g, dtype=complex)
     for col in range(g):
-        theta = np.zeros((f.points_per_axis,) * g)
+        theta = np.zeros((ks[0].size,) * g)
         for row in range(g):
             if chol[row, col] != 0.0:
                 theta = theta + chol[row, col] * ks[row]
@@ -242,35 +207,70 @@ def _blur_multiplier_hermite(f, cov, order):
     return mult
 
 
-def _apply_blur(f, mult):
-    grid_axes = tuple(range(f.num_grid_axes))
-    mult = mult.reshape(mult.shape + (1,) * len(f.component_shape))
-    spec = np.fft.fftn(f.values, axes=grid_axes)
-    return np.fft.ifftn(spec * mult, axes=grid_axes).real
-
-
-def _apply_shear(f, values, h):
-    """g(x, v) = values(x + h v, v) via exact per-slice translation in x."""
-    x_axes, v_axes = _phase_space_split(f)
-    k = f.wavenumbers()
-    coords = f.axis_coordinates()
-    g = f.num_grid_axes
-    spec = np.fft.fftn(values, axes=x_axes)
-    phase = np.ones((f.points_per_axis,) * g, dtype=complex)
-    for xa, va in zip(x_axes, v_axes):
-        shape_k = [1] * g
-        shape_k[xa] = f.points_per_axis
-        shape_v = [1] * g
-        shape_v[va] = f.points_per_axis
-        phase = phase * np.exp(
-            1j * k.reshape(shape_k) * (h * coords.reshape(shape_v))
-        )
-    phase = phase.reshape(phase.shape + (1,) * (values.ndim - g))
-    return np.fft.ifftn(spec * phase, axes=x_axes).real
-
-
 # Gauss-Hermite nodes per axis of the 'hermite' semigroup backend
 HERMITE_ORDER = 160
+
+
+class KernelStep:
+    """The transition P_{t,t+gap} on one grid layout, built once per gap.
+
+    ``grid`` is any GridFunction of the layout (its values are not used).
+    The step holds the blur multiplier, the shear phase of x -> x + gap v
+    and the seam guard's escape mask; calling it on values of that layout
+    (grid axes first, any trailing components) runs guard, blur and shear.
+    Arguments are those of apply_semigroup.
+    """
+
+    def __init__(self, grid, a, gap, method="spectral", tail_tol=1e-6):
+        if method not in ("spectral", "hermite"):
+            raise ValidationError(f"unknown backend {method!r}")
+        cov = kernel_covariance(a, 0.0, gap)
+        if 2 * cov.dim != grid.num_grid_axes:
+            raise ValidationError("grid dimension does not match the diffusion matrix")
+        x_axes, v_axes = _phase_space_split(grid)
+        ks = grid.mode_vectors()
+        if method == "spectral":
+            self.blur = _blur_multiplier_spectral(ks, cov)
+        else:
+            self.blur = _blur_multiplier_hermite(ks, cov, HERMITE_ORDER)
+        # broadcast factors, not full meshes: numpy rounds the complex
+        # product differently on full arrays, and the phase is kept bitwise
+        coords = grid.axis_coordinates()
+        self.shear = np.ones(self.blur.shape, dtype=complex)
+        for xa, va in zip(x_axes, v_axes):
+            v = coords.reshape(ks[va].shape)
+            self.shear = self.shear * np.exp(1j * ks[xa] * (cov.gap * v))
+        self.x_axes = x_axes
+        self.grid_axes = tuple(range(grid.num_grid_axes))
+        self.tail_tol = tail_tol
+        self.escapes = None
+        if np.isfinite(tail_tol):
+            # mass within 5 standard deviations of the seam would wrap
+            sig_x = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_xx)), 0.0))
+            sig_v = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_vv)), 0.0))
+            reach_x = 5.0 * (sig_x + cov.gap * sig_v)
+            reach_v = 5.0 * sig_v
+            L = grid.box_half_width
+            mesh = grid.mesh()
+            self.escapes = np.zeros(self.blur.shape, dtype=bool)
+            for xa, va in zip(x_axes, v_axes):
+                self.escapes |= np.abs(mesh[xa] + cov.gap * mesh[va]) + reach_x > L
+                self.escapes |= np.abs(mesh[va]) + reach_v > L
+
+    def __call__(self, values):
+        if self.escapes is not None:
+            mag = np.abs(values)
+            if values.ndim > len(self.grid_axes):
+                comp_axes = tuple(range(len(self.grid_axes), values.ndim))
+                mag = np.sqrt(np.sum(values**2, axis=comp_axes))
+            total = mag.sum()
+            if total != 0.0 and mag[self.escapes].sum() > self.tail_tol * total:
+                raise AccuracyError(
+                    "field mass within kernel reach of the periodic boundary exceeds "
+                    f"{self.tail_tol:g} of total; enlarge the box or shrink the gap"
+                )
+        blurred = fourier_multiply(values, self.blur, self.grid_axes)
+        return fourier_multiply(blurred, self.shear, self.x_axes)
 
 
 def apply_semigroup(f, t, s, a, method="spectral", tail_tol=1e-6):
@@ -279,28 +279,19 @@ def apply_semigroup(f, t, s, a, method="spectral", tail_tol=1e-6):
     method 'spectral' multiplies by the analytic Gaussian characteristic
     function; 'hermite' rebuilds that multiplier from tensor Gauss-Hermite
     quadrature of order HERMITE_ORDER in the displacement (each displaced
-    evaluation being an exact spectral translation).  The backend used is recorded in the result's
-    meta.  Fields with visible mass near the periodic seam are rejected at
-    relative tolerance ``tail_tol``; pass ``np.inf`` only for data that is
-    genuinely periodic (a constant, say), where wrap-around is not an error.
+    evaluation being an exact spectral translation).  Fields with visible
+    mass near the periodic seam are rejected at relative tolerance
+    ``tail_tol``; pass ``np.inf`` only for data that is genuinely periodic
+    (a constant, say), where wrap-around is not an error.
     """
     if method not in ("spectral", "hermite"):
         raise ValidationError(f"unknown backend {method!r}")
     if s < t:
         raise ValidationError("backward application not defined (need s >= t)")
     if s == t:
-        return f.with_values(f.values.copy(), backend=method, gap=0.0)
-    cov = kernel_covariance(a, t, s)
-    if 2 * cov.dim != f.num_grid_axes:
-        raise ValidationError("grid dimension does not match the diffusion matrix")
-    _tail_mass_check(f, cov, tol=tail_tol)
-    if method == "spectral":
-        mult = _blur_multiplier_spectral(f, cov)
-    else:
-        mult = _blur_multiplier_hermite(f, cov, HERMITE_ORDER)
-    blurred = _apply_blur(f, mult)
-    sheared = _apply_shear(f, blurred, cov.gap)
-    return f.with_values(sheared, backend=method, gap=cov.gap)
+        return f.with_values(f.values.copy())
+    step = KernelStep(f, a, float(s) - float(t), method=method, tail_tol=tail_tol)
+    return f.with_values(step(f.values))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ValidationError
+from .grids import fourier_multiply
 
 __all__ = [
     "Mollifier",
@@ -107,18 +108,12 @@ def _resolve_axes(f, axes):
 
 def _apply_multiplier(f, axes, mult_of_k2):
     """Apply a radial Fourier multiplier m(|k|^2) over the selected grid axes."""
-    k = f.wavenumbers()
+    ks = f.mode_vectors()
     k2 = np.zeros((f.points_per_axis,) * f.num_grid_axes)
     for a in axes:
-        shape = [1] * f.num_grid_axes
-        shape[a] = f.points_per_axis
-        k2 = k2 + (k**2).reshape(shape)
-    mult = mult_of_k2(k2)
-    mult = mult.reshape(mult.shape + (1,) * len(f.component_shape))
+        k2 = k2 + ks[a] ** 2
     grid_axes = tuple(range(f.num_grid_axes))
-    spec = np.fft.fftn(f.values, axes=grid_axes)
-    out = np.fft.ifftn(spec * mult, axes=grid_axes).real
-    return f.with_values(out)
+    return f.with_values(fourier_multiply(f.values, mult_of_k2(k2), grid_axes))
 
 
 def fractional_laplacian(f, axes, s):
@@ -138,14 +133,9 @@ def spectral_derivative(f, axis):
     """First partial derivative along one grid axis via i k."""
     if not 0 <= axis < f.num_grid_axes:
         raise ValidationError(f"axis {axis} out of range")
-    k = f.wavenumbers()
-    shape = [1] * f.num_grid_axes
-    shape[axis] = f.points_per_axis
-    mult = (1j * k).reshape(shape)
-    mult = mult.reshape(mult.shape + (1,) * len(f.component_shape))
+    mult = 1j * f.mode_vectors()[axis]
     grid_axes = tuple(range(f.num_grid_axes))
-    spec = np.fft.fftn(f.values, axes=grid_axes)
-    return f.with_values(np.fft.ifftn(spec * mult, axes=grid_axes).real)
+    return f.with_values(fourier_multiply(f.values, mult, grid_axes))
 
 
 def spectral_gradient(f, axes="xv"):
@@ -248,7 +238,7 @@ def maximal_function(f):
         avg = np.fft.ifftn(spec * np.fft.fftn(ball)).real
         np.maximum(out, avg, out=out)
         r *= 2.0
-    return f.with_values(out, operator="maximal")
+    return f.with_values(out)
 
 
 @dataclass

@@ -31,14 +31,7 @@ from .errors import (
 )
 from .grids import GridFunction, grid_mesh
 from .integrator import WORK_CHUNK, evolve
-from .kernel import (
-    _apply_blur,
-    _apply_shear,
-    _blur_multiplier_spectral,
-    _tail_mass_check,
-    apply_semigroup,
-    kernel_covariance,
-)
+from .kernel import KernelStep, apply_semigroup, diffusion_matrix
 
 # Picard stops once the sup-norm increment drops below PICARD_TOL and gives
 # up after PICARD_MAX_ITER sweeps
@@ -51,19 +44,6 @@ SEAM_MARGIN_CELLS = 4
 
 def _axis_kinds(dim):
     return ("x",) * dim + ("v",) * dim
-
-
-def _as_constant_diffusion(a, dim):
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        a = float(a) * np.eye(dim)
-    if a.shape != (dim, dim) or not np.all(np.isfinite(a)):
-        raise ValidationError(f"diffusion must be a finite ({dim}, {dim}) matrix")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValidationError("diffusion matrix must be symmetric")
-    if np.linalg.eigvalsh(a).min() < -1e-12:
-        raise ValidationError("diffusion matrix must be positive semidefinite")
-    return a
 
 
 def _as_sigma(sigma, dim):
@@ -127,7 +107,7 @@ class SpaceTimeField:
             raise ValidationError("grid axes must share one points_per_axis")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("field values must be finite")
-        self.diffusion = _as_constant_diffusion(self.diffusion, d)
+        self.diffusion = diffusion_matrix(self.diffusion, d)
         self.box_half_width = float(self.box_half_width)
         if self.box_half_width <= 0:
             raise ValidationError("box_half_width must be positive")
@@ -218,11 +198,12 @@ def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
     the spectral kernel backend.  The slice grid of the source is the
     quadrature grid; the s = t endpoint contributes through
     P_{t,t} = identity.  'recursive' evaluates the trapezoid sum by one
-    fixed-gap transition per backward step (the transition operators
-    compose exactly, so this equals the direct sum up to rounding);
-    'direct' performs the O(slices^2) sum and exists to cross-check the
-    recursion.  Both share the seam guard of the kernel applies via
-    tail_tol.
+    fixed-gap transition per backward step: a single KernelStep over one
+    slice gap, built once per call and applied to every carried slice
+    (the transition operators compose exactly, so this equals the direct
+    sum up to rounding).  'direct' performs the O(slices^2) sum through
+    apply_semigroup and exists to cross-check the recursion.  Both run the
+    kernel's seam guard on every slice they transport, at tail_tol.
     """
     if lam < 0:
         raise ValidationError("lam must be >= 0")
@@ -235,18 +216,13 @@ def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
     step = source.slice_dt
     g = source.values
     out = np.zeros_like(g)
-    template = source.slice_grid(0)
 
     if method == "recursive":
-        cov = kernel_covariance(a, 0.0, step)
-        mult = _blur_multiplier_spectral(template, cov)
+        kstep = KernelStep(source.slice_grid(0), a, step, tail_tol=tail_tol)
         decay = np.exp(-lam * step)
         half = 0.5 * step
         for i in range(nt - 1, -1, -1):
-            carry = template.with_values(out[i + 1] + half * g[i + 1])
-            _tail_mass_check(carry, cov, tol=tail_tol)
-            stepped = _apply_shear(carry, _apply_blur(carry, mult), cov.gap)
-            out[i] = decay * stepped + half * g[i]
+            out[i] = decay * kstep(out[i + 1] + half * g[i + 1]) + half * g[i]
     else:
         for i in range(nt):
             acc = 0.5 * step * np.array(g[i])
@@ -294,7 +270,7 @@ def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
     """
     if lam <= 0:
         raise ValidationError("picard iteration needs lam > 0")
-    a = _as_constant_diffusion(a, dim)
+    a = diffusion_matrix(a, dim)
     times = np.linspace(0.0, float(horizon), int(num_slices) + 1)
     mesh = grid_mesh(box_half_width, points_per_axis, 2 * dim)
     pts = np.stack(mesh, axis=-1)

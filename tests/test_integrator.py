@@ -37,6 +37,17 @@ def test_brownian_grid_path_blocks_are_stable():
     assert np.array_equal(g.increments(250, 260), g.increments(0, 300)[250:260])
 
 
+def test_brownian_normals_prefix_draw_matches_full_block():
+    # a short range draws only the leading rows of its key block; they must
+    # equal the same rows of the whole block, also across a block boundary
+    g = BrownianGrid(11, 0.05, 6, 2)
+    full = g.normals(0, 512)
+    for j in (0, 37, 255):
+        assert np.array_equal(g.normals(j, j + 1), full[j:j + 1])
+    assert np.array_equal(g.normals(0, 256), full[:256])
+    assert np.array_equal(g.normals(250, 262), full[250:262])
+
+
 def test_brownian_increment_moments():
     g = BrownianGrid(3, 0.25, 64, 1)
     inc = g.increments(0, 2000)

@@ -13,8 +13,10 @@ from kinetic_flow.errors import (
 from kinetic_flow.grids import GridFunction
 from kinetic_flow.kernel import (
     MIN_TIME_GAP,
+    KernelStep,
     anisotropic_smoothing_probe,
     apply_semigroup,
+    diffusion_matrix,
     gradient_scaling_probe,
     kernel_covariance,
     kernel_density,
@@ -66,6 +68,14 @@ def test_covariance_rejects_bad_diffusion():
         kernel_covariance(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0, 1.0)
     with pytest.raises(ValidationError):
         kernel_covariance(np.array([[-1.0]]), 0.0, 1.0)
+
+
+def test_diffusion_matrix_scalar_and_shape():
+    assert np.array_equal(diffusion_matrix(0.5), [[0.5]])
+    assert np.array_equal(diffusion_matrix(0.5, 2), 0.5 * np.eye(2))
+    for bad, dim in (([[1.0, 0.0]], None), (np.eye(2), 3), ([[np.inf]], 1)):
+        with pytest.raises(ValidationError):
+            diffusion_matrix(bad, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +170,57 @@ def test_semigroup_backend_agreement():
     s = apply_semigroup(f, 0.0, 1.0, 0.5, method="spectral")
     h = apply_semigroup(f, 0.0, 1.0, 0.5, method="hermite")
     assert np.abs(s.values - h.values).max() <= 1e-5
+
+
+def test_semigroup_pinned_values():
+    # bit-for-bit values of both backends; a rewrite of the kernel step
+    # that reorders the arithmetic shows up here first
+    f = gaussian_bump()
+    pinned = {
+        "spectral": (0.662967457029689, 0.018075304750698344,
+                     104.69935513049641, 44.32962749715495),
+        "hermite": (0.6629674570296895, 0.018075304750698334,
+                    104.69935513049643, 44.329627497154995),
+    }
+    for method, expected in pinned.items():
+        g = apply_semigroup(f, 0.0, 1.0, 0.5, method=method).values
+        got = (float(g[64, 64]), float(g[70, 50]), float(g.sum()),
+               float((g * g).sum()))
+        assert got == expected, (method, got)
+
+
+def test_semigroup_d2_closed_form_gaussian():
+    # P_{0,h} of a Gaussian is Gaussian: with f = exp(-(z-c)^T S^-1 (z-c)/2)
+    # and m = (x + h v, v) - c,
+    #   P f(z) = sqrt(det S / det(S+C)) exp(-m^T (S+C)^-1 m / 2)
+    a = np.array([[0.5, 0.1], [0.1, 0.3]])
+    h = 0.5
+    c = np.array([0.3, -0.2, 0.1, 0.2])
+    S = np.diag([0.4, 0.5, 0.4, 0.3])
+
+    def gauss(d, cov):
+        return np.exp(-0.5 * np.einsum("...i,ij,...j->...", d,
+                                       np.linalg.inv(cov), d))
+
+    f = GridFunction.from_callable(lambda *z: gauss(np.stack(z, -1) - c, S),
+                                   7.0, 32, ("x", "x", "v", "v"))
+    out = apply_semigroup(f, 0.0, h, a)
+    C = kernel_covariance(a, 0.0, h).matrix()
+    z = np.stack(f.mesh(), -1)
+    m = np.concatenate([z[..., :2] + h * z[..., 2:], z[..., 2:]], -1) - c
+    exact = np.sqrt(np.linalg.det(S) / np.linalg.det(S + C)) * gauss(m, S + C)
+    assert np.abs(out.values - exact).max() <= 1e-3
+
+
+def test_kernel_step_reuse_matches_apply_semigroup():
+    f = gaussian_bump(n=64)
+    step = KernelStep(f, 0.5, 0.25)
+    once = step(f.values)
+    assert np.array_equal(once, apply_semigroup(f, 0.0, 0.25, 0.5).values)
+    twice = apply_semigroup(f.with_values(once), 0.25, 0.5, 0.5).values
+    assert np.array_equal(step(once), twice)
+    with pytest.raises(ValidationError):
+        KernelStep(f, np.eye(2), 0.25)
 
 
 def test_semigroup_seam_guard():

@@ -7,13 +7,8 @@ import kinetic_flow
 
 PACKAGE_DIR = Path(kinetic_flow.__file__).resolve().parent
 
-# private kernel helpers zvonkin still imports; the list may only shrink
-ALLOWED_PRIVATE_IMPORTS = {
-    ("zvonkin", "kernel", "_apply_blur"),
-    ("zvonkin", "kernel", "_apply_shear"),
-    ("zvonkin", "kernel", "_blur_multiplier_spectral"),
-    ("zvonkin", "kernel", "_tail_mass_check"),
-}
+# no module imports another module's private names
+ALLOWED_PRIVATE_IMPORTS = set()
 
 
 def modules():

@@ -88,9 +88,34 @@ def test_duhamel_linearity_and_lambda_decay():
     assert np.abs(u4.values).max() < np.abs(u1.values).max()
 
 
+def test_duhamel_pinned_values():
+    # bit-for-bit values of the recursion; any reordering of its
+    # arithmetic shows up here first
+    u = duhamel_resolvent(gaussian_source(), 2.0, tail_tol=1.0).values
+    got = (float(u[0, 32, 32, 0]), float(u[8, 30, 36, 0]), float(u.sum()),
+           float((u * u).sum()))
+    assert got == (0.20306933125792923, 0.051319342815693725,
+                   122.65863407014453, 8.400603479958662)
+
+
 def test_duhamel_seam_guard_rejects_boundary_mass():
     with pytest.raises(AccuracyError):
         duhamel_resolvent(constant_source(2.0), 3.0)
+
+
+def test_duhamel_seam_guard_checks_every_slice():
+    # the source vanishes except for mass at the seam on one middle slice,
+    # so the first carried slices are zero and only a guard run on every
+    # slice sees it
+    src = gaussian_source(n=32, slices=8)
+    vals = np.zeros_like(src.values)
+    ax = np.linspace(-6.0, 6.0, 32, endpoint=False)
+    X, V = np.meshgrid(ax, ax, indexing="ij")
+    vals[4, ..., 0] = np.exp(-4.0 * ((X - 5.5) ** 2 + V**2))
+    seam = SpaceTimeField(src.times, vals, src.box_half_width, np.eye(1))
+    with pytest.raises(AccuracyError):
+        duhamel_resolvent(seam, 2.0)
+    duhamel_resolvent(seam, 2.0, tail_tol=1.0)
 
 
 def test_duhamel_validation():
