@@ -245,7 +245,12 @@ def _checkpoint_indices(times, checkpoints, horizon):
 
 
 def checkpoints_to_csv(measures, path):
-    """Atom table across checkpoints: t, atom_id, coordinates."""
+    """Atom table across checkpoints: t, atom_id, coordinates.
+
+    Each checkpoint is formatted through one ``%.17g`` row template and
+    written at once; the bytes are those of a ``csv.writer`` writing the
+    same fields row by row (no field ever needs quoting).
+    """
     if not measures:
         raise ValidationError("no checkpoints to write")
     d = measures[0].dim
@@ -253,12 +258,12 @@ def checkpoints_to_csv(measures, path):
               + [f"x{i+1}" for i in range(d)]
               + [f"v{i+1}" for i in range(d)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for mu in measures:
-            for aid, z in zip(mu.atom_ids, mu.atoms):
-                writer.writerow([f"{mu.t:.17g}", str(int(aid))]
-                                + [f"{c:.17g}" for c in z])
+            row = f"{mu.t:.17g},%d," + ",".join(["%.17g"] * (2 * d))
+            columns = [mu.atom_ids.tolist()] + mu.atoms.T.tolist()
+            fh.write("\n".join([row % fields for fields in zip(*columns)]))
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +298,75 @@ def _cut_pieces(s, r_in, r_out):
     return val, d1, d2
 
 
+def _mono(s, k):
+    return s ** k if k > 0 else np.ones_like(s)
+
+
+def _mono_d1(s, k):
+    return k * s ** (k - 1) if k >= 1 else np.zeros_like(s)
+
+
+def _mono_d2(s, k):
+    return k * (k - 1) * s ** (k - 2) if k >= 2 else np.zeros_like(s)
+
+
+_MONO_DERIVATIVES = (_mono, _mono_d1, _mono_d2)
+
+
+class _Pieces:
+    """Per-state memo of what monomial bumps share at states z (d=1).
+
+    One ``_cut_pieces`` per (axis, r_in, r_out) and one monomial power or
+    derivative per (axis, k, order), each computed on first use; members
+    evaluated through the same memo never recompute a piece.
+    """
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+        self._cuts = {}
+        self._powers = {}
+
+    def cut(self, axis, r_in, r_out):
+        key = (axis, r_in, r_out)
+        if key not in self._cuts:
+            self._cuts[key] = _cut_pieces(self.z[..., axis], r_in, r_out)
+        return self._cuts[key]
+
+    def mono(self, axis, k, order):
+        key = (axis, k, order)
+        if key not in self._powers:
+            self._powers[key] = _MONO_DERIVATIVES[order](self.z[..., axis], k)
+        return self._powers[key]
+
+
+def _bump_jet(pieces, bump):
+    """Value, d/dx, d/dv and d^2/dv^2 of the monomial bump ``bump``.
+
+    ``bump`` is ``(i, j, r_in, r_out)``: x^i v^j times plateau cutoffs in
+    x and v.  Each result has the batch shape of the states.
+    """
+    if pieces.z.shape[-1] != 2:
+        raise ValidationError("monomial test functions are one dimensional")
+    i, j, r_in, r_out = bump
+    cx, cx1, _ = pieces.cut(0, r_in, r_out)
+    cv, cv1, cv2 = pieces.cut(1, r_in, r_out)
+    mx, mv, mv1 = pieces.mono(0, i, 0), pieces.mono(1, j, 0), pieces.mono(1, j, 1)
+    x_part = mx * cx
+    value = x_part * mv * cv
+    gx = (pieces.mono(0, i, 1) * cx + mx * cx1) * mv * cv
+    gv = x_part * (mv1 * cv + mv * cv1)
+    hv = x_part * (pieces.mono(1, j, 2) * cv + 2.0 * mv1 * cv1 + mv * cv2)
+    return value, gx, gv, hv
+
+
+def _apply_generator(v, drift, a, grad_x, grad_v, hess_v):
+    """v . grad_x + b . grad_v + a : hess_v from precomputed pieces."""
+    transport = np.sum(v * grad_x, axis=-1)
+    forcing = np.sum(drift * grad_v, axis=-1)
+    diffusion = np.einsum("...ij,...ij->...", a, hess_v)
+    return transport + forcing + diffusion
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Scalar phase-space observable with analytic derivative closures.
@@ -300,7 +374,10 @@ class TestFunction:
     ``grad_x``/``grad_v`` map (n, 2d) states to (n, d); ``hess_v`` to
     (n, d, d).  Members missing a closure are rejected by the weak form:
     the generator needs exact derivatives so the residual measures time
-    discretization and nothing else.
+    discretization and nothing else.  ``bump`` is ``(i, j, r_in, r_out)``
+    on members made by ``monomial_bump``, whose closures evaluate that
+    bump; ``weak_residual`` evaluates such members from it directly,
+    sharing the cutoff pieces between members.
     """
 
     __test__ = False        # not a pytest collection target
@@ -310,23 +387,22 @@ class TestFunction:
     grad_x: callable = None
     grad_v: callable = None
     hess_v: callable = None
+    bump: tuple = None
 
-    def generator_apply(self, field, t, z):
-        """(v . grad_x + b . grad_v + a : hess_v) applied at states z."""
+    def _require_closures(self):
         if self.grad_x is None or self.grad_v is None or self.hess_v is None:
             raise ValidationError(
                 f"test function {self.name!r} lacks derivative closures; "
                 "the weak form needs C^2 members"
             )
+
+    def generator_apply(self, field, t, z):
+        """(v . grad_x + b . grad_v + a : hess_v) applied at states z."""
+        self._require_closures()
         z = np.asarray(z, dtype=float)
-        d = field.dim
-        v = z[..., d:]
-        drift = field.drift(t, z)
-        a = field.generator_a(t, z)
-        transport = np.sum(v * self.grad_x(z), axis=-1)
-        forcing = np.sum(drift * self.grad_v(z), axis=-1)
-        diffusion = np.einsum("...ij,...ij->...", a, self.hess_v(z))
-        return transport + forcing + diffusion
+        return _apply_generator(z[..., field.dim:], field.drift(t, z),
+                                field.generator_a(t, z), self.grad_x(z),
+                                self.grad_v(z), self.hess_v(z))
 
     @classmethod
     def constant(cls, c):
@@ -345,7 +421,7 @@ def monomial_bump(x_power, v_power, *, r_in=2.5, r_out=4.0, name=None):
 
     Compactly supported, identically x^i v^j on the plateau square, and
     C^2 through the quintic glue.  All derivative closures are closed
-    form.
+    form, through ``_bump_jet``.
     """
     i, j = int(x_power), int(v_power)
     if i < 0 or j < 0:
@@ -353,52 +429,21 @@ def monomial_bump(x_power, v_power, *, r_in=2.5, r_out=4.0, name=None):
     if not 0.0 < r_in < r_out:
         raise ValidationError("need 0 < r_in < r_out")
     label = name or f"x{i}v{j}[{r_in:g},{r_out:g}]"
-
-    def split(z):
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1] != 2:
-            raise ValidationError("monomial test functions are one dimensional")
-        return z[..., 0], z[..., 1]
-
-    def mono(s, k):
-        return s ** k if k > 0 else np.ones_like(s)
-
-    def mono_d1(s, k):
-        return k * s ** (k - 1) if k >= 1 else np.zeros_like(s)
-
-    def mono_d2(s, k):
-        return k * (k - 1) * s ** (k - 2) if k >= 2 else np.zeros_like(s)
+    bump = (i, j, r_in, r_out)
 
     def value(z):
-        x, v = split(z)
-        cx, _, _ = _cut_pieces(x, r_in, r_out)
-        cv, _, _ = _cut_pieces(v, r_in, r_out)
-        return mono(x, i) * cx * mono(v, j) * cv
+        return _bump_jet(_Pieces(z), bump)[0]
 
     def grad_x(z):
-        x, v = split(z)
-        cx, cx1, _ = _cut_pieces(x, r_in, r_out)
-        cv, _, _ = _cut_pieces(v, r_in, r_out)
-        gx = (mono_d1(x, i) * cx + mono(x, i) * cx1) * mono(v, j) * cv
-        return gx[..., None]
+        return _bump_jet(_Pieces(z), bump)[1][..., None]
 
     def grad_v(z):
-        x, v = split(z)
-        cx, _, _ = _cut_pieces(x, r_in, r_out)
-        cv, cv1, _ = _cut_pieces(v, r_in, r_out)
-        gv = mono(x, i) * cx * (mono_d1(v, j) * cv + mono(v, j) * cv1)
-        return gv[..., None]
+        return _bump_jet(_Pieces(z), bump)[2][..., None]
 
     def hess_v(z):
-        x, v = split(z)
-        cx, _, _ = _cut_pieces(x, r_in, r_out)
-        cv, cv1, cv2 = _cut_pieces(v, r_in, r_out)
-        hv = mono(x, i) * cx * (
-            mono_d2(v, j) * cv + 2.0 * mono_d1(v, j) * cv1 + mono(v, j) * cv2
-        )
-        return hv[..., None, None]
+        return _bump_jet(_Pieces(z), bump)[3][..., None, None]
 
-    return TestFunction(label, value, grad_x, grad_v, hess_v)
+    return TestFunction(label, value, grad_x, grad_v, hess_v, bump)
 
 
 _DICTIONARY_POWERS = (
@@ -453,6 +498,21 @@ class ResidualTable:
                                      f"{s:.17g}"])
 
 
+class _RunningMember:
+    """O(N) state one member carries through the checkpoint pass."""
+
+    __slots__ = ("value0", "gen_sum", "mg_sum", "grad_v")
+
+
+def _member_jet(phi, pieces):
+    """Value and derivatives of one member at the memo's states."""
+    if phi.bump is not None:
+        value, gx, gv, hv = _bump_jet(pieces, phi.bump)
+        return value, gx[..., None], gv[..., None], hv[..., None, None]
+    z = pieces.z
+    return phi.value(z), phi.grad_x(z), phi.grad_v(z), phi.hess_v(z)
+
+
 def weak_residual(measures, field, test_set, dt=None, *,
                   control_variate=False):
     """Weak-form defect R(t) = mu_t(phi) - mu_0(phi) - sum_s mu_s(L phi) dt.
@@ -471,6 +531,14 @@ def weak_residual(measures, field, test_set, dt=None, *,
     Carlo variance drops from O(1) to O(dt); refinement studies need
     this to see the bias at fine steps.  Off by default: the reported
     residual is then literally the pairing defect above.
+
+    One pass over the checkpoints: at each one the field's drift and
+    ``a`` are evaluated once and shared by every member, and monomial
+    bumps share one ``_Pieces`` memo of cutoffs and powers.  Each member
+    carries O(N) running state (its values at t_0, the running sum of
+    L phi and of the martingale), and each checkpoint's row of means and
+    standard errors is written as the pass reaches it, so no
+    (checkpoints x N) array is built.
     """
     if len(measures) < 2:
         raise ValidationError("need at least two checkpoints for a residual")
@@ -487,46 +555,54 @@ def weak_residual(measures, field, test_set, dt=None, *,
             raise ValidationError("checkpoints do not share their atom set")
     if not test_set:
         raise ValidationError("empty test set")
-
-    states = np.stack([m.atoms for m in measures])      # (m, n, 2d)
-    n_check, n_atoms = states.shape[0], states.shape[1]
-    d = field.dim
-    speed = np.linalg.norm(states[..., d:], axis=-1)
-    drift = np.stack([
-        np.asarray(field.drift(t, z), dtype=float).reshape(n_atoms, d)
-        for t, z in zip(times, states)
-    ])
-    drift_norm = np.linalg.norm(drift, axis=-1)
-    gate = float(grid_dt * np.mean(speed[:-1] + drift_norm[:-1], axis=1).sum())
-    if control_variate:
-        # sigma dW_k, read back off the velocity update
-        noise = (states[1:, :, d:] - states[:-1, :, d:]
-                 - grid_dt * drift[:-1])                 # (m-1, n, d)
-
-    names, res_rows, se_rows = [], [], []
     for phi in test_set:
-        vals = np.stack([phi.value(z) for z in states])
-        gen = np.stack([
-            phi.generator_apply(field, t, z) for t, z in zip(times, states)
-        ])
-        # per-atom telescoped residual at every checkpoint past t_0
-        accum = np.concatenate([
-            np.zeros((1, n_atoms)), grid_dt * np.cumsum(gen[:-1], axis=0)
-        ])
-        per_atom = vals - vals[0] - accum                # (m, n)
-        if control_variate:
-            gv = np.stack([phi.grad_v(z) for z in states[:-1]])
-            steps_mg = np.sum(gv * noise, axis=-1)
-            per_atom[1:] -= np.cumsum(steps_mg, axis=0)
-        res_rows.append(per_atom[1:].mean(axis=1))
-        se_rows.append(per_atom[1:].std(axis=1, ddof=1) / np.sqrt(n_atoms))
-        names.append(phi.name)
+        if phi.bump is None:
+            phi._require_closures()
+
+    n_check, n_atoms = len(measures), measures[0].num_atoms
+    d = field.dim
+    residuals = np.empty((len(test_set), n_check - 1))
+    std_errors = np.empty_like(residuals)
+    runs = [_RunningMember() for _ in test_set]
+    gate_rows = []
+    for k, mu in enumerate(measures):
+        z = mu.atoms
+        v = z[..., d:]
+        drift = np.asarray(field.drift(mu.t, z), dtype=float).reshape(n_atoms, d)
+        a = field.generator_a(mu.t, z)
+        last = k == n_check - 1
+        if not last:
+            gate_rows.append(np.mean(np.linalg.norm(v, axis=-1)
+                                     + np.linalg.norm(drift, axis=-1)))
+        if control_variate and k > 0:
+            # sigma dW_{k-1}, read back off the velocity update
+            noise = v - prev_v - grid_dt * prev_drift
+        pieces = _Pieces(z)
+        for row, (phi, run) in enumerate(zip(test_set, runs)):
+            value, gx, gv, hv = _member_jet(phi, pieces)
+            if k == 0:
+                run.value0 = value
+            else:
+                # per-atom telescoped residual at t_k
+                per_atom = value - run.value0 - grid_dt * run.gen_sum
+                if control_variate:
+                    step = np.sum(run.grad_v * noise, axis=-1)
+                    run.mg_sum = step if k == 1 else run.mg_sum + step
+                    per_atom -= run.mg_sum
+                residuals[row, k - 1] = per_atom.mean()
+                std_errors[row, k - 1] = (per_atom.std(ddof=1)
+                                          / np.sqrt(n_atoms))
+            if not last:
+                gen = _apply_generator(v, drift, a, gx, gv, hv)
+                run.gen_sum = gen if k == 0 else run.gen_sum + gen
+                run.grad_v = gv
+        prev_v, prev_drift = v, drift
     return ResidualTable(
-        phi_names=names,
+        phi_names=[phi.name for phi in test_set],
         times=times[1:],
-        residuals=np.array(res_rows),
-        std_errors=np.array(se_rows),
-        integrability=gate,
+        residuals=residuals,
+        std_errors=std_errors,
+        integrability=float(grid_dt * np.array(gate_rows).sum()),
         num_atoms=n_atoms,
     )
 

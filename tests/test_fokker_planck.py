@@ -1,5 +1,10 @@
 """Particle measures, weak-form residuals, and measure metrics."""
 
+import csv
+import dataclasses
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,7 @@ from kinetic_flow.fokker_planck import (
     monomial_bump,
     particle_measure,
     point_mass,
+    test_dictionary as default_dictionary,
     two_sample_floor,
     uniform_ball,
     weak_residual,
@@ -205,6 +211,179 @@ def test_monomial_bump_plateau_values():
         monomial_bump(1, 1, r_in=3.0, r_out=2.0)
 
 
+# float.hex of the dictionary residuals on hoelder_checkpoints(), recorded
+# from the member-by-member loop that the single checkpoint pass replaced:
+# the integrability gate, a SHA-1 over the hex of every residual and
+# standard error (row-major, residuals first, space separated), and the
+# final-time (residual, SE) pair of each member
+PINNED_RESIDUALS = {
+    False: ("0x1.25a4b3ff9afeep-4", "8c4c8f0297681b210db9f7901a7e53e9de60ce44", [
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.15b9838ab82d1p-5", "0x1.11c0f198f341cp-5"),
+        ("0x1.b5b93ae34c4bdp-11", "0x1.2ae98e38906abp-14"),
+        ("-0x1.b48c6c1b97aacp-6", "0x1.7e42daeadfaadp-6"),
+        ("-0x1.42319a4d21efap-13", "0x1.34764c6841135p-10"),
+        ("0x1.4e6757b583a32p-13", "0x1.5891549ab6220p-13"),
+        ("0x1.36c70f639bb88p-9", "0x1.edaf9be942ee2p-10"),
+        ("0x1.ba86e069aba6ep-6", "0x1.b438944dd283cp-6"),
+        ("0x1.308c20e61c724p-19", "0x1.5ee54b267de6dp-16"),
+        ("0x1.1168cb4dd4d8fp-5", "0x1.10b84ecaed1d7p-5"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ]),
+    True: ("0x1.25a4b3ff9afeep-4", "116968a373c78d522cc9ac54869e56fdd532146c", [
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.428f5c28f5c29p-58", "0x1.ed038d75534b1p-59"),
+        ("0x1.b5b93ae34c4bdp-11", "0x1.2ae98e38906abp-14"),
+        ("-0x1.0e3b1a2e770f6p-12", "0x1.2b29f12d78d77p-7"),
+        ("-0x1.169b9db1e6634p-12", "0x1.644ceede619b1p-12"),
+        ("0x1.519321f7abe94p-14", "0x1.cadb36a7365e9p-14"),
+        ("0x1.0bcaa9f51d388p-11", "0x1.46dd23870e6b7p-11"),
+        ("0x1.1b41a9b973243p-8", "0x1.490e83bf187b0p-7"),
+        ("0x1.308c20e61c724p-19", "0x1.5ee54b267de6dp-16"),
+        ("-0x1.142e0f38d50ebp-11", "0x1.142e0f38d50ccp-11"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ]),
+}
+
+
+def hex_list(values):
+    return [float.hex(float(x)) for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_weak_residual_pinned_bits(control_variate):
+    field, measures = hoelder_checkpoints()
+    table = weak_residual(measures, field, default_dictionary(),
+                          control_variate=control_variate)
+    gate, digest, final = PINNED_RESIDUALS[control_variate]
+    assert table.residuals.shape == (12, 8)
+    assert float.hex(table.integrability) == gate
+    assert list(zip(hex_list(table.residuals[:, -1]),
+                    hex_list(table.std_errors[:, -1]))) == final
+    every = hex_list(table.residuals) + hex_list(table.std_errors)
+    assert hashlib.sha1(" ".join(every).encode()).hexdigest() == digest
+
+
+def counting_field(field, calls):
+    def counted(name, fn):
+        def wrapped(t, z):
+            calls[name] += 1
+            return fn(t, z)
+        return wrapped
+
+    return dataclasses.replace(field, drift=counted("drift", field.drift),
+                               sigma=counted("sigma", field.sigma))
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_weak_residual_evaluates_field_once_per_checkpoint(control_variate):
+    field, measures = hoelder_checkpoints()
+    calls = {"drift": 0, "sigma": 0}
+    counted = counting_field(field, calls)
+    table = weak_residual(measures, counted, default_dictionary(),
+                          control_variate=control_variate)
+    assert calls == {"drift": len(measures), "sigma": len(measures)}
+    plain = weak_residual(measures, field, default_dictionary(),
+                          control_variate=control_variate)
+    assert np.array_equal(table.residuals, plain.residuals)
+
+
+def test_weak_residual_peak_memory_below_one_state_stack():
+    field = library_field("hoelder-drift", 1)
+    measures = particle_measure(field, point_mass([0.0, 0.0]), 2000, 1.0,
+                                1.0 / 256, master_seed=3)
+    assert len(measures) == 257
+    stack_bytes = sum(mu.atoms.nbytes for mu in measures)     # 8.2 MB
+    for control_variate in (False, True):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weak_residual(measures, field, default_dictionary(),
+                          control_variate=control_variate)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes
+
+
+def gaussian_member():
+    """exp(-|z|^2 / 2) with hand-written closures and no bump data."""
+    def value(z):
+        return np.exp(-0.5 * np.sum(z * z, axis=-1))
+
+    return TestFunction(
+        "gauss", value,
+        grad_x=lambda z: (-z[..., 0] * value(z))[..., None],
+        grad_v=lambda z: (-z[..., 1] * value(z))[..., None],
+        hess_v=lambda z: ((z[..., 1] ** 2 - 1.0) * value(z))[..., None, None],
+    )
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_mixed_test_set_rows_match_members_alone(control_variate):
+    field, measures = hoelder_checkpoints()
+    bump = monomial_bump(2, 1)
+    # the same bump through its closures instead of the shared pieces
+    via_closures = dataclasses.replace(bump, name="x2v1-closures", bump=None)
+    mixed = [TestFunction.constant(2.0), bump, gaussian_member(), via_closures]
+    table = weak_residual(measures, field, mixed,
+                          control_variate=control_variate)
+    assert table.phi_names == [phi.name for phi in mixed]
+    for row, phi in enumerate(mixed):
+        alone = weak_residual(measures, field, [phi],
+                              control_variate=control_variate)
+        assert np.array_equal(table.residuals[row], alone.residuals[0])
+        assert np.array_equal(table.std_errors[row], alone.std_errors[0])
+        assert table.integrability == alone.integrability
+    assert np.array_equal(table.residuals[1], table.residuals[3])
+    assert np.array_equal(table.std_errors[1], table.std_errors[3])
+    assert np.any(table.residuals[2] != 0.0)
+    bare = TestFunction("raw", value=lambda z: np.zeros(z.shape[:-1]))
+    with pytest.raises(ValidationError, match="derivative closures"):
+        weak_residual(measures, field, [bump, bare],
+                      control_variate=control_variate)
+
+
+def test_dictionary_closures_pinned_bits():
+    # SHA-1 of value, grad_x, grad_v and hess_v of every dictionary member
+    # on a 41 x 41 grid over [-5, 5]^2 (plateaus, ramps and the outside),
+    # recorded from the per-closure formulas before they were shared
+    s = np.linspace(-5.0, 5.0, 41)
+    z = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
+    digest = hashlib.sha1()
+    for phi in default_dictionary():
+        for closure in (phi.value, phi.grad_x, phi.grad_v, phi.hess_v):
+            digest.update(closure(z).tobytes())
+    assert digest.hexdigest() == "62d4e2ff03d48dbdfd1b7ce75b118175def31f44"
+
+
+def test_monomial_bump_closures_match_finite_differences():
+    ex, ev = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for (i, j), (r_in, r_out) in (((2, 1), (2.5, 4.0)), ((3, 2), (2.5, 4.0)),
+                                  ((0, 3), (1.5, 2.5)), ((1, 1), (3.0, 5.0))):
+        phi = monomial_bump(i, j, r_in=r_in, r_out=r_out)
+        plateau = 0.4 * r_in
+        ramp_lo = r_in + 0.3 * (r_out - r_in)
+        ramp_hi = r_in + 0.7 * (r_out - r_in)
+        # plateau, x on the ramp, v on the ramp, both on the ramp (either
+        # sign), and outside the support
+        z = np.array([[plateau, -plateau], [ramp_lo, 0.5 * plateau],
+                      [-plateau, -ramp_hi], [ramp_hi, ramp_lo],
+                      [-ramp_lo, -ramp_hi], [r_out + 0.5, 0.0]])
+        h = 1e-5
+        fd_x = (phi.value(z + h * ex) - phi.value(z - h * ex)) / (2 * h)
+        fd_v = (phi.value(z + h * ev) - phi.value(z - h * ev)) / (2 * h)
+        assert np.allclose(phi.grad_x(z)[:, 0], fd_x, rtol=1e-7, atol=1e-7)
+        assert np.allclose(phi.grad_v(z)[:, 0], fd_v, rtol=1e-7, atol=1e-7)
+        h = 1e-4
+        fd_vv = (phi.grad_v(z + h * ev) - phi.grad_v(z - h * ev))[:, 0] / (2 * h)
+        assert np.allclose(phi.hess_v(z)[:, 0, 0], fd_vv, rtol=1e-6, atol=1e-6)
+        assert np.all(phi.hess_v(z)[2:5, 0, 0] != 0.0)
+        assert np.all(phi.value(z[5:]) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # exact comparison law
 
@@ -301,3 +480,38 @@ def test_checkpoint_csv_format(tmp_path):
     assert float(x) == 0.0 and float(v) == 0.0
     with pytest.raises(ValidationError):
         checkpoints_to_csv([], tmp_path / "empty.csv")
+
+
+def csv_writer_reference(measures, path):
+    """Row-by-row csv.writer form of the atom table."""
+    d = measures[0].dim
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "atom_id"] + [f"x{i+1}" for i in range(d)]
+                        + [f"v{i+1}" for i in range(d)])
+        for mu in measures:
+            for aid, z in zip(mu.atom_ids, mu.atoms):
+                writer.writerow([f"{mu.t:.17g}", str(int(aid))]
+                                + [f"{c:.17g}" for c in z])
+
+
+def test_checkpoint_csv_matches_csv_writer_bytes(tmp_path):
+    awkward = np.array([
+        -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324,
+        1.7976931348623157e308, 0.1, 1.0 / 3.0, -1.0, 1.0,
+        2.0 ** 53, 2.0 ** 53 + 2.0, -(2.0 ** 53), 2.0 ** 63, 1e16, 1e17,
+        9.999999999999998e16, 123456789.0, -2147483648.0, 4294967296.0,
+        0.5, -2.5,
+    ])
+    one_d = EmpiricalMeasure(0.1, awkward.reshape(-1, 2),
+                             np.array([0, 3, 7, 2 ** 40, 11, 12, 13, 14, 15,
+                                       16, 17, 2 ** 62]), 12)
+    later = EmpiricalMeasure(1e-300, awkward[::-1].reshape(-1, 2),
+                             one_d.atom_ids, 12)
+    for measures in ([one_d, later],
+                     [EmpiricalMeasure(2.0 ** 53, awkward.reshape(-1, 4),
+                                       np.arange(6, 0, -1), 6)]):
+        checkpoints_to_csv(measures, tmp_path / "fast.csv")
+        csv_writer_reference(measures, tmp_path / "reference.csv")
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
