@@ -9,7 +9,6 @@ identical in both suites.  Results are returned as `CriterionResult`
 rows and summarized in ``acceptance.csv``.
 """
 
-import csv
 import math
 import os
 import tempfile
@@ -57,7 +56,7 @@ from .krylov import (
     moment_factorial_check,
 )
 from .parallel import ENV_VAR
-from .runner import run_experiment
+from .runner import run_experiment, write_rows
 from .spaces import lipschitz_via_maximal_check, maximal_function
 from .zvonkin import (
     picard_solve,
@@ -226,7 +225,7 @@ def _transformed_residual(fast):
     grid0 = BrownianGrid(3, 1.0 / steps0, steps0, 1)
     rep0 = transformed_sde_residual(
         transform_for(steps0), field, z0, grid0, 2500 if fast else 10_000,
-        checkpoints=(1.0,), scheme="kinetic-exact", quadrature="trapezoid")
+        checkpoints=(1.0,), scheme="kinetic-exact")
     zscore = float(abs(rep0.mean[0, 0]) / rep0.std_error[0, 0])
 
     # slope ladder: Euler steps under one coarsened noise realization
@@ -239,7 +238,7 @@ def _transformed_residual(fast):
         rep = transformed_sde_residual(
             transform_for(steps), field, z0,
             master.coarsened(fine_steps // steps), n_paths,
-            checkpoints=(1.0,), scheme="em", quadrature="trapezoid")
+            checkpoints=(1.0,), scheme="em")
         abs_res.append(abs(float(rep.mean[0, 0])))
     slope = float(np.polyfit(np.log2(np.asarray(rung_steps, dtype=float)),
                              np.log2(np.asarray(abs_res)), 1)[0])
@@ -354,8 +353,7 @@ def _occupation_ratios(fast):
 
 def _exponential_moments(fast):
     field, bumps, table, n_paths, dt = _krylov_state(fast)
-    steps = int(round(1.0 / dt))
-    grid = BrownianGrid(29, dt, steps, 1)
+    grid = BrownianGrid.for_horizon(29, 1.0, dt, 1)
     traj = evolve(field, np.tile(np.zeros(2), (n_paths, 1)), grid,
                   scheme="em")
     fitted = table.fitted_c
@@ -573,13 +571,9 @@ def run_acceptance(suite, out_dir="acceptance-out"):
     results = [run_criterion(idx, fast) for idx, _, _ in _CRITERIA]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "acceptance.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["criterion", "name", "passed", "measured",
-                         "threshold", "seconds"])
-        for r in results:
-            writer.writerow([r.index, r.name, int(r.passed),
-                             f"{r.measured:.17g}", f"{r.threshold:.17g}",
-                             f"{r.seconds:.17g}"])
+    write_rows(out / "acceptance.csv",
+               ["criterion", "name", "passed", "measured", "threshold",
+                "seconds"],
+               [(r.index, r.name, int(r.passed), r.measured, r.threshold,
+                 r.seconds) for r in results])
     return results

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ValidationError
 from .fields import LIBRARY
+from .integrator import BrownianGrid
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text"]
 
@@ -76,7 +77,7 @@ _REQUIRED = {
     "spaces": (),
     "flow": ("T", "dt", "N"),
     "converge": ("T", "dt", "N", "p", "n_ladder"),
-    "zvonkin": ("T", "lambda"),
+    "zvonkin": ("T", "dt", "lambda"),
     "krylov": ("T", "dt", "N", "p"),
     "fokker-planck": ("T", "dt", "N"),
 }
@@ -89,6 +90,11 @@ _P_GATED = ("krylov", "converge")
 # 128^{2d} grid and converge's 129^{2d} drift mesh do not fit in memory
 # beyond d = 1
 _D1_ONLY = ("krylov", "fokker-planck", "zvonkin", "converge")
+# experiments that step paths from 0 to T, which must be a whole number of dt
+_STEPPED = ("flow", "converge", "zvonkin", "krylov", "fokker-planck")
+# time slices of the zvonkin experiment's resolvent grid; its paths must
+# step on the same grid
+ZVONKIN_SLICES = 128
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,13 @@ class ExperimentConfig:
         if self.experiment in _D1_ONLY and self.d != 1:
             raise ValidationError(
                 f"{self.experiment} runs at d = 1 only, got d = {self.d}")
+        if self.experiment in _STEPPED:
+            steps = BrownianGrid.for_horizon(self.seed, self.horizon, self.dt,
+                                             self.d).num_steps
+            if self.experiment == "zvonkin" and steps != ZVONKIN_SLICES:
+                raise ValidationError(
+                    f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
+                    f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
 
 
 def parse_config_text(text):

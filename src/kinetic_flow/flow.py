@@ -27,7 +27,6 @@ checked against the moment bound
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "MomentEstimate",
     "two_point_moment",
     "weak_gradient_moment",
-    "growth_moment",
     "FlowEnsemble",
     "phase_grid",
     "HomeomorphismReport",
@@ -69,12 +67,13 @@ class MomentEstimate:
     std_error: float
     num_paths: int
 
-
-def _mean_se(per_path):
-    n = per_path.size
-    mean = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return MomentEstimate(mean, se, n)
+    @classmethod
+    def from_samples(cls, per_path):
+        """Mean and standard error of per-path samples, in path order."""
+        n = per_path.size
+        mean = float(np.mean(per_path))
+        se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return cls(mean, se, n)
 
 
 def _coupled_blocks(field, starts, brownian, num_paths):
@@ -118,8 +117,7 @@ def two_point_moment(field, z, z_prime, q, num_paths, horizon, dt, *,
             raise ValidationError("coincident points need q >= 0")
         # identical noise, identical drift: paths coincide exactly
         return MomentEstimate(0.0, 0.0, num_paths)
-    steps = int(round(horizon / dt))
-    brownian = BrownianGrid(master_seed, dt, steps, field.dim)
+    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
     chunks = []
     for sa, sb in _coupled_blocks(field, [z, zp], brownian, num_paths):
         sep = np.linalg.norm(sa - sb, axis=-1)  # (n, steps+1)
@@ -133,7 +131,7 @@ def two_point_moment(field, z, z_prime, q, num_paths, horizon, dt, *,
                     "negative-moment ratio undefined"
                 )
         chunks.append((extremum / gap) ** (2.0 * q))
-    return _mean_se(np.concatenate(chunks))
+    return MomentEstimate.from_samples(np.concatenate(chunks))
 
 
 def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
@@ -159,8 +157,7 @@ def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
         e = np.zeros(pd)
         e[j] = delta
         starts.extend([z + e, z - e])
-    steps = int(round(horizon / dt))
-    brownian = BrownianGrid(master_seed, dt, steps, field.dim)
+    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
     chunks = []
     for tiles in _coupled_blocks(field, starts, brownian, num_paths):
         frob2 = None
@@ -170,22 +167,7 @@ def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
             frob2 = contrib if frob2 is None else frob2 + contrib
         sup2 = frob2.max(axis=1)
         chunks.append(sup2 ** (0.5 * q))
-    return _mean_se(np.concatenate(chunks))
-
-
-def growth_moment(field, z, q, num_paths, horizon, dt, *, master_seed=0):
-    """E sup_{t<=T} (1+|Z_t|^2)^q / (1+|z|^2)^q, per-path streams."""
-    if num_paths < 100:
-        raise ValidationError("need num_paths >= 100")
-    z = np.asarray(z, dtype=float).reshape(-1)
-    steps = int(round(horizon / dt))
-    brownian = BrownianGrid(master_seed, dt, steps, field.dim)
-    denom = (1.0 + float(z @ z)) ** q
-    chunks = []
-    for (states,) in _coupled_blocks(field, [z], brownian, num_paths):
-        r2 = np.sum(states**2, axis=-1)
-        chunks.append((1.0 + r2.max(axis=1)) ** q / denom)
-    return _mean_se(np.concatenate(chunks))
+    return MomentEstimate.from_samples(np.concatenate(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +223,10 @@ class FlowEnsemble:
             raise ValidationError("need num_replicas >= 1")
         if points.shape[0] >= 2 and float(pdist(points).min()) == 0.0:
             raise ValidationError("initial grid contains duplicate points")
-        steps = int(round(horizon / dt))
-        brownian = BrownianGrid(master_seed, dt, steps, field.dim)
-        states = np.empty((num_replicas, points.shape[0], steps + 1,
-                           2 * field.dim))
+        brownian = BrownianGrid.for_horizon(master_seed, horizon, dt,
+                                            field.dim)
+        states = np.empty((num_replicas, points.shape[0],
+                           brownian.num_steps + 1, 2 * field.dim))
         times = None
         for r in range(num_replicas):
             traj = evolve(field, points, brownian, shared_stream=r)
@@ -408,14 +390,6 @@ class ConvergenceTable:
         coeffs = np.polyfit(np.log(self.n), np.log(self.e), 1)
         return float(coeffs[0])
 
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "e_n", "B_n", "ratio"])
-            for n, e, b, r in zip(self.n, self.e, self.bound, self.ratio):
-                writer.writerow([int(n),
-                                 f"{e:.17g}", f"{b:.17g}", f"{r:.17g}"])
-
 
 def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
                       z0=None, master_seed=0, lp_box_half_width=None,
@@ -457,7 +431,7 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     if num_paths < 100:
         raise ValidationError("need num_paths >= 100")
     z0 = np.zeros(2 * d) if z0 is None else np.asarray(z0, dtype=float)
-    steps = int(round(horizon / dt))
+    steps = BrownianGrid.for_horizon(master_seed, horizon, dt, d).num_steps
     fine = BrownianGrid(master_seed, 0.5 * dt, 2 * steps, d)
     coarse = fine.coarsened(2)
     if lp_box_half_width is None:

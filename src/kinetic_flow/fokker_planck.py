@@ -14,18 +14,17 @@ Three consistency instruments live here:
   isolates time-discretization bias from Monte Carlo noise,
 * ``exact_measure_constant`` gives the closed-form Gaussian law of the
   zero-drift constant-diffusion system for cross-validation,
-* ``measure_distance`` compares empirical or Gaussian measures by sliced
-  1-Wasserstein projections or a fixed Lipschitz test dictionary.
+* ``measure_distance`` compares an empirical measure with an empirical or
+  Gaussian one by sliced 1-Wasserstein projections.
 
 Test functions carry analytic derivative closures; nothing in the weak
 form is differentiated numerically.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm, qmc
+from scipy.stats import norm as _norm
 
 from .errors import (
     DegenerateRatioError,
@@ -35,6 +34,7 @@ from .errors import (
 from .integrator import (
     DIVERGENCE_FRACTION,
     DIVERGENCE_THRESHOLD,
+    GRID_TOL,
     BrownianGrid,
     evolve,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "InitialLaw",
     "point_mass",
     "gaussian_cloud",
-    "uniform_ball",
     "EmpiricalMeasure",
     "particle_measure",
     "checkpoints_to_csv",
@@ -64,7 +63,8 @@ __all__ = [
 _INIT_TAG = 0xA701       # atom initial draw
 _GAUSS_TAG = 0x6AC1      # GaussianMeasure.sample
 _SLICE_TAG = 0xD120      # sliced-distance directions
-_GRID_TOL = 1e-9
+# projection directions of the sliced distance
+_SLICE_DIRECTIONS = 32
 
 
 def _generator(master_seed, tag):
@@ -77,10 +77,10 @@ def _generator(master_seed, tag):
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Initial atom distribution: point mass, Gaussian cloud, or uniform ball.
+    """Initial atom distribution: point mass or Gaussian cloud.
 
     ``center`` is a phase-space point (2d,); ``scale`` is the Gaussian
-    standard deviation or the ball radius (ignored for a point mass).
+    standard deviation (ignored for a point mass).
     """
 
     kind: str
@@ -88,9 +88,9 @@ class InitialLaw:
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("point", "gaussian", "ball"):
+        if self.kind not in ("point", "gaussian"):
             raise ValidationError(
-                f"unknown initial law {self.kind!r}; choose point, gaussian, ball"
+                f"unknown initial law {self.kind!r}; choose point or gaussian"
             )
         center = np.asarray(self.center, dtype=float)
         if center.ndim != 1 or center.shape[0] % 2 != 0:
@@ -111,13 +111,7 @@ class InitialLaw:
             raise ValidationError("need at least one atom")
         if self.kind == "point":
             return np.tile(self.center, (n, 1))
-        if self.kind == "gaussian":
-            return self.center + self.scale * rng.standard_normal((n, self.phase_dim))
-        # uniform on the solid ball: direction times radius^(1/dim) law
-        raw = rng.standard_normal((n, self.phase_dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = self.scale * rng.random(n) ** (1.0 / self.phase_dim)
-        return self.center + radii[:, None] * raw
+        return self.center + self.scale * rng.standard_normal((n, self.phase_dim))
 
 
 def point_mass(z):
@@ -126,10 +120,6 @@ def point_mass(z):
 
 def gaussian_cloud(center, scale):
     return InitialLaw("gaussian", center, float(scale))
-
-
-def uniform_ball(center, radius):
-    return InitialLaw("ball", center, float(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +166,6 @@ class EmpiricalMeasure:
     def mass(self):
         return 1.0
 
-    def expectation(self, fn):
-        """Pairing mu(fn) with a standard-error estimate."""
-        vals = np.asarray(fn(self.atoms), dtype=float)
-        if vals.shape != (self.num_atoms,):
-            raise ValidationError("test function must map (n, 2d) to (n,)")
-        se = vals.std(ddof=1) / np.sqrt(self.num_atoms) if self.num_atoms > 1 else 0.0
-        return float(vals.mean()), float(se)
-
 
 def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
                      scheme="em", master_seed=0):
@@ -193,19 +175,15 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     time).  Atoms whose trajectory norm crosses DIVERGENCE_THRESHOLD are
     dropped from all checkpoints and from ``atom_ids``; more than
     DIVERGENCE_FRACTION of them raises DivergenceError, as does any
-    non-finite state.
+    non-finite state.  The divergence test reduces the path one time index
+    at a time, so it holds O(num_atoms) memory beside the path.
     """
     if not all(hasattr(field, attr) for attr in ("dim", "drift", "sigma")):
         raise ValidationError("field must provide dim, drift and sigma")
     if law.phase_dim != 2 * field.dim:
         raise ValidationError("initial law dimension does not match the field")
-    horizon = float(horizon)
-    dt = float(dt)
-    if horizon <= 0 or dt <= 0:
-        raise ValidationError("need horizon > 0 and dt > 0")
-    steps = int(round(horizon / dt))
-    if steps < 1 or abs(steps * dt - horizon) > _GRID_TOL * max(1.0, horizon):
-        raise ValidationError("horizon must be an integer number of dt steps")
+    grid = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
+    horizon, steps = float(horizon), grid.num_steps
     times = np.linspace(0.0, horizon, steps + 1)
     if checkpoints is None:
         check_idx = np.arange(steps + 1)
@@ -213,11 +191,15 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
         check_idx = _checkpoint_indices(times, checkpoints, horizon)
 
     atoms0 = law.sample(num_atoms, _generator(master_seed, _INIT_TAG))
-    grid = BrownianGrid(master_seed, dt, steps, field.dim)
     traj = evolve(field, atoms0, grid, scheme=scheme)
 
-    sup_norm = np.max(np.linalg.norm(traj.states, axis=-1), axis=1)
-    keep = sup_norm <= DIVERGENCE_THRESHOLD
+    # sup over time of the squared norm; sqrt is monotone and correctly
+    # rounded, so its root is exactly the sup of the norms
+    sup_sq = np.zeros(traj.num_paths)
+    for j in range(steps + 1):
+        s = traj.states[:, j, :]
+        np.maximum(sup_sq, np.add.reduce(s * s, axis=-1), out=sup_sq)
+    keep = np.sqrt(sup_sq) <= DIVERGENCE_THRESHOLD
     dropped = int(num_atoms - keep.sum())
     if dropped > DIVERGENCE_FRACTION * num_atoms:
         raise DivergenceError(
@@ -237,7 +219,7 @@ def _checkpoint_indices(times, checkpoints, horizon):
         raise ValidationError("checkpoints must be a nonempty 1d sequence")
     if np.any(np.diff(req) <= 0):
         raise ValidationError("checkpoints must be strictly increasing")
-    tol = _GRID_TOL * max(1.0, horizon)
+    tol = GRID_TOL * max(1.0, horizon)
     idx = np.searchsorted(times, req - tol)
     if np.any(idx >= times.size) or np.any(np.abs(times[np.minimum(idx, times.size - 1)] - req) > tol):
         raise ValidationError("every checkpoint must lie on the time grid")
@@ -487,16 +469,6 @@ class ResidualTable:
     def final_residuals(self):
         return self.residuals[:, -1]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["phi_id", "t", "residual", "se"])
-            for name, res, se in zip(self.phi_names, self.residuals,
-                                     self.std_errors):
-                for t, r, s in zip(self.times, res, se):
-                    writer.writerow([name, f"{t:.17g}", f"{r:.17g}",
-                                     f"{s:.17g}"])
-
 
 class _RunningMember:
     """O(N) state one member carries through the checkpoint pass."""
@@ -513,13 +485,12 @@ def _member_jet(phi, pieces):
     return phi.value(z), phi.grad_x(z), phi.grad_v(z), phi.hess_v(z)
 
 
-def weak_residual(measures, field, test_set, dt=None, *,
-                  control_variate=False):
+def weak_residual(measures, field, test_set, *, control_variate=False):
     """Weak-form defect R(t) = mu_t(phi) - mu_0(phi) - sum_s mu_s(L phi) dt.
 
     ``measures`` must be the checkpoints of one particle run on the full
-    uniform time grid (shared atoms); the generator term uses
-    left-endpoint quadrature, matching the explicit integrator so the
+    uniform time grid (shared atoms); dt is read off that grid.  The
+    generator term uses left-endpoint quadrature, matching the explicit integrator so the
     residual order stays clean.  Standard errors come from the per-atom
     telescoped residuals, which is what makes the Monte Carlo floor
     measurable alongside the bias.
@@ -544,11 +515,9 @@ def weak_residual(measures, field, test_set, dt=None, *,
         raise ValidationError("need at least two checkpoints for a residual")
     times = np.array([m.t for m in measures], dtype=float)
     gaps = np.diff(times)
-    if np.any(gaps <= 0) or np.ptp(gaps) > _GRID_TOL * max(1.0, times[-1]):
+    if np.any(gaps <= 0) or np.ptp(gaps) > GRID_TOL * max(1.0, times[-1]):
         raise ValidationError("checkpoints must form a uniform time grid")
     grid_dt = float(gaps[0])
-    if dt is not None and abs(grid_dt - dt) > _GRID_TOL * max(1.0, dt):
-        raise ValidationError("stated dt disagrees with the checkpoint grid")
     ids = measures[0].atom_ids
     for m in measures[1:]:
         if not np.array_equal(m.atom_ids, ids):
@@ -678,9 +647,9 @@ def exact_measure_constant(a, z0, t):
 # measure comparison
 
 
-def _unit_directions(num_directions, dim, master_seed):
+def _unit_directions(dim, master_seed):
     rng = _generator(master_seed, _SLICE_TAG)
-    raw = rng.standard_normal((int(num_directions), dim))
+    raw = rng.standard_normal((_SLICE_DIRECTIONS, dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateRatioError("degenerate projection direction drawn")
@@ -695,9 +664,9 @@ def _quantiles_empirical(values, levels):
     return order[idx]
 
 
-def _sliced_distance(mu, nu, num_directions, master_seed):
+def _sliced_distance(mu, nu, master_seed):
     dim = mu.atoms.shape[-1]
-    dirs = _unit_directions(num_directions, dim, master_seed)
+    dirs = _unit_directions(dim, master_seed)
     if isinstance(nu, GaussianMeasure):
         levels = (np.arange(mu.num_atoms) + 0.5) / mu.num_atoms
         total = 0.0
@@ -720,57 +689,13 @@ def _sliced_distance(mu, nu, num_directions, master_seed):
     return total / len(dirs)
 
 
-_LIPSCHITZ_WIDTHS = (0.5, 0.75, 1.0, 1.5, 2.0)
+def measure_distance(mu, nu, *, master_seed=0):
+    """Sliced 1-Wasserstein distance from an empirical measure to an
+    empirical or Gaussian one.
 
-
-def _lipschitz_dictionary(num_members, dim, box_half_width=3.0):
-    """Fixed Gaussian bumps with unit Lipschitz constant.
-
-    Amplitude w sqrt(e) pins max |grad| to exactly 1 for width w; centers
-    fill the comparison box along an unscrambled Halton sequence, so the
-    dictionary is a constant of the library, not of the data.
-    """
-    centers = qmc.Halton(d=dim, scramble=False).random(num_members)
-    centers = box_half_width * (2.0 * centers - 1.0)
-    widths = [_LIPSCHITZ_WIDTHS[k % len(_LIPSCHITZ_WIDTHS)]
-              for k in range(num_members)]
-    return centers, np.array(widths)
-
-
-def _bump_pairing(measure, center, width):
-    amp = width * np.sqrt(np.e)
-    if isinstance(measure, GaussianMeasure):
-        dim = measure.mean.size
-        shifted = measure.cov + width**2 * np.eye(dim)
-        delta = center - measure.mean
-        quad = delta @ np.linalg.solve(shifted, delta)
-        det_ratio = np.linalg.det(shifted) / width ** (2 * dim)
-        return amp * det_ratio ** -0.5 * np.exp(-0.5 * quad)
-    sq = np.sum((measure.atoms - center) ** 2, axis=-1)
-    return amp * float(np.mean(np.exp(-0.5 * sq / width**2)))
-
-
-def _test_sup_distance(mu, nu, num_members, master_seed):
-    del master_seed  # the dictionary is fixed; kept for signature symmetry
-    dim = mu.atoms.shape[-1]
-    centers, widths = _lipschitz_dictionary(num_members, dim)
-    worst = 0.0
-    for center, width in zip(centers, widths):
-        gap = abs(_bump_pairing(mu, center, width)
-                  - _bump_pairing(nu, center, width))
-        worst = max(worst, gap)
-    return worst
-
-
-def measure_distance(mu, nu, metric="sliced-w1", *, num_directions=32,
-                     num_test_bumps=20, master_seed=0):
-    """Distance between an empirical measure and an empirical or Gaussian one.
-
-    ``sliced-w1`` averages 1d Wasserstein distances over fixed random
-    unit directions with matched quantiles; ``test-sup`` takes the worst
-    pairing gap over a fixed dictionary of Lipschitz-1 bumps.  Both
-    vanish exactly when the projections or the dictionary cannot tell
-    the inputs apart.
+    Averages 1d Wasserstein distances with matched quantiles over 32
+    random unit directions drawn from ``master_seed``; it vanishes
+    exactly when no projection tells the inputs apart.
     """
     if not isinstance(mu, EmpiricalMeasure):
         raise ValidationError("first argument must be an EmpiricalMeasure")
@@ -781,15 +706,7 @@ def measure_distance(mu, nu, metric="sliced-w1", *, num_directions=32,
     nu_dim = nu.atoms.shape[-1] if isinstance(nu, EmpiricalMeasure) else nu.mean.size
     if mu.atoms.shape[-1] != nu_dim:
         raise ValidationError("measures live in different phase spaces")
-    if metric == "sliced-w1":
-        if num_directions < 1:
-            raise ValidationError("need at least one direction")
-        return float(_sliced_distance(mu, nu, num_directions, master_seed))
-    if metric == "test-sup":
-        if num_test_bumps < 1:
-            raise ValidationError("need at least one dictionary member")
-        return float(_test_sup_distance(mu, nu, num_test_bumps, master_seed))
-    raise ValidationError(f"unknown metric {metric!r}; use sliced-w1 or test-sup")
+    return float(_sliced_distance(mu, nu, master_seed))
 
 
 # independent sample pairs averaged by two_sample_floor
@@ -797,7 +714,7 @@ FLOOR_REPEATS = 3
 
 
 def two_sample_floor(gaussian, num_atoms, *, master_seed=0):
-    """Sampling floor of the default sliced-W1 metric at this atom count.
+    """Sampling floor of the sliced-W1 distance at this atom count.
 
     Mean distance between FLOOR_REPEATS pairs of independent
     ``num_atoms``-draws from the exact law; an empirical measure matching

@@ -38,6 +38,9 @@ WORK_CHUNK = 4096
 # DIVERGENCE_FRACTION of them have
 DIVERGENCE_THRESHOLD = 1e6
 DIVERGENCE_FRACTION = 1e-3
+# relative tolerance (times max(1, horizon)) within which a horizon counts
+# as a whole number of steps
+GRID_TOL = 1e-9
 
 
 def _philox_key(master_seed, block_index):
@@ -54,7 +57,8 @@ class BrownianGrid:
     Brownian increments (scaled by sqrt(dt)), the rest feed the exact
     free-flight x-noise of the kinetic-exact scheme.  ``coarsened`` returns
     the grid at a multiple of dt with summed increments, the coupling used
-    by refinement studies.
+    by refinement studies.  ``for_horizon`` builds the grid that steps
+    from 0 to a horizon and refuses one that is not a whole number of dt.
     """
 
     master_seed: int
@@ -65,6 +69,17 @@ class BrownianGrid:
     def __post_init__(self):
         if self.dt <= 0 or self.num_steps < 1 or self.dim < 1:
             raise ValidationError("BrownianGrid needs dt > 0, num_steps >= 1, dim >= 1")
+
+    @classmethod
+    def for_horizon(cls, master_seed, horizon, dt, dim):
+        horizon, dt = float(horizon), float(dt)
+        if horizon <= 0 or dt <= 0:
+            raise ValidationError("need horizon > 0 and dt > 0")
+        steps = int(round(horizon / dt))
+        if steps < 1 or abs(steps * dt - horizon) > GRID_TOL * max(1.0, horizon):
+            raise ValidationError(
+                f"horizon {horizon:g} is not a whole number of dt = {dt:g} steps")
+        return cls(master_seed, dt, steps, dim)
 
     @property
     def horizon(self):
@@ -148,9 +163,6 @@ class Trajectory:
     @property
     def phase_dim(self):
         return self.states.shape[-1]
-
-    def final(self):
-        return self.states[:, -1, :]
 
 
 def _exact_noise_factors(field, dt):

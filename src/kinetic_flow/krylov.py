@@ -19,7 +19,6 @@ and reduce in fixed path order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -187,9 +186,8 @@ def _simulate(field, z0, num_paths, horizon, dt, master_seed, trajectory=None):
     """``trajectory`` if given, else num_paths paths started at z0."""
     if trajectory is not None:
         return trajectory
-    steps = int(round(horizon / dt))
     z0 = np.zeros(2 * field.dim) if z0 is None else np.asarray(z0, dtype=float)
-    brownian = BrownianGrid(master_seed, dt, steps, field.dim)
+    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
     return evolve(field, np.tile(z0, (num_paths, 1)), brownian)
 
 
@@ -201,12 +199,8 @@ def occupation_functional(trajectory, f, t0, t1):
     in path order.
     """
     fn = f.value if hasattr(f, "value") else f
-    per_path = _window_occupation(trajectory, fn, t0, t1,
-                                  trajectory.times[1] - trajectory.times[0])
-    n = per_path.size
-    mean = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return MomentEstimate(mean, se, n)
+    return MomentEstimate.from_samples(_window_occupation(
+        trajectory, fn, t0, t1, trajectory.times[1] - trajectory.times[0]))
 
 
 @dataclass
@@ -238,17 +232,6 @@ class KrylovTable:
         if min(consts) <= 0.0:
             raise ValidationError("zero fitted constant in a window")
         return float(max(consts) / min(consts))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["f_id", "window", "estimate", "se", "norm_lp",
-                             "ratio"])
-            for fid, (t0, t1), est, se, nrm, rat in zip(
-                    self.f_ids, self.windows, self.estimates, self.std_errors,
-                    self.norms, self.ratios):
-                writer.writerow([fid, f"{t0:g}:{t1:g}", f"{est:.17g}",
-                                 f"{se:.17g}", f"{nrm:.17g}", f"{rat:.17g}"])
 
 
 def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
@@ -318,15 +301,6 @@ class MgfReport:
     @property
     def all_passed(self):
         return bool(np.all(self.passed))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lambda", "empirical_mgf", "bound", "pass"])
-            for lam, emp, bnd, ok in zip(self.lam, self.empirical, self.bound,
-                                         self.passed):
-                writer.writerow([f"{lam:.17g}", f"{emp:.17g}", f"{bnd:.17g}",
-                                 int(ok)])
 
 
 def khasminskii_mgf(field, f, lam, t0, t1, num_paths, horizon, dt, *,

@@ -2,9 +2,10 @@
 
 Each experiment is a thin orchestration of one module's public surface
 with the config's seed threaded through; all output rows are written in
-a fixed order with 17-significant-digit decimals, so reruns are byte
-comparable.  The manifest records the verbatim config (the echo alone
-reproduces the run), its git-style blob hash, and the wall time.
+a fixed order through `write_rows`, with 17-significant-digit decimals,
+so reruns are byte comparable.  The manifest records the verbatim config
+(the echo alone reproduces the run), its git-style blob hash, and the
+wall time.
 """
 
 import csv
@@ -15,7 +16,7 @@ import time
 import numpy as np
 
 from . import flow, fokker_planck as fp, krylov, spaces, zvonkin
-from .config import ExperimentConfig
+from .config import ZVONKIN_SLICES, ExperimentConfig
 from .errors import ValidationError
 from .fields import library_field, mollified
 from .grids import GridFunction
@@ -23,12 +24,9 @@ from .integrator import BrownianGrid
 from .kernel import kernel_covariance
 from .parallel import parallel_map
 
-__all__ = ["run_experiment", "manifest_hash"]
+__all__ = ["run_experiment", "manifest_hash", "write_rows"]
 
 _DELTA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
-# time slices of the zvonkin experiment's resolvent grid; its paths must
-# step on the same grid
-_ZVONKIN_SLICES = 128
 _FMT = "%.17g"
 
 
@@ -47,7 +45,8 @@ def _build_field(cfg):
     return base
 
 
-def _write_rows(path, header, rows):
+def write_rows(path, header, rows):
+    """CSV of ``header`` and ``rows``: string cells verbatim, numbers %.17g."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -68,9 +67,9 @@ def _run_kernel(cfg, out_dir):
         mat = np.atleast_2d(mat)
         for i in range(mat.shape[0]):
             for j in range(mat.shape[1]):
-                rows.append((block, "%d" % i, "%d" % j, mat[i, j]))
-    _write_rows(os.path.join(out_dir, "covariance.csv"),
-                ["block", "row", "col", "value"], rows)
+                rows.append((block, i, j, mat[i, j]))
+    write_rows(os.path.join(out_dir, "covariance.csv"),
+               ["block", "row", "col", "value"], rows)
     return ["covariance.csv"], {}
 
 
@@ -84,8 +83,8 @@ def _run_spaces(cfg, out_dir):
         for beta in (0.0, 1.0):
             rows.append((alpha, beta, 2.0,
                          spaces.bessel_norm(probe, alpha, beta, 2.0)))
-    _write_rows(os.path.join(out_dir, "spaces.csv"),
-                ["alpha", "beta", "p", "norm"], rows)
+    write_rows(os.path.join(out_dir, "spaces.csv"),
+               ["alpha", "beta", "p", "norm"], rows)
     return ["spaces.csv"], {}
 
 
@@ -103,8 +102,8 @@ def _run_flow(cfg, out_dir):
         return (delta, 1.0, est.value, est.std_error)
 
     rows = parallel_map(one, _DELTA_LADDER)
-    _write_rows(os.path.join(out_dir, "flow.csv"),
-                ["delta", "q", "ratio", "std_error"], rows)
+    write_rows(os.path.join(out_dir, "flow.csv"),
+               ["delta", "q", "ratio", "std_error"], rows)
     return ["flow.csv"], {}
 
 
@@ -113,7 +112,9 @@ def _run_converge(cfg, out_dir):
     table = flow.convergence_study(field, cfg.n_ladder, 2.0, cfg.num_paths,
                                    cfg.horizon, cfg.dt, cfg.p,
                                    master_seed=cfg.seed)
-    table.to_csv(os.path.join(out_dir, "converge.csv"))
+    write_rows(os.path.join(out_dir, "converge.csv"),
+               ["n", "e_n", "B_n", "ratio"],
+               zip(table.n, table.e, table.bound, table.ratio))
     return ["converge.csv"], {"ratio_spread": "%.6g" % table.ratio_spread()}
 
 
@@ -121,22 +122,17 @@ def _run_zvonkin(cfg, out_dir):
     field = _build_field(cfg)
     if field.constant_sigma is None:
         raise ValidationError("zvonkin experiment needs a constant-sigma field")
-    steps = max(int(round(cfg.horizon / cfg.dt)), 1)
-    if steps != _ZVONKIN_SLICES:
-        raise ValidationError(
-            f"zvonkin runs on a fixed {_ZVONKIN_SLICES}-slice time grid: "
-            f"need T/dt = {_ZVONKIN_SLICES}, got {steps}")
     result = zvonkin.search_lambda(
         field.drift, cfg.horizon, field.generator_a(),
-        box_half_width=8.0, points_per_axis=128, num_slices=_ZVONKIN_SLICES,
+        box_half_width=8.0, points_per_axis=128, num_slices=ZVONKIN_SLICES,
         dim=cfg.d, lam_init=cfg.lam,
     )
-    _write_rows(os.path.join(out_dir, "contraction.csv"),
-                ["iter", "increment_sup"],
-                [("%d" % (k + 1), inc)
-                 for k, inc in enumerate(result.increments)])
+    write_rows(os.path.join(out_dir, "contraction.csv"),
+               ["iter", "increment_sup"],
+               [(k + 1, inc) for k, inc in enumerate(result.increments)])
     transform = zvonkin.zvonkin_transform(result.u, field.constant_sigma)
-    grid = BrownianGrid(cfg.seed, cfg.horizon / steps, steps, cfg.d)
+    grid = BrownianGrid(cfg.seed, cfg.horizon / ZVONKIN_SLICES, ZVONKIN_SLICES,
+                        cfg.d)
     z0 = np.zeros(2 * cfg.d)
     z0[0] = 0.3
     report = zvonkin.transformed_sde_residual(
@@ -144,8 +140,8 @@ def _run_zvonkin(cfg, out_dir):
     rows = [(t, m, s) for t, m, s in zip(
         report.times, np.linalg.norm(np.atleast_2d(report.mean), axis=-1),
         np.linalg.norm(np.atleast_2d(report.std_error), axis=-1))]
-    _write_rows(os.path.join(out_dir, "residual.csv"),
-                ["t", "mean_residual", "std_error"], rows)
+    write_rows(os.path.join(out_dir, "residual.csv"),
+               ["t", "mean_residual", "std_error"], rows)
     return (["contraction.csv", "residual.csv"],
             {"lambda_star": "%.17g" % result.u.lam,
              "grad_v_sup": "%.17g" % result.u.gradient_v_sup()})
@@ -165,12 +161,20 @@ def _run_krylov(cfg, out_dir):
     table = krylov.krylov_ratio(field, bumps, cfg.p, windows, cfg.num_paths,
                                 horizon, cfg.dt, z0=z0,
                                 master_seed=cfg.seed, restart=True)
-    table.to_csv(os.path.join(out_dir, "krylov.csv"))
+    write_rows(os.path.join(out_dir, "krylov.csv"),
+               ["f_id", "window", "estimate", "se", "norm_lp", "ratio"],
+               [(fid, f"{t0:g}:{t1:g}", est, se, nrm, rat)
+                for fid, (t0, t1), est, se, nrm, rat in zip(
+                    table.f_ids, table.windows, table.estimates,
+                    table.std_errors, table.norms, table.ratios)])
     mgf = krylov.khasminskii_mgf(
         field, bumps[0], [1.0, 2.0, 4.0], 0.0, cfg.horizon, cfg.num_paths,
         cfg.horizon, cfg.dt, fitted_c=table.fitted_c, p=cfg.p, z0=z0,
         master_seed=cfg.seed + 1)
-    mgf.to_csv(os.path.join(out_dir, "mgf.csv"))
+    write_rows(os.path.join(out_dir, "mgf.csv"),
+               ["lambda", "empirical_mgf", "bound", "pass"],
+               [(lam, emp, bnd, int(ok)) for lam, emp, bnd, ok in zip(
+                   mgf.lam, mgf.empirical, mgf.bound, mgf.passed)])
     return (["krylov.csv", "mgf.csv"],
             {"fitted_c": "%.17g" % table.fitted_c})
 
@@ -187,7 +191,12 @@ def _run_fokker_planck(cfg, out_dir):
     fp.checkpoints_to_csv([measures[i] for i in quarter_idx],
                           os.path.join(out_dir, "atoms.csv"))
     table = fp.weak_residual(measures, field, fp.test_dictionary())
-    table.to_csv(os.path.join(out_dir, "residual.csv"))
+    write_rows(os.path.join(out_dir, "residual.csv"),
+               ["phi_id", "t", "residual", "se"],
+               [(name, t, r, s)
+                for name, res, se in zip(table.phi_names, table.residuals,
+                                         table.std_errors)
+                for t, r, s in zip(table.times, res, se)])
     return (["atoms.csv", "residual.csv"],
             {"integrability": "%.17g" % table.integrability})
 

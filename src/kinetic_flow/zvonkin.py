@@ -481,21 +481,19 @@ class ResidualReport:
 
 
 def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
-                             checkpoints=None, scheme="em", quadrature="trapezoid"):
+                             checkpoints=None, scheme="em"):
     """Statistics of R_t = H_t(Z_t) - H_0(Z_0) - lam int u ds - int Theta dW.
 
     Z is integrated with the given scheme on the same field and noise grid
     the transform was built for; the stochastic integral always uses left
     endpoints with the recorded Brownian increments (anything else would
     not be the Ito integral), while the time integral of u along the path
-    uses ``quadrature`` ('trapezoid' or 'left'; trapezoid cancels the
-    O(dt) quadrature bias, leaving the scheme's own weak error).  Paths
-    that reach within SEAM_MARGIN_CELLS of the periodic seam are excluded
-    from that checkpoint onward and counted.  Returns mean and standard error
-    of R across surviving paths at each checkpoint.
+    is the trapezoid rule, which cancels the O(dt) quadrature bias and
+    leaves the scheme's own weak error.  Paths that reach within
+    SEAM_MARGIN_CELLS of the periodic seam are excluded from that
+    checkpoint onward and counted.  Returns mean and standard error of R
+    across surviving paths at each checkpoint.
     """
-    if quadrature not in ("trapezoid", "left"):
-        raise ValidationError(f"unknown quadrature {quadrature!r}")
     u = transform.u
     d = u.dim
     if field.dim != d:
@@ -563,10 +561,7 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
                 alive_c = alive & transform.in_domain(pts_c)
                 u_c = transform.shift(i + 1, pts_c)
                 h_c = pts_c[:, d:] + u_c
-                if quadrature == "trapezoid":
-                    quad = step * (integ + 0.5 * u_c - 0.5 * u0)
-                else:
-                    quad = step * integ
+                quad = step * (integ + 0.5 * u_c - 0.5 * u0)
                 resid = h_c - h0 - lamv * quad - mart
                 live = resid[alive_c]
                 counts[ci] += live.shape[0]

@@ -72,6 +72,9 @@ def test_parse_missing_required_keys():
             "experiment = converge\nseed = 1\nT = 1\ndt = 0.25\n"
             "N = 100\np = 7\noutput = out\n"
         )
+    with pytest.raises(ValidationError, match="needs keys: dt"):
+        parse_config_text("experiment = zvonkin\nseed = 1\nT = 1\n"
+                          "lambda = 1\noutput = out\n")
     with pytest.raises(ValidationError, match="unknown experiment"):
         parse_config_text("experiment = warp\nseed = 1\noutput = out\n")
 
@@ -89,7 +92,7 @@ def test_parse_p_gate():
 @pytest.mark.parametrize("experiment,keys", [
     ("krylov", "T = 1\ndt = 0.015625\nN = 100\np = 7\n"),
     ("fokker-planck", "T = 1\ndt = 0.0625\nN = 100\n"),
-    ("zvonkin", "T = 1\nlambda = 1\n"),
+    ("zvonkin", "T = 1\ndt = 0.0078125\nlambda = 1\n"),
     ("converge", "T = 1\ndt = 0.0625\nN = 100\np = 7\nn_ladder = 4,8,16\n"),
 ])
 def test_parse_refuses_d_above_one(experiment, keys, tmp_path, capsys):
@@ -104,6 +107,24 @@ def test_parse_refuses_d_above_one(experiment, keys, tmp_path, capsys):
     # the flow experiment runs at any d
     parse_config_text("experiment = flow\nseed = 1\nd = 2\nT = 1\n"
                       "dt = 0.0625\nN = 100\noutput = out\n")
+
+
+@pytest.mark.parametrize("experiment,keys", [
+    ("flow", "N = 100\n"),
+    ("converge", "N = 100\np = 7\nn_ladder = 4,8,16\n"),
+    ("krylov", "N = 100\np = 7\n"),
+    ("fokker-planck", "N = 100\n"),
+])
+def test_cli_refuses_horizon_off_the_step_grid(experiment, keys, tmp_path,
+                                                capsys):
+    # rounding T = 0.5 to 2 steps of 0.3 would simulate to t = 0.6
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"experiment = {experiment}\nseed = 1\nT = 0.5\n"
+                  f"dt = 0.3\n{keys}output = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "not a whole number of dt = 0.3 steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from kinetic_flow.flow import (
     GRONWALL_REFERENCE_C,
     convergence_study,
     gronwall_corpus,
-    growth_moment,
     homeomorphism_check,
     phase_grid,
     stochastic_gronwall_check,
@@ -51,14 +50,6 @@ def test_weak_gradient_free_field_closed_form():
                                1.0 / 32, master_seed=9)
     assert abs(est.value - 2.25) <= 1e-12
     assert est.std_error <= 1e-12
-
-
-def test_growth_moment_free_field_finite():
-    field = library_field("free", 1)
-    est = growth_moment(field, [0.3, 0.4], 4, 200, 0.5, 1.0 / 32,
-                        master_seed=2)
-    assert np.isfinite(est.value)
-    assert est.value > 0.0
 
 
 # ---------------------------------------------------------------------------

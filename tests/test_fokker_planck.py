@@ -23,7 +23,6 @@ from kinetic_flow.fokker_planck import (
     point_mass,
     test_dictionary as default_dictionary,
     two_sample_floor,
-    uniform_ball,
     weak_residual,
 )
 from kinetic_flow.integrator import (
@@ -52,19 +51,9 @@ def test_gaussian_cloud_moments():
     assert np.all(np.abs(atoms.std(axis=0, ddof=1) - 0.5) <= 0.03)
 
 
-def test_uniform_ball_radii():
-    law = uniform_ball([0.0, 0.0], 2.0)
-    r = np.linalg.norm(law.sample(4000, np.random.default_rng(8)), axis=1)
-    assert r.max() <= 2.0
-    # solid-ball radial law in the phase plane: E r = 2 R / 3
-    assert abs(r.mean() - 4.0 / 3.0) <= 0.05
-
-
 def test_initial_law_validation():
     with pytest.raises(ValidationError):
         gaussian_cloud([0.0, 0.0], 0.0)
-    with pytest.raises(ValidationError):
-        uniform_ball([0.0, 0.0], -1.0)
     with pytest.raises(ValidationError):
         point_mass([0.0, 0.0, 0.0])
     with pytest.raises(ValidationError):
@@ -146,6 +135,23 @@ def test_particle_measure_aborts_on_non_finite_state():
         particle_measure(blowup, point_mass([0.0, 1.0]), 16, 2.0, 0.25)
 
 
+def test_particle_measure_peak_memory_near_two_path_copies():
+    # above WORK_CHUNK atoms evolve fills the path one chunk at a time, so
+    # the peak is the path plus the kept checkpoints, with the divergence
+    # test adding O(N)
+    field = library_field("hoelder-drift", 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        measures = particle_measure(field, point_mass([0.0, 0.0]), 12_288,
+                                    1.0, 1.0 / 64, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(mu.atoms.nbytes for mu in measures)       # 12.8 MB
+    assert peak < 2.5 * kept
+
+
 def test_empirical_measure_validation():
     with pytest.raises(ValidationError):
         EmpiricalMeasure(0.0, np.zeros((4, 3)), np.arange(4), 4)
@@ -153,14 +159,6 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(0.0, np.zeros((4, 2)), np.arange(3), 4)
     with pytest.raises(ValidationError):
         EmpiricalMeasure(0.0, np.full((4, 2), np.inf), np.arange(4), 4)
-
-
-def test_expectation_contract():
-    mu = EmpiricalMeasure(0.0, np.arange(8.0).reshape(4, 2), np.arange(4), 4)
-    val, se = mu.expectation(lambda z: np.full(z.shape[0], 3.0))
-    assert val == 3.0 and se == 0.0
-    with pytest.raises(ValidationError):
-        mu.expectation(lambda z: np.zeros((2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +185,6 @@ def test_weak_residual_validation():
         weak_residual([measures[0], measures[1], measures[3]], field, [phi])
     with pytest.raises(ValidationError, match="empty test set"):
         weak_residual(measures, field, [])
-    with pytest.raises(ValidationError, match="disagrees"):
-        weak_residual(measures, field, [phi], dt=1.0 / 16)
     reseated = [measures[0],
                 EmpiricalMeasure(measures[1].t, measures[1].atoms,
                                  measures[1].atom_ids + 1, 200)]
@@ -425,7 +421,6 @@ def random_cloud(seed, n=500, scale=1.0, shift=(0.0, 0.0)):
 def test_distance_self_is_zero():
     mu = random_cloud(0)
     assert measure_distance(mu, mu) == 0.0
-    assert measure_distance(mu, mu, "test-sup") == 0.0
 
 
 def test_sliced_distance_translation_invariant():
@@ -446,8 +441,6 @@ def test_sliced_distance_point_pair_bound():
 
 def test_distance_validation():
     mu = random_cloud(0)
-    with pytest.raises(ValidationError, match="unknown metric"):
-        measure_distance(mu, mu, "energy")
     with pytest.raises(ValidationError):
         measure_distance(mu, GaussianMeasure(np.zeros(4), np.eye(4)))
     with pytest.raises(ValidationError):

@@ -84,6 +84,44 @@ def test_brownian_grid_validation():
         BrownianGrid(0, 0.1, 10, 1).increments(3, 3)
 
 
+def test_brownian_grid_for_horizon():
+    assert (BrownianGrid.for_horizon(3, 1.0, 1.0 / 64, 1)
+            == BrownianGrid(3, 1.0 / 64, 64, 1))
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: still 3 steps
+    assert BrownianGrid.for_horizon(3, 0.3, 0.1, 1).num_steps == 3
+    for horizon, dt in ((0.5, 0.3), (1.0, 0.4), (0.01, 0.1), (1.0, 0.0),
+                        (0.0, 0.1)):
+        with pytest.raises(ValidationError):
+            BrownianGrid.for_horizon(3, horizon, dt, 1)
+
+
+def test_horizon_off_the_step_grid_is_refused_everywhere():
+    from kinetic_flow.flow import (FlowEnsemble, convergence_study,
+                                   two_point_moment, weak_gradient_moment)
+    from kinetic_flow.fokker_planck import particle_measure, point_mass
+    from kinetic_flow.krylov import bump_family, krylov_ratio
+
+    free = library_field("free", 1)
+    z, z_v = np.zeros(2), np.array([0.0, 1e-3])
+    # velocity split of the free flow: |dZ_t|^2 / |dz|^2 = 1 + t^2
+    est = two_point_moment(free, z, z_v, 1.0, 100, 0.6, 0.3)
+    assert abs(est.value - 1.36) <= 1e-9
+    # rounding T = 0.5 to 2 steps of 0.3 would report the t = 0.6 value
+    calls = [
+        lambda: two_point_moment(free, z, z_v, 1.0, 100, 0.5, 0.3),
+        lambda: weak_gradient_moment(free, z, 1e-3, 2.0, 100, 0.5, 0.3),
+        lambda: FlowEnsemble.build(free, [[0.0, 0.0], [0.5, 0.0]], 2, 0.5,
+                                   0.3),
+        lambda: convergence_study(free, (4, 8, 16), 2.0, 100, 0.5, 0.3, 7.0),
+        lambda: krylov_ratio(free, bump_family(20), 7.0, [(0.0, 0.5)], 100,
+                             0.5, 0.3),
+        lambda: particle_measure(free, point_mass(z), 100, 0.5, 0.3),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="not a whole number"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # schemes
 
@@ -114,7 +152,7 @@ def test_kinetic_exact_one_step_covariance():
     field = library_field("free", 1)
     traj = evolve(field, np.zeros((20_000, 2)), BrownianGrid(13, 1.0, 1, 1),
                   scheme="kinetic-exact")
-    emp = np.cov(traj.final().T, ddof=1)
+    emp = np.cov(traj.states[:, -1].T, ddof=1)
     th = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
     se = np.sqrt((np.outer(np.diag(th), np.diag(th)) + th**2) / 20_000)
     assert np.abs((emp - th) / se).max() <= 3.0
@@ -127,7 +165,7 @@ def test_ou_velocity_closed_form(scheme):
     n = 4000
     traj = evolve(field, np.tile([0.0, 1.0], (n, 1)),
                   BrownianGrid(91, 1.0 / 512, 512, 1), scheme=scheme)
-    vT = traj.final()[:, 1]
+    vT = traj.states[:, -1, 1]
     mean_th = np.exp(-1.0)
     var_th = (1.0 - np.exp(-2.0)) / 2.0
     z_mean = (vT.mean() - mean_th) / (vT.std(ddof=1) / np.sqrt(n))

@@ -65,3 +65,70 @@ def test_no_private_imports_between_modules():
                     if alias.name.startswith("_"):
                         found.add((name, node.module, alias.name))
     assert found <= ALLOWED_PRIVATE_IMPORTS, sorted(found - ALLOWED_PRIVATE_IMPORTS)
+
+
+# exported names that nothing in the package calls; the list may only
+# shrink, and an entry must go once its name gains a caller
+UNCALLED_EXPORTS = {
+    ("fields", "check_UE"),
+    ("kernel", "kernel_density"),
+    ("spaces", "fractional_laplacian"),
+    ("spaces", "lp_distance"),
+}
+
+
+def _definition_nodes(tree, name):
+    """Top-level statements that bind ``name`` in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and node.name == name:
+            yield node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(n, ast.Name) and n.id == name
+                   for t in targets for n in ast.walk(t)):
+                yield node
+
+
+def _loads(tree, module, name, own):
+    """Does ``tree`` load ``module.name``?  ``own`` marks the defining
+    module, where loads inside the name's own definition do not count."""
+    skip = set()
+    if own:
+        for node in _definition_nodes(tree, name):
+            skip.update(id(n) for n in ast.walk(node))
+    local_names = {name} if own else set()
+    module_aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level >= 1:
+            for alias in node.names:
+                if node.module == module and alias.name == name:
+                    local_names.add(alias.asname or alias.name)
+                elif node.module is None and alias.name == module:
+                    module_aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in local_names):
+            return True
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_aliases):
+            return True
+    return False
+
+
+def test_every_exported_name_has_a_caller():
+    trees = modules()
+    callers = {key: tree for key, tree in trees.items() if key != "__init__"}
+    uncalled = set()
+    for module, tree in callers.items():
+        for name in declared_all(tree) or ():
+            if not any(_loads(other, module, name, key == module)
+                       for key, other in callers.items()):
+                uncalled.add((module, name))
+    assert uncalled == UNCALLED_EXPORTS, (
+        f"exported without a caller: {sorted(uncalled - UNCALLED_EXPORTS)}; "
+        f"called now, drop from UNCALLED_EXPORTS: "
+        f"{sorted(UNCALLED_EXPORTS - uncalled)}")
