@@ -154,6 +154,10 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
+            if self.experiment == "krylov":
+                # two of krylov's occupation windows start or end at T/2
+                BrownianGrid.for_horizon(self.seed, 0.5 * self.horizon,
+                                         self.dt, self.d)
 
 
 def parse_config_text(text):

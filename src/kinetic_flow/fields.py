@@ -4,9 +4,14 @@ A CoefficientField bundles the drift b(t, z) (values in R^d) and diffusion
 sigma(t, z) (values in R^{d x d}) of the kinetic system on phase space
 R^{2d}.  Library fields are time-independent, vanish (drift) outside a
 support ball, and keep sigma's singular values inside [1/K, K].  Rough
-fields are consumed through MollifiedField, which convolves both
-coefficients with the compact smooth bump at scale 1/n via a fixed
-Gauss-Legendre rule.
+fields are consumed through MollifiedField, which replaces both
+coefficients by a fixed quadrature of their convolution with the compact
+smooth bump at scale 1/n: a bump-weighted sum of shifted copies over the
+tensor Gauss-Legendre nodes inside the unit ball (144 of the 16^2 at
+d = 1).  A finite sum of shifted copies keeps the roughness of the field:
+the 2/3-Hoelder cusp of hoelder-drift survives in b_n, split into copies
+at the distinct node offsets, so b_n is not the smooth b * rho_n of the
+paper but a rough drift of the same family at every level.
 """
 
 from __future__ import annotations

@@ -15,10 +15,19 @@ both factors are exact on band-limited periodic data, which is what the two
 grid backends exploit: the spectral backend multiplies by the analytic
 characteristic function, the Gauss-Hermite backend rebuilds the same
 multiplier from tensor quadrature in the displacement, so the pair form a
-mutual cross-check with independent failure modes.  ``KernelStep`` builds
-both factors and the periodic-seam guard once for a grid layout and a gap;
-``apply_semigroup`` and the resolvent recursion apply the transition
-through it.
+mutual cross-check with independent failure modes.
+
+``KernelStep`` builds both factors and the periodic-seam guard once for a
+grid layout and a gap, and applies them in the mixed layout: rfft along
+the x axes, real space along the v axes.  There the shear is a pointwise
+phase exp(i k_x (s-t) v) and the blur a transform along v only, so a step
+is two passes over the n/2 + 1 rows of the half spectrum.  Each factor is
+stored as its Hermitian part (M(k) + conj M(-k)) / 2, which is what taking
+the real part after a full complex multiplier amounts to on real data;
+it differs from M on the Nyquist planes only, and it keeps the half
+spectrum that of a real field.  ``apply_semigroup`` and the resolvent
+recursion apply the transition through it; the recursion stays in the
+mixed layout from its first slice to its last.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DegenerateKernelError, ProbeInvalidError, ValidationError
-from .grids import fourier_multiply
 
 __all__ = [
     "KernelCovariance",
@@ -207,6 +215,12 @@ def _blur_multiplier_hermite(ks, cov, order):
     return mult
 
 
+def _hermitian_part(mult, axes):
+    """(M(k) + conj M(-k)) / 2, with -k taken modulo the grid along axes."""
+    mirrored = np.roll(np.flip(mult, axes), (1,) * len(axes), axes)
+    return 0.5 * (mult + np.conj(mirrored))
+
+
 # Gauss-Hermite nodes per axis of the 'hermite' semigroup backend
 HERMITE_ORDER = 160
 
@@ -214,11 +228,27 @@ HERMITE_ORDER = 160
 class KernelStep:
     """The transition P_{t,t+gap} on one grid layout, built once per gap.
 
-    ``grid`` is any GridFunction of the layout (its values are not used).
-    The step holds the blur multiplier, the shear phase of x -> x + gap v
-    and the seam guard's escape mask; calling it on values of that layout
-    (grid axes first, any trailing components) runs guard, blur and shear.
-    Arguments are those of apply_semigroup.
+    ``grid`` is any GridFunction of the layout (its values are not used);
+    arguments are those of apply_semigroup.  The step works in the mixed
+    layout: rfft along the x axes, real space along the v axes.  There the
+    shear x -> x + gap v is the pointwise phase exp(i k_x gap v), and the
+    blur is an fft along v, a multiply and an ifft along v: two passes
+    over n/2 + 1 rows instead of full complex passes over (x, v).
+
+    Both multipliers are stored as their Hermitian parts
+    (M(k) + conj M(-k)) / 2, with -k taken modulo the grid: the blur over
+    all grid axes, the shear over the x axes, each then cut to the rfft
+    half spectrum.  On real data, multiplying by the Hermitian part is the
+    same as multiplying by M and taking the real part.  The two differ
+    only on Nyquist planes, where fftfreq gives -k the same (negative)
+    wavenumber as k, so the blur's x-v cross term and the shear phase are
+    not even there.  Without the symmetrization a Hoelder cusp in x, which
+    has Nyquist content, moves by 1e-5 of its size (d = 1, n = 64).
+
+    ``to_mixed``, ``transport`` and ``from_mixed`` accept leading batch
+    axes before the layout's grid axes and trailing components; ``guard``
+    checks one slice against the periodic seam.  Calling the step on one
+    slice runs guard, to_mixed, transport and from_mixed.
     """
 
     def __init__(self, grid, a, gap, method="spectral", tail_tol=1e-6):
@@ -230,18 +260,27 @@ class KernelStep:
         x_axes, v_axes = _phase_space_split(grid)
         ks = grid.mode_vectors()
         if method == "spectral":
-            self.blur = _blur_multiplier_spectral(ks, cov)
+            blur = _blur_multiplier_spectral(ks, cov)
         else:
-            self.blur = _blur_multiplier_hermite(ks, cov, HERMITE_ORDER)
-        # broadcast factors, not full meshes: numpy rounds the complex
-        # product differently on full arrays, and the phase is kept bitwise
+            blur = _blur_multiplier_hermite(ks, cov, HERMITE_ORDER)
         coords = grid.axis_coordinates()
-        self.shear = np.ones(self.blur.shape, dtype=complex)
+        shear = np.ones(blur.shape, dtype=complex)
         for xa, va in zip(x_axes, v_axes):
             v = coords.reshape(ks[va].shape)
-            self.shear = self.shear * np.exp(1j * ks[xa] * (cov.gap * v))
-        self.x_axes = x_axes
-        self.grid_axes = tuple(range(grid.num_grid_axes))
+            shear = shear * np.exp(1j * ks[xa] * (cov.gap * v))
+        grid_axes = tuple(range(grid.num_grid_axes))
+        # axes count from the end, so batches of slices share the step
+        ncomp = len(grid.component_shape)
+        back = grid.num_grid_axes + ncomp
+        self.n = grid.points_per_axis
+        half = [slice(None)] * grid.num_grid_axes
+        half[x_axes[-1]] = slice(0, self.n // 2 + 1)
+        to_layout = tuple(half) + (None,) * ncomp
+        self.blur = _hermitian_part(blur, grid_axes)[to_layout]
+        self.shear = _hermitian_part(shear, x_axes)[to_layout]
+        self.x_axes = tuple(ax - back for ax in x_axes)
+        self.v_axes = tuple(ax - back for ax in v_axes)
+        self.grid_axes = grid_axes
         self.tail_tol = tail_tol
         self.escapes = None
         if np.isfinite(tail_tol):
@@ -252,25 +291,46 @@ class KernelStep:
             reach_v = 5.0 * sig_v
             L = grid.box_half_width
             mesh = grid.mesh()
-            self.escapes = np.zeros(self.blur.shape, dtype=bool)
+            self.escapes = np.zeros(blur.shape, dtype=bool)
             for xa, va in zip(x_axes, v_axes):
                 self.escapes |= np.abs(mesh[xa] + cov.gap * mesh[va]) + reach_x > L
                 self.escapes |= np.abs(mesh[va]) + reach_v > L
 
-    def __call__(self, values):
-        if self.escapes is not None:
+    def guard(self, values):
+        """Raise AccuracyError if one slice has visible mass near the seam."""
+        if self.escapes is None:
+            return
+        if values.ndim > len(self.grid_axes):
+            comp_axes = tuple(range(len(self.grid_axes), values.ndim))
+            mag = np.sqrt(np.sum(values**2, axis=comp_axes))
+        else:
             mag = np.abs(values)
-            if values.ndim > len(self.grid_axes):
-                comp_axes = tuple(range(len(self.grid_axes), values.ndim))
-                mag = np.sqrt(np.sum(values**2, axis=comp_axes))
-            total = mag.sum()
-            if total != 0.0 and mag[self.escapes].sum() > self.tail_tol * total:
-                raise AccuracyError(
-                    "field mass within kernel reach of the periodic boundary exceeds "
-                    f"{self.tail_tol:g} of total; enlarge the box or shrink the gap"
-                )
-        blurred = fourier_multiply(values, self.blur, self.grid_axes)
-        return fourier_multiply(blurred, self.shear, self.x_axes)
+        total = mag.sum()
+        if total != 0.0 and mag[self.escapes].sum() > self.tail_tol * total:
+            raise AccuracyError(
+                "field mass within kernel reach of the periodic boundary exceeds "
+                f"{self.tail_tol:g} of total; enlarge the box or shrink the gap"
+            )
+
+    def to_mixed(self, values):
+        """Real values -> mixed layout (rfft along the x axes)."""
+        return np.fft.rfftn(values, axes=self.x_axes)
+
+    def transport(self, mixed):
+        """One transition on mixed-layout data: blur along v, then shear."""
+        spec = np.fft.fftn(mixed, axes=self.v_axes)
+        spec *= self.blur
+        out = np.fft.ifftn(spec, axes=self.v_axes)
+        out *= self.shear
+        return out
+
+    def from_mixed(self, mixed):
+        """Mixed layout -> real values (irfft along the x axes)."""
+        return np.fft.irfftn(mixed, s=(self.n,) * len(self.x_axes), axes=self.x_axes)
+
+    def __call__(self, values):
+        self.guard(values)
+        return self.from_mixed(self.transport(self.to_mixed(values)))
 
 
 def apply_semigroup(f, t, s, a, method="spectral", tail_tol=1e-6):

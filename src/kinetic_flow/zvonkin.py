@@ -55,11 +55,18 @@ def _as_sigma(sigma, dim):
     return sigma
 
 
-def _axis_derivative(vals, axis, k, order=1):
+def _axis_derivative(vals, axis, spacing, order=1):
+    """Spectral d^order/dz^order of periodic samples along one axis.
+
+    irfft drops the imaginary part of the Nyquist bin, which is what the
+    real part of a full complex transform does there.
+    """
+    n = vals.shape[axis]
     shape = [1] * vals.ndim
-    shape[axis] = k.size
+    shape[axis] = n // 2 + 1
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
     mult = (1j * k.reshape(shape)) ** order
-    return np.fft.ifft(np.fft.fft(vals, axis=axis) * mult, axis=axis).real
+    return np.fft.irfft(np.fft.rfft(vals, axis=axis) * mult, n=n, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +175,9 @@ class SpaceTimeField:
         """All velocity derivatives, shape (slices, grid..., component, v-axis)."""
         if self._gv is None:
             d = self.dim
-            n = self.points_per_axis
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
             cols = [
-                _axis_derivative(self.values, 1 + d + j, k) for j in range(d)
+                _axis_derivative(self.values, 1 + d + j, self.spacing)
+                for j in range(d)
             ]
             gv = np.stack(cols, axis=-1)
             gv.setflags(write=False)
@@ -199,11 +205,15 @@ def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
     quadrature grid; the s = t endpoint contributes through
     P_{t,t} = identity.  'recursive' evaluates the trapezoid sum by one
     fixed-gap transition per backward step: a single KernelStep over one
-    slice gap, built once per call and applied to every carried slice
-    (the transition operators compose exactly, so this equals the direct
-    sum up to rounding).  'direct' performs the O(slices^2) sum through
-    apply_semigroup and exists to cross-check the recursion.  Both run the
-    kernel's seam guard on every slice they transport, at tail_tol.
+    slice gap, built once per call (the transition operators compose
+    exactly, so this equals the direct sum up to rounding).  The source
+    goes to the step's mixed layout in one batched rfft, the recursion
+    runs there, and one batched irfft brings u back; the seam guard then
+    checks each carried slice u_{i+1} + (step/2) f_{i+1}, one at a time,
+    so a rejected lam fails after its whole sweep.  'direct' performs the
+    O(slices^2) sum through apply_semigroup and exists to cross-check the
+    recursion.  Both run the guard on every slice they transport, at
+    tail_tol.
     """
     if lam < 0:
         raise ValidationError("lam must be >= 0")
@@ -215,15 +225,28 @@ def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
     nt = source.num_slices - 1
     step = source.slice_dt
     g = source.values
-    out = np.zeros_like(g)
 
     if method == "recursive":
         kstep = KernelStep(source.slice_grid(0), a, step, tail_tol=tail_tol)
         decay = np.exp(-lam * step)
         half = 0.5 * step
+        # the recursion runs in the step's mixed layout, in place: slot i+1
+        # of spec takes u_{i+1} once the source term it held is used
+        spec = kstep.to_mixed(g)
+        carried = np.zeros_like(spec[nt])
         for i in range(nt - 1, -1, -1):
-            out[i] = decay * kstep(out[i + 1] + half * g[i + 1]) + half * g[i]
+            incoming = half * spec[i + 1]
+            incoming += carried
+            spec[i + 1] = carried
+            carried = kstep.transport(incoming)
+            carried *= decay
+            carried += half * spec[i]
+        spec[0] = carried
+        out = kstep.from_mixed(spec)
+        for i in range(nt - 1, -1, -1):
+            kstep.guard(out[i + 1] + half * g[i + 1])
     else:
+        out = np.zeros_like(g)
         for i in range(nt):
             acc = 0.5 * step * np.array(g[i])
             for j in range(i + 1, nt + 1):
@@ -606,14 +629,14 @@ def pde_defect(u, source):
     n = u.points_per_axis
     step = u.slice_dt
     vals = u.values
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=u.spacing)
+    h = u.spacing
     mesh = grid_mesh(u.box_half_width, n, 2 * d)
     a = u.diffusion
 
     dtu = (vals[2:] - vals[:-2]) / (2.0 * step)
     transport = np.zeros_like(vals)
     for j in range(d):
-        dx = _axis_derivative(vals, 1 + j, k)
+        dx = _axis_derivative(vals, 1 + j, h)
         transport += mesh[d + j][None, ..., None] * dx
     diffuse = np.zeros_like(vals)
     for j in range(d):
@@ -621,10 +644,10 @@ def pde_defect(u, source):
             if a[j, l] == 0.0:
                 continue
             if j == l:
-                term = _axis_derivative(vals, 1 + d + j, k, order=2)
+                term = _axis_derivative(vals, 1 + d + j, h, order=2)
             else:
                 term = _axis_derivative(
-                    _axis_derivative(vals, 1 + d + j, k), 1 + d + l, k
+                    _axis_derivative(vals, 1 + d + j, h), 1 + d + l, h
                 )
             diffuse += a[j, l] * term
     lu = transport + diffuse

@@ -127,6 +127,27 @@ def test_cli_refuses_horizon_off_the_step_grid(experiment, keys, tmp_path,
     assert not out.exists()
 
 
+def test_cli_refuses_krylov_half_horizon_off_the_step_grid(tmp_path, monkeypatch,
+                                                          capsys):
+    # T = 0.75 is 3 steps of 0.25, but the windows starting at T/2 = 0.375
+    # fall between steps
+    from kinetic_flow import krylov
+
+    def never(*args, **kwargs):
+        raise AssertionError("krylov_ratio ran before the window check")
+
+    monkeypatch.setattr(krylov, "krylov_ratio", never)
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"experiment = krylov\nseed = 1\nT = 0.75\ndt = 0.25\n"
+                  f"N = 100\np = 7\noutput = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "0.375 is not a whole number of dt = 0.25 steps" in capsys.readouterr().err
+    assert not out.exists()
+    parse_config_text("experiment = krylov\nseed = 1\nT = 1\ndt = 0.25\n"
+                      "N = 100\np = 7\noutput = out\n")
+
+
 # ---------------------------------------------------------------------------
 # worker pool
 

@@ -1,5 +1,7 @@
 """Resolvent PDE layer and the drift-removing phase-space transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,8 +96,8 @@ def test_duhamel_pinned_values():
     u = duhamel_resolvent(gaussian_source(), 2.0, tail_tol=1.0).values
     got = (float(u[0, 32, 32, 0]), float(u[8, 30, 36, 0]), float(u.sum()),
            float((u * u).sum()))
-    assert got == (0.20306933125792923, 0.051319342815693725,
-                   122.65863407014453, 8.400603479958662)
+    assert got == (0.20306933125792923, 0.0513193428156937,
+                   122.65863407014453, 8.40060347995866)
 
 
 def test_duhamel_seam_guard_rejects_boundary_mass():
@@ -154,6 +156,23 @@ def test_picard_constant_drift_closed_form():
     assert np.abs(res.u.values[..., 0] - prof[:, None, None]).max() <= 1e-13
     # gradient-free source: the first sweep is already the fixed point
     assert res.ratios.size == 0 or max(res.ratios) <= 1e-12
+
+
+def test_picard_solve_peak_memory():
+    # a sweep holds u, its velocity gradient, the source, the resolvent's
+    # mixed-layout spectrum and the new u (about 6 copies of u at 128
+    # slices of 128^2, lam = 2); 7.5 copies leave room for one more
+    # full-size array alive at the peak, not two
+    field = library_field("hoelder-drift", 1)
+    tracemalloc.start()
+    try:
+        res = picard_solve(field.drift, 2.0, 1.0, field.generator_a(),
+                           box_half_width=8.0, points_per_axis=128,
+                           num_slices=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * res.u.values.nbytes
 
 
 _SEARCH_CACHE = {}
