@@ -36,7 +36,8 @@ from .integrator import (
     DIVERGENCE_THRESHOLD,
     GRID_TOL,
     BrownianGrid,
-    evolve,
+    tagged_stream,
+    walk,
 )
 from .kernel import kernel_covariance
 
@@ -65,10 +66,6 @@ _GAUSS_TAG = 0x6AC1      # GaussianMeasure.sample
 _SLICE_TAG = 0xD120      # sliced-distance directions
 # projection directions of the sliced distance
 _SLICE_DIRECTIONS = 32
-
-
-def _generator(master_seed, tag):
-    return np.random.Generator(np.random.Philox(key=[int(master_seed), tag]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +172,9 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     time).  Atoms whose trajectory norm crosses DIVERGENCE_THRESHOLD are
     dropped from all checkpoints and from ``atom_ids``; more than
     DIVERGENCE_FRACTION of them raises DivergenceError, as does any
-    non-finite state.  The divergence test reduces the path one time index
-    at a time, so it holds O(num_atoms) memory beside the path.
+    non-finite state.  The atoms stream through ``integrator.walk``: only
+    the checkpoint snapshots and a running squared norm per atom are kept,
+    never the whole path.
     """
     if not all(hasattr(field, attr) for attr in ("dim", "drift", "sigma")):
         raise ValidationError("field must provide dim, drift and sigma")
@@ -190,15 +188,16 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     else:
         check_idx = _checkpoint_indices(times, checkpoints, horizon)
 
-    atoms0 = law.sample(num_atoms, _generator(master_seed, _INIT_TAG))
-    traj = evolve(field, atoms0, grid, scheme=scheme)
-
+    atoms0 = law.sample(num_atoms, tagged_stream(master_seed, _INIT_TAG))
+    slot = {j: c for c, j in enumerate(check_idx.tolist())}
+    snaps = np.empty((check_idx.size,) + atoms0.shape)
     # sup over time of the squared norm; sqrt is monotone and correctly
     # rounded, so its root is exactly the sup of the norms
-    sup_sq = np.zeros(traj.num_paths)
-    for j in range(steps + 1):
-        s = traj.states[:, j, :]
-        np.maximum(sup_sq, np.add.reduce(s * s, axis=-1), out=sup_sq)
+    sup_sq = np.zeros(len(atoms0))
+    for lo, hi, k, state, _ in walk(field, atoms0, grid, scheme=scheme):
+        np.maximum(sup_sq[lo:hi], (state * state).sum(-1), out=sup_sq[lo:hi])
+        if k in slot:
+            snaps[slot[k], lo:hi] = state
     keep = np.sqrt(sup_sq) <= DIVERGENCE_THRESHOLD
     dropped = int(num_atoms - keep.sum())
     if dropped > DIVERGENCE_FRACTION * num_atoms:
@@ -206,11 +205,11 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
             f"{dropped}/{num_atoms} atoms diverged "
             f"(> {DIVERGENCE_FRACTION:.1e} allowed)"
         )
+    if dropped:
+        snaps = snaps[:, keep]
     ids = np.flatnonzero(keep)
-    return [
-        EmpiricalMeasure(float(times[j]), traj.states[keep, j, :], ids, num_atoms)
-        for j in check_idx
-    ]
+    return [EmpiricalMeasure(float(times[j]), snaps[c], ids, num_atoms)
+            for c, j in enumerate(check_idx)]
 
 
 def _checkpoint_indices(times, checkpoints, horizon):
@@ -610,7 +609,7 @@ class GaussianMeasure:
         return q * np.sqrt(np.clip(w, 0.0, None))
 
     def sample(self, num_atoms, master_seed=0):
-        rng = _generator(master_seed, _GAUSS_TAG)
+        rng = tagged_stream(master_seed, _GAUSS_TAG)
         normals = rng.standard_normal((int(num_atoms), self.mean.size))
         return self.mean + normals @ self._factor().T
 
@@ -648,7 +647,7 @@ def exact_measure_constant(a, z0, t):
 
 
 def _unit_directions(dim, master_seed):
-    rng = _generator(master_seed, _SLICE_TAG)
+    rng = tagged_stream(master_seed, _SLICE_TAG)
     raw = rng.standard_normal((_SLICE_DIRECTIONS, dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     if np.any(norms == 0.0):

@@ -8,6 +8,9 @@ Two schemes: plain Euler ('em') and 'kinetic-exact', which replaces the
 free-flight part of the step with an exact draw from the two-block
 Gaussian transition (drift still Euler).  Both consume the same velocity
 normals, so the schemes are synchronously coupled under a shared grid.
+``walk`` is the one stepping loop: it yields each chunk's state at every
+step with the increment that drives it on, so an estimator keeps only
+what it needs; ``evolve`` is the recorder over it that returns whole paths.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "BrownianGrid",
     "Trajectory",
     "evolve",
+    "tagged_stream",
+    "walk",
     "DIVERGENCE_THRESHOLD",
     "DIVERGENCE_FRACTION",
     "WORK_CHUNK",
@@ -41,6 +46,12 @@ DIVERGENCE_FRACTION = 1e-3
 # relative tolerance (times max(1, horizon)) within which a horizon counts
 # as a whole number of steps
 GRID_TOL = 1e-9
+
+
+def tagged_stream(master_seed, tag):
+    """Philox generator keyed by [master_seed, tag], for non-path draws."""
+    key = np.array([int(master_seed) % (1 << 64), tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _philox_key(master_seed, block_index):
@@ -89,18 +100,24 @@ class BrownianGrid:
         """Standard normals, shape (path_hi - path_lo, num_steps, 2*dim)."""
         if path_lo < 0 or path_hi <= path_lo:
             raise ValidationError("need 0 <= path_lo < path_hi")
-        blocks = []
-        lo_block = path_lo // KEY_CHUNK
-        hi_block = (path_hi - 1) // KEY_CHUNK
-        for blk in range(lo_block, hi_block + 1):
+        per_path = (self.num_steps, 2 * self.dim)
+        out = np.empty((path_hi - path_lo,) + per_path)
+        row = path_lo
+        while row < path_hi:
+            blk = row // KEY_CHUNK
             rng = np.random.Generator(np.random.Philox(key=_philox_key(self.master_seed, blk)))
             # standard_normal fills in C order, so the first rows of a block
             # are the same whether or not the rest is drawn
-            rows = min(KEY_CHUNK, path_hi - blk * KEY_CHUNK)
-            blocks.append(rng.standard_normal((rows, self.num_steps, 2 * self.dim)))
-        stacked = np.concatenate(blocks, axis=0)
-        offset = path_lo - lo_block * KEY_CHUNK
-        return stacked[offset : offset + (path_hi - path_lo)]
+            end = min((blk + 1) * KEY_CHUNK, path_hi)
+            dst = out[row - path_lo : end - path_lo]
+            skip = row - blk * KEY_CHUNK
+            if skip:
+                # only a first block that starts mid-block needs a temporary
+                dst[...] = rng.standard_normal((skip + len(dst),) + per_path)[skip:]
+            else:
+                rng.standard_normal(out=dst)
+            row = end
+        return out
 
     def increments(self, path_lo, path_hi):
         """Brownian increments, shape (n, num_steps, dim)."""
@@ -156,14 +173,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    @property
-    def num_paths(self):
-        return self.states.shape[0]
-
-    @property
-    def phase_dim(self):
-        return self.states.shape[-1]
-
 
 def _exact_noise_factors(field, dt):
     sig = field.constant_sigma
@@ -191,57 +200,56 @@ def _step_batch(field, scheme, times, states, d, k, dt, dW, extra_normals):
     return np.concatenate([x_new, v_new], axis=-1)
 
 
-def _evolve_block(field, z0_block, times, brownian, scheme, stream_lo,
-                  stream_hi):
-    """Integrate one work chunk driven by noise streams [stream_lo, stream_hi).
-
-    A single stream broadcasts over every row of the block.
-    """
-    d = field.dim
-    steps = len(times) - 1
-    if scheme == "kinetic-exact":
-        normals = brownian.normals(stream_lo, stream_hi)
-        dws = np.sqrt(brownian.dt) * normals[:, :, :d]
-        extras = normals[:, :, d:]
-    else:
-        dws = brownian.increments(stream_lo, stream_hi)
-        extras = None
-    out = np.empty((z0_block.shape[0], steps + 1, 2 * d))
-    out[:, 0, :] = z0_block
-    state = z0_block.copy()
-    for k in range(steps):
-        dW = dws[:, k, :]
-        extra = extras[:, k, :] if extras is not None else None
-        state = _step_batch(field, scheme, times, state, d, k, brownian.dt, dW, extra)
-        out[:, k + 1, :] = state
-    return out
-
-
-def evolve(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
-    """Integrate a batch of paths; returns a Trajectory.
+def walk(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
+    """Step paths one WORK_CHUNK chunk at a time: the package's one loop.
 
     z0: (2d,) or (n, 2d).  Per-path noise by default (path i uses stream
     path_offset + i); pass ``shared_stream=j`` to drive every initial point
-    with stream j (replica-style coupling).  A NaN/inf state raises
-    DivergenceError.
+    with stream j (replica-style coupling).  Yields (lo, hi, k, state, dW)
+    for k = 0 .. num_steps of each chunk [lo, hi): the fresh (hi - lo, 2d)
+    state at step k and the increment that drives it to k + 1 (None at the
+    last step).  A NaN/inf state raises DivergenceError before it is yielded.
     """
     if scheme not in ("em", "kinetic-exact"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    if z0.shape[-1] != 2 * field.dim:
+    d = field.dim
+    if z0.shape[-1] != 2 * d:
         raise ValidationError("initial state dimension mismatch")
-    steps = brownian.num_steps
+    steps, dt = brownian.num_steps, brownian.dt
     times = np.linspace(0.0, brownian.horizon, steps + 1)
     n = z0.shape[0]
-    out = np.empty((n, steps + 1, 2 * field.dim))
     for lo in range(0, n, WORK_CHUNK):
         hi = min(lo + WORK_CHUNK, n)
         if shared_stream is None:
             streams = (path_offset + lo, path_offset + hi)
         else:
             streams = (shared_stream, shared_stream + 1)
-        out[lo:hi] = _evolve_block(field, z0[lo:hi], times, brownian, scheme,
-                                   *streams)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("non-finite state encountered during integration")
+        if scheme == "kinetic-exact":
+            normals = brownian.normals(*streams)
+            dws, extras = np.sqrt(dt) * normals[:, :, :d], normals[:, :, d:]
+        else:
+            dws, extras = brownian.increments(*streams), None
+        state = z0[lo:hi].copy()
+        for k in range(steps + 1):
+            if not np.all(np.isfinite(state)):
+                raise DivergenceError("non-finite state encountered during integration")
+            dW = dws[:, k, :] if k < steps else None
+            yield lo, hi, k, state, dW
+            if dW is not None:
+                extra = extras[:, k, :] if extras is not None else None
+                state = _step_batch(field, scheme, times, state, d, k, dt, dW, extra)
+
+
+def evolve(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
+    """Record every state ``walk`` yields (same arguments) in a Trajectory."""
+    n = np.atleast_2d(np.asarray(z0)).shape[0]
+    times = np.linspace(0.0, brownian.horizon, brownian.num_steps + 1)
+    out = np.empty((0, times.size, 2 * field.dim))
+    for lo, hi, k, state, _ in walk(field, z0, brownian, scheme,
+                                    shared_stream, path_offset):
+        if lo == k == 0:
+            # allocated once the first chunk's noise has freed its temporaries
+            out = np.empty((n, times.size, 2 * field.dim))
+        out[lo:hi, k] = state
     return Trajectory(times, out)

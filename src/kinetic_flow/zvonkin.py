@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridFunction, grid_mesh
-from .integrator import WORK_CHUNK, evolve
+from .integrator import walk
 from .kernel import KernelStep, apply_semigroup, diffusion_matrix
 
 # Picard stops once the sup-norm increment drops below PICARD_TOL and gives
@@ -507,15 +507,15 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
                              checkpoints=None, scheme="em"):
     """Statistics of R_t = H_t(Z_t) - H_0(Z_0) - lam int u ds - int Theta dW.
 
-    Z is integrated with the given scheme on the same field and noise grid
-    the transform was built for; the stochastic integral always uses left
-    endpoints with the recorded Brownian increments (anything else would
-    not be the Ito integral), while the time integral of u along the path
-    is the trapezoid rule, which cancels the O(dt) quadrature bias and
-    leaves the scheme's own weak error.  Paths that reach within
-    SEAM_MARGIN_CELLS of the periodic seam are excluded from that
-    checkpoint onward and counted.  Returns mean and standard error of R
-    across surviving paths at each checkpoint.
+    Z streams through ``integrator.walk`` with the given scheme on the
+    field and noise grid the transform was built for; the stochastic
+    integral uses left endpoints with the step's own Brownian increments
+    (anything else would not be the Ito integral), while the time integral
+    of u along the path is the trapezoid rule, which cancels the O(dt)
+    quadrature bias and leaves the scheme's own weak error.  Paths that
+    reach within SEAM_MARGIN_CELLS of the periodic seam are excluded from
+    that checkpoint onward and counted.  Returns mean and standard error
+    of R across surviving paths at each checkpoint.
     """
     u = transform.u
     d = u.dim
@@ -559,41 +559,31 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
     counts = np.zeros(nc, dtype=int)
     excluded = np.zeros(nc, dtype=int)
 
-    for lo in range(0, num_paths, WORK_CHUNK):
-        hi = min(lo + WORK_CHUNK, num_paths)
-        traj = evolve(field, np.array(z0[lo:hi]), brownian, scheme=scheme,
-                      path_offset=lo)
-        dw = brownian.increments(lo, hi)
-        states = traj.states
-        nb = hi - lo
-        alive = transform.in_domain(states[:, 0])
-        u0 = transform.shift(0, states[:, 0])
-        h0 = states[:, 0, d:] + u0
-        integ = np.zeros((nb, d))
-        mart = np.zeros((nb, d))
-        ci = 0
-        for i in range(steps):
-            pts = states[:, i]
-            if i > 0:
-                alive &= transform.in_domain(pts)
-            integ += transform.shift(i, pts)
-            th = transform.theta(i, pts)
-            mart += np.einsum("ncj,nj->nc", th, dw[:, i])
-            if i + 1 == cp_idx[ci]:
-                pts_c = states[:, i + 1]
-                alive_c = alive & transform.in_domain(pts_c)
-                u_c = transform.shift(i + 1, pts_c)
-                h_c = pts_c[:, d:] + u_c
-                quad = step * (integ + 0.5 * u_c - 0.5 * u0)
-                resid = h_c - h0 - lamv * quad - mart
-                live = resid[alive_c]
-                counts[ci] += live.shape[0]
-                excluded[ci] += nb - live.shape[0]
-                sums[ci] += live.sum(axis=0)
-                sumsq[ci] += (live ** 2).sum(axis=0)
-                ci += 1
-                if ci == nc:
-                    break
+    last = cp_idx[-1]
+    for lo, hi, i, pts, dw in walk(field, z0, brownian, scheme=scheme):
+        if i > last:
+            continue
+        u_i = transform.shift(i, pts)
+        if i == 0:
+            alive = transform.in_domain(pts)
+            u0, h0 = u_i, pts[:, d:] + u_i
+            integ = np.zeros((hi - lo, d))
+            mart = np.zeros((hi - lo, d))
+            ci = 0
+        else:
+            alive &= transform.in_domain(pts)
+        if i == cp_idx[ci]:
+            quad = step * (integ + 0.5 * u_i - 0.5 * u0)
+            resid = pts[:, d:] + u_i - h0 - lamv * quad - mart
+            live = resid[alive]
+            counts[ci] += live.shape[0]
+            excluded[ci] += (hi - lo) - live.shape[0]
+            sums[ci] += live.sum(axis=0)
+            sumsq[ci] += (live ** 2).sum(axis=0)
+            ci += 1
+        if i < last:
+            integ += u_i
+            mart += np.einsum("ncj,nj->nc", transform.theta(i, pts), dw)
 
     mean = np.full((nc, d), np.nan)
     se = np.full((nc, d), np.nan)

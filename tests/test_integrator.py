@@ -1,12 +1,14 @@
 """Path integrator: noise lattice, schemes, coupling, chunking, divergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
-from kinetic_flow.integrator import WORK_CHUNK, BrownianGrid, evolve
+from kinetic_flow.integrator import WORK_CHUNK, BrownianGrid, evolve, walk
 
 
 def zero_noise_field():
@@ -241,6 +243,43 @@ def test_evolve_prefix_consistency():
                           np.cumsum(g.increments(0, 2 * n)[..., 0], axis=1))
 
 
+def test_walk_yields_what_evolve_records():
+    # one chunk after another, each stepped through k = 0 .. num_steps with
+    # the increment that drives the next step
+    n = WORK_CHUNK + 3
+    field = library_field("hoelder-drift", 1)
+    g = BrownianGrid(4, 1.0 / 8, 8, 1)
+    z0 = np.tile([0.1, 0.3], (n, 1))
+    traj = evolve(field, z0, g, scheme="kinetic-exact")
+    inc = g.increments(0, n)
+    seen = []
+    for lo, hi, k, state, dW in walk(field, z0, g, scheme="kinetic-exact"):
+        seen.append((lo, hi, k))
+        assert np.array_equal(state, traj.states[lo:hi, k])
+        if k < g.num_steps:
+            assert np.array_equal(dW, inc[lo:hi, k])
+        else:
+            assert dW is None
+    assert seen == [(lo, min(lo + WORK_CHUNK, n), k)
+                    for lo in (0, WORK_CHUNK) for k in range(g.num_steps + 1)]
+
+
+@pytest.mark.parametrize("scheme, bound", [("em", 2.0), ("kinetic-exact", 3.0)])
+def test_evolve_peak_memory_within_one_chunk(scheme, bound):
+    # at most one chunk: the path beside its noise (normals, 2d per step)
+    # and the increments cut from them (d per step), but no block copies
+    field = library_field("hoelder-drift", 1)
+    g = BrownianGrid(3, 1.0 / 64, 64, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = evolve(field, np.zeros((WORK_CHUNK, 2)), g, scheme=scheme)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * traj.states.nbytes        # 4.3 MB of path
+
+
 def blowup_field():
     """Cubic velocity drift that overflows to inf within a few steps."""
     return CoefficientField(
@@ -256,3 +295,11 @@ def test_evolve_divergence_policy():
     g = BrownianGrid(1, 0.25, 8, 1)
     with pytest.raises(DivergenceError):
         evolve(blowup_field(), np.tile([0.0, 1.0], (16, 1)), g)
+    # walk stops at the first non-finite state, before yielding it
+    steps = []
+    with pytest.raises(DivergenceError, match="non-finite"):
+        for _, _, k, state, _ in walk(blowup_field(),
+                                      np.tile([0.0, 1.0], (16, 1)), g):
+            assert np.all(np.isfinite(state))
+            steps.append(k)
+    assert steps == list(range(len(steps))) and len(steps) < g.num_steps

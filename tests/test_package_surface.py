@@ -132,3 +132,14 @@ def test_every_exported_name_has_a_caller():
         f"exported without a caller: {sorted(uncalled - UNCALLED_EXPORTS)}; "
         f"called now, drop from UNCALLED_EXPORTS: "
         f"{sorted(UNCALLED_EXPORTS - uncalled)}")
+
+
+def test_only_integrator_builds_philox_streams():
+    # path streams and tagged non-path streams share one home
+    builders = set()
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "Philox"
+                    or isinstance(node, ast.alias) and node.name == "Philox"):
+                builders.add(name)
+    assert builders == {"integrator"}, sorted(builders - {"integrator"})

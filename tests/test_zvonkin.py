@@ -11,6 +11,7 @@ from kinetic_flow.errors import (
     ValidationError,
 )
 from kinetic_flow.fields import library_field, mollified
+from kinetic_flow import integrator
 from kinetic_flow.integrator import BrownianGrid
 from kinetic_flow.zvonkin import (
     SpaceTimeField,
@@ -231,6 +232,57 @@ def test_residual_requires_matching_grids():
     bad = BrownianGrid(3, 1.0 / 48, 48, 1)
     with pytest.raises(ValidationError):
         transformed_sde_residual(transform, field, np.zeros(2), bad, 64)
+
+
+# float.hex of (mean, std_error) per checkpoint and num_excluded, recorded
+# before the residual streamed its paths through integrator.walk
+RESIDUAL_PINS = {
+    "kinetic-exact": (
+        ["-0x1.5e6ff762dea71p-7", "-0x1.51a9b5a94c7dcp-6",
+         "-0x1.f2a3fc34e9a6fp-6", "-0x1.3f2fae90fd43bp-5"],
+        ["0x1.b5ba362416e7ep-16", "0x1.b49882c19443ep-14",
+         "0x1.c952963be29abp-13", "0x1.69f948b3348e8p-12"],
+        [0, 0, 0, 0]),
+    "em-coarsened": (
+        ["-0x1.03397d5c152acp-17", "-0x1.2aac9411ee666p-18"],
+        ["0x1.952ab448f9322p-23", "0x1.2fa101ee25632p-21"],
+        [4084, 4380]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_PINS))
+def test_residual_pinned_values(case):
+    field, _, transform = searched_state()
+    if case == "kinetic-exact":
+        rep = transformed_sde_residual(
+            transform, field, np.array([0.3, 0.0]),
+            BrownianGrid(3, 1.0 / 32, 32, 1), 5000, scheme="kinetic-exact")
+    else:
+        # starts near the seam, so most paths are excluded on the way
+        rep = transformed_sde_residual(
+            transform, field, np.array([6.5, 1.5]),
+            BrownianGrid(3, 1.0 / 64, 64, 1).coarsened(2), 4500,
+            checkpoints=(0.5, 1.0))
+    mean, se, excluded = RESIDUAL_PINS[case]
+    assert [float(x).hex() for x in rep.mean.ravel()] == mean
+    assert [float(x).hex() for x in rep.std_error.ravel()] == se
+    assert rep.num_excluded.tolist() == excluded
+
+
+def test_residual_draws_each_chunk_noise_once(monkeypatch):
+    field, _, transform = searched_state()
+    calls = []
+    normals = BrownianGrid.normals
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return normals(self, lo, hi)
+
+    monkeypatch.setattr(BrownianGrid, "normals", counted)
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 16)
+    transformed_sde_residual(transform, field, np.zeros(2),
+                             BrownianGrid(3, 1.0 / 32, 32, 1), 40)
+    assert calls == [(0, 16), (16, 32), (32, 40)]
 
 
 def test_pde_defect_of_constant_solution():
