@@ -85,11 +85,11 @@ _REQUIRED = {
 # experiments whose integrability index feeds an occupation/convergence
 # exponent and must satisfy p > 2d+1
 _P_GATED = ("krylov", "converge")
-# experiments that run at d = 1 only: krylov's bumps and fokker-planck's
-# test dictionary are one dimensional, and zvonkin's 129 slices of a
-# 128^{2d} grid and converge's 129^{2d} drift mesh do not fit in memory
-# beyond d = 1
-_D1_ONLY = ("krylov", "fokker-planck", "zvonkin", "converge")
+# experiments that run at d = 1 only: krylov's bumps, fokker-planck's
+# test dictionary and the spaces probe are one dimensional, and zvonkin's
+# 129 slices of a 128^{2d} grid and converge's 129^{2d} drift mesh do not
+# fit in memory beyond d = 1
+_D1_ONLY = ("krylov", "fokker-planck", "zvonkin", "converge", "spaces")
 # experiments that step paths from 0 to T, which must be a whole number of dt
 _STEPPED = ("flow", "converge", "zvonkin", "krylov", "fokker-planck")
 # time slices of the zvonkin experiment's resolvent grid; its paths must

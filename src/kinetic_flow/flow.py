@@ -313,7 +313,7 @@ def homeomorphism_check(ensemble, t=None):
 
 @dataclass(frozen=True)
 class _LpBox:
-    """Centered space box and time nodes of the space-time L^p distance.
+    """Centered space box of the space-time L^p distance.
 
     ``zs`` is the tensor mesh, ``weight`` the trapezoid weights (1/2 at
     box faces), ``cell`` the volume h^{2d} of one mesh cell.
@@ -322,10 +322,9 @@ class _LpBox:
     zs: np.ndarray
     weight: np.ndarray
     cell: float
-    ts: np.ndarray
 
 
-def _lp_box(dim, horizon, box_half_width, points_per_axis=129, num_times=3):
+def _lp_box(dim, box_half_width, points_per_axis=129):
     pd = 2 * dim
     axes = [np.linspace(-box_half_width, box_half_width, points_per_axis)
             for _ in range(pd)]
@@ -336,24 +335,22 @@ def _lp_box(dim, horizon, box_half_width, points_per_axis=129, num_times=3):
     weight = w
     for _ in range(pd - 1):
         weight = np.multiply.outer(weight, w)
-    return _LpBox(np.stack(mesh, axis=-1), weight, h**pd,
-                  np.linspace(0.0, horizon, num_times))
+    return _LpBox(np.stack(mesh, axis=-1), weight, h**pd)
 
 
-def _drift_lp_gap(drifts_a, drifts_b, box, p):
+def _drift_lp_gap(drift_a, drift_b, box, p, horizon):
     """Space-time L^p distance of two drifts sampled on ``box``.
 
-    (int_0^T ||b_a(s,.) - b_b(s,.)||_p^p ds)^{1/p} with tensor trapezoid in
-    space and trapezoid over the box's time nodes; ``drifts_a`` and
-    ``drifts_b`` hold each drift on the mesh at every time node.  The box
-    must cover both supports; outside it the integrand vanishes.
+    (int_0^T ||b_a - b_b||_p^p ds)^{1/p} with tensor trapezoid in space;
+    ``drift_a`` and ``drift_b`` hold each drift on the mesh, sampled once
+    at t = 0 (the library fields are autonomous), so the time integral is
+    T times the space integral.  The box must cover both supports;
+    outside it the integrand vanishes.
     """
-    norms_p = np.empty(len(box.ts))
-    for k, (ba, bb) in enumerate(zip(drifts_a, drifts_b)):
-        gap = ba - bb
-        mag = np.sqrt(np.sum(gap * gap, axis=-1))
-        norms_p[k] = np.sum(box.weight * mag**p) * box.cell
-    return float(np.trapezoid(norms_p, box.ts) ** (1.0 / p))
+    gap = drift_a - drift_b
+    mag = np.sqrt(np.sum(gap * gap, axis=-1))
+    norm_p = np.sum(box.weight * mag**p) * box.cell
+    return float((horizon * norm_p) ** (1.0 / p))
 
 
 @dataclass
@@ -408,11 +405,11 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     dt_ok records per-rung agreement within 10%.
 
     Each ladder level is built, evolved on both grids and sampled on the
-    L^p box exactly once, as one task of `parallel_map` (KF_WORKERS
-    threads); results are gathered in ladder order and every rung is then
-    reduced from the two cached levels, so the table does not depend on
-    the worker count.  The cache holds every level's coupled paths at
-    once.
+    L^p box exactly once, at t = 0 (the library fields are autonomous), as
+    one task of `parallel_map` (KF_WORKERS threads); results are gathered
+    in ladder order and every rung is then reduced from the two cached
+    levels, so the table does not depend on the worker count.  The cache
+    holds every level's coupled paths at once.
     """
     ladder = [int(n) for n in n_ladder]
     if len(ladder) < 3:
@@ -436,24 +433,24 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     coarse = fine.coarsened(2)
     if lp_box_half_width is None:
         lp_box_half_width = max(family(n).support_radius for n in ladder) + 0.5
-    box = _lp_box(d, horizon, lp_box_half_width, lp_points_per_axis)
+    box = _lp_box(d, lp_box_half_width, lp_points_per_axis)
     starts = np.tile(z0, (num_paths, 1))
 
     def level(n):
         f = family(n)
         paths = [evolve(f, starts, grid).states for grid in (coarse, fine)]
-        return paths, [f.drift(t, box.zs) for t in box.ts]
+        return paths, f.drift(0.0, box.zs)
 
     levels = parallel_map(level, ladder)
     ns, e_coarse, e_fine, bounds, dt_ok = [], [], [], [], []
-    for n, (paths_a, drifts_a), (paths_b, drifts_b) in zip(
+    for n, (paths_a, drift_a), (paths_b, drift_b) in zip(
             ladder[:-1], levels[:-1], levels[1:]):
         gaps = []
         for sa, sb in zip(paths_a, paths_b):
             sep = np.linalg.norm(sa - sb, axis=-1)
             sup = sep.max(axis=1)
             gaps.append(float(np.mean(sup**q) ** (1.0 / q)))
-        lp = _drift_lp_gap(drifts_a, drifts_b, box, p)
+        lp = _drift_lp_gap(drift_a, drift_b, box, p, horizon)
         ns.append(n)
         e_coarse.append(gaps[0])
         e_fine.append(gaps[1])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kinetic_flow import cli
+from kinetic_flow.acceptance import _experiment_texts
 from kinetic_flow.config import ExperimentConfig, parse_config, parse_config_text
 from kinetic_flow.errors import ValidationError
 from kinetic_flow.parallel import parallel_map, worker_count
@@ -94,6 +95,8 @@ def test_parse_p_gate():
     ("fokker-planck", "T = 1\ndt = 0.0625\nN = 100\n"),
     ("zvonkin", "T = 1\ndt = 0.0078125\nlambda = 1\n"),
     ("converge", "T = 1\ndt = 0.0625\nN = 100\np = 7\nn_ladder = 4,8,16\n"),
+    # the spaces probe has one x and one v axis whatever d says
+    ("spaces", ""),
 ])
 def test_parse_refuses_d_above_one(experiment, keys, tmp_path, capsys):
     text = f"experiment = {experiment}\nseed = 1\nd = 2\n{keys}"
@@ -235,6 +238,32 @@ def test_spaces_runner_outputs(tmp_path):
     assert len(lines) == 7
     norms = np.array([float(r.split(",")[3]) for r in lines[1:]])
     assert np.all(norms > 0.0) and np.all(np.isfinite(norms))
+
+
+def d2_rows(tmp_path, name, csv_name):
+    # the battery's determinism config at its fast sizes, run at d = 2
+    out = tmp_path / name
+    text = _experiment_texts(True)[name] + f"d = 2\noutput = {out}\n"
+    assert run_experiment(parse_config_text(text)) == [csv_name, "manifest.txt"]
+    return [row.split(",") for row in read_lines(out / csv_name)[1:]]
+
+
+def test_kernel_runner_d2_blocks(tmp_path):
+    rows = d2_rows(tmp_path, "kernel", "covariance.csv")
+    # each block is a 2x2 multiple of the identity at unit diffusion
+    diagonal = {"xx": 1.0 / 3.0, "xv": 0.5, "vv": 1.0}
+    assert [(b, int(i), int(j)) for b, i, j, _ in rows] == [
+        (b, i, j) for b in ("xx", "xv", "vv") for i in (0, 1) for j in (0, 1)]
+    for block, i, j, value in rows:
+        expected = diagonal[block] if i == j else 0.0
+        assert np.isclose(float(value), expected, rtol=1e-15, atol=0.0)
+
+
+def test_flow_runner_d2_ratios(tmp_path):
+    rows = d2_rows(tmp_path, "flow", "flow.csv")
+    ratios = np.array([float(r[2]) for r in rows])
+    assert ratios.shape == (4,)
+    assert np.all(np.isfinite(ratios)) and np.all(ratios >= 1.0)
 
 
 def test_fokker_planck_runner_accepts_mollified_field(tmp_path):

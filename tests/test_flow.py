@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinetic_flow.errors import DegenerateRatioError, ValidationError
-from kinetic_flow.fields import library_field
+from kinetic_flow.fields import MollifiedField, library_field
 from kinetic_flow.flow import (
     FlowEnsemble,
     GRONWALL_REFERENCE_C,
@@ -142,6 +142,25 @@ def test_convergence_study_levels_independent_of_workers(monkeypatch):
         "0.005800159328549603", "0.0009362336208310615"]
     assert [repr(float(x)) for x in serial.bound] == [
         "0.659286195361074", "0.3858834138883508"]
+
+
+def test_convergence_study_samples_each_level_once_on_the_box():
+    # the library fields are autonomous, so each level's drift is sampled
+    # on the L^p box once, not once per time node
+    base = library_field("hoelder-drift", 1)
+    box_shape = (33, 33, 2)
+    sampled = []
+
+    class Counting(MollifiedField):
+        def drift(self, t, z):
+            if np.shape(z) == box_shape:
+                sampled.append(self.n)
+            return super().drift(t, z)
+
+    convergence_study(lambda n: Counting(base, n), (2, 4, 8), 2.0, 128, 0.25,
+                      1.0 / 16, 7.0, z0=np.array([0.3, 0.0]), master_seed=5,
+                      lp_points_per_axis=box_shape[0])
+    assert sorted(sampled) == [2, 4, 8]
 
 
 def test_convergence_study_ladder_validation():
