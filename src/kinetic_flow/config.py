@@ -2,27 +2,42 @@
 
 One experiment per file, no nesting, `#` comments; every key is from a
 closed table so a typo is a line-numbered error instead of a silently
-ignored setting.  The parsed form is a plain dataclass; defaults are
-filled at parse time so a config echo reproduces the run exactly.
+ignored setting.  Two tables are the whole language: `_KEYS` maps each
+key to the ExperimentConfig field (or library-field parameter) it sets
+and to its value parser, and `_EXPERIMENTS` maps each experiment to the
+keys it requires and the rules it obeys.  The parsed form is a plain
+dataclass; defaults are filled at parse time so a config echo reproduces
+the run exactly, and every value the run could not honour, the field's
+parameters included, is refused before anything is written.
 """
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from .errors import ValidationError
-from .fields import LIBRARY
+from .fields import library_field
 from .integrator import BrownianGrid
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text"]
 
-EXPERIMENTS = (
-    "kernel",
-    "flow",
-    "converge",
-    "zvonkin",
-    "krylov",
-    "fokker-planck",
-    "spaces",
-)
+# name -> (required keys, rules).  Rules: "p", the integrability index
+# feeds an occupation/convergence exponent and must satisfy p > 2d+1;
+# "d1", runs at d = 1 only (krylov's bumps, fokker-planck's test
+# dictionary and the spaces probe are one dimensional, and zvonkin's 129
+# slices of a 128^{2d} grid and converge's 129^{2d} drift mesh do not fit
+# in memory beyond d = 1); "steps", steps paths from 0 to T, which must be
+# a whole number of dt
+_EXPERIMENTS = {
+    "kernel": (("T",), ()),
+    "flow": (("T", "dt", "N"), ("steps",)),
+    "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "d1", "steps")),
+    "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
+    "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps")),
+    "fokker-planck": (("T", "dt", "N"), ("d1", "steps")),
+    "spaces": ((), ("d1",)),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
 
 def _parse_int(raw):
     try:
@@ -33,9 +48,12 @@ def _parse_int(raw):
 
 def _parse_float(raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_ladder(raw):
@@ -54,44 +72,25 @@ def _parse_str(raw):
     return raw
 
 
-# key -> value parser; this table IS the config language
+# key -> (ExperimentConfig field or library-field parameter it sets, value
+# parser); this table IS the config language
 _KEYS = {
-    "experiment": _parse_str,
-    "seed": _parse_int,
-    "d": _parse_int,
-    "T": _parse_float,
-    "dt": _parse_float,
-    "N": _parse_int,
-    "p": _parse_float,
-    "lambda": _parse_float,
-    "n_ladder": _parse_ladder,
-    "field.name": _parse_str,
-    "field.kappa": _parse_float,
-    "field.support_radius": _parse_float,
-    "field.mollify": _parse_int,
-    "output": _parse_str,
+    "experiment": ("experiment", _parse_str),
+    "seed": ("seed", _parse_int),
+    "d": ("d", _parse_int),
+    "T": ("horizon", _parse_float),
+    "dt": ("dt", _parse_float),
+    "N": ("num_paths", _parse_int),
+    "p": ("p", _parse_float),
+    "lambda": ("lam", _parse_float),
+    "n_ladder": ("n_ladder", _parse_ladder),
+    "field.name": ("field_name", _parse_str),
+    "field.kappa": ("kappa", _parse_float),
+    "field.support_radius": ("support_radius", _parse_float),
+    "field.mollify": ("mollify", _parse_int),
+    "output": ("output", _parse_str),
 }
 
-_REQUIRED = {
-    "kernel": ("T",),
-    "spaces": (),
-    "flow": ("T", "dt", "N"),
-    "converge": ("T", "dt", "N", "p", "n_ladder"),
-    "zvonkin": ("T", "dt", "lambda"),
-    "krylov": ("T", "dt", "N", "p"),
-    "fokker-planck": ("T", "dt", "N"),
-}
-
-# experiments whose integrability index feeds an occupation/convergence
-# exponent and must satisfy p > 2d+1
-_P_GATED = ("krylov", "converge")
-# experiments that run at d = 1 only: krylov's bumps, fokker-planck's
-# test dictionary and the spaces probe are one dimensional, and zvonkin's
-# 129 slices of a 128^{2d} grid and converge's 129^{2d} drift mesh do not
-# fit in memory beyond d = 1
-_D1_ONLY = ("krylov", "fokker-planck", "zvonkin", "converge", "spaces")
-# experiments that step paths from 0 to T, which must be a whole number of dt
-_STEPPED = ("flow", "converge", "zvonkin", "krylov", "fokker-planck")
 # time slices of the zvonkin experiment's resolvent grid; its paths must
 # step on the same grid
 ZVONKIN_SLICES = 128
@@ -117,37 +116,36 @@ class ExperimentConfig:
     source_text: str = ""
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENTS)}"
             )
+        rules = _EXPERIMENTS[self.experiment][1]
         if self.d < 1:
             raise ValidationError("d must be >= 1")
         if self.horizon <= 0 or self.dt <= 0:
             raise ValidationError("T and dt must be positive")
         if self.num_paths < 1:
             raise ValidationError("N must be >= 1")
-        if self.lam < 0:
-            raise ValidationError("lambda must be nonnegative")
-        if self.field_name not in LIBRARY:
-            raise ValidationError(
-                f"unknown field.name {self.field_name!r}; "
-                f"library: {', '.join(LIBRARY)}"
-            )
+        if not self.lam > 0:
+            raise ValidationError("lambda must be positive")
+        # the library table refuses an unknown name or parameter and a bad
+        # kappa or support radius
+        library_field(self.field_name, self.d, **self.field_params)
         if self.mollify < 0:
             raise ValidationError("field.mollify must be >= 0")
         if any(n < 1 for n in self.n_ladder):
             raise ValidationError("n_ladder entries must be >= 1")
-        if self.experiment in _P_GATED and self.p <= 2 * self.d + 1:
+        if "p" in rules and not self.p > 2 * self.d + 1:
             raise ValidationError(
                 f"{self.experiment} needs p > 2d+1 = {2 * self.d + 1}, "
                 f"got p = {self.p:g}"
             )
-        if self.experiment in _D1_ONLY and self.d != 1:
+        if "d1" in rules and self.d != 1:
             raise ValidationError(
                 f"{self.experiment} runs at d = 1 only, got d = {self.d}")
-        if self.experiment in _STEPPED:
+        if "steps" in rules:
             steps = BrownianGrid.for_horizon(self.seed, self.horizon, self.dt,
                                              self.d).num_steps
             if self.experiment == "zvonkin" and steps != ZVONKIN_SLICES:
@@ -158,6 +156,9 @@ class ExperimentConfig:
                 # two of krylov's occupation windows start or end at T/2
                 BrownianGrid.for_horizon(self.seed, 0.5 * self.horizon,
                                          self.dt, self.d)
+
+
+_CONFIG_FIELDS = {f.name for f in dc_fields(ExperimentConfig)}
 
 
 def parse_config_text(text):
@@ -178,7 +179,7 @@ def parse_config_text(text):
         if value == "":
             raise ValidationError(f"line {lineno}: empty value for {key!r}")
         try:
-            raw[key] = _KEYS[key](value)
+            raw[key] = _KEYS[key][1](value)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
 
@@ -186,47 +187,24 @@ def parse_config_text(text):
         if key not in raw:
             raise ValidationError(f"missing required key {key!r}")
     experiment = raw["experiment"]
-    if experiment not in EXPERIMENTS:
+    if experiment not in _EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment {experiment!r}; "
             f"choose one of {', '.join(EXPERIMENTS)}"
         )
-    missing = [key for key in _REQUIRED[experiment] if key not in raw]
+    missing = [key for key in _EXPERIMENTS[experiment][0] if key not in raw]
     if missing:
         raise ValidationError(
             f"experiment {experiment!r} needs keys: {', '.join(missing)}"
         )
 
-    field_params = {}
-    if "field.kappa" in raw:
-        field_params["kappa"] = raw["field.kappa"]
-    if "field.support_radius" in raw:
-        field_params["support_radius"] = raw["field.support_radius"]
-
-    kwargs = dict(
-        experiment=experiment,
-        seed=raw["seed"],
-        output=raw["output"],
-        field_params=field_params,
-        mollify=raw.get("field.mollify", 0),
-        source_text=text,
-    )
-    if "d" in raw:
-        kwargs["d"] = raw["d"]
-    if "T" in raw:
-        kwargs["horizon"] = raw["T"]
-    if "dt" in raw:
-        kwargs["dt"] = raw["dt"]
-    if "N" in raw:
-        kwargs["num_paths"] = raw["N"]
-    if "p" in raw:
-        kwargs["p"] = raw["p"]
-    if "lambda" in raw:
-        kwargs["lam"] = raw["lambda"]
-    if "n_ladder" in raw:
-        kwargs["n_ladder"] = raw["n_ladder"]
-    if "field.name" in raw:
-        kwargs["field_name"] = raw["field.name"]
+    kwargs = {"field_params": {}, "source_text": text}
+    for key, value in raw.items():
+        target = _KEYS[key][0]
+        if target in _CONFIG_FIELDS:
+            kwargs[target] = value
+        else:
+            kwargs["field_params"][target] = value
     return ExperimentConfig(**kwargs)
 
 

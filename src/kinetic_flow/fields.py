@@ -2,21 +2,23 @@
 
 A CoefficientField bundles the drift b(t, z) (values in R^d) and diffusion
 sigma(t, z) (values in R^{d x d}) of the kinetic system on phase space
-R^{2d}.  Library fields are time-independent, vanish (drift) outside a
-support ball, and keep sigma's singular values inside [1/K, K].  Rough
-fields are consumed through MollifiedField, which replaces both
-coefficients by a fixed quadrature of their convolution with the compact
-smooth bump at scale 1/n: a bump-weighted sum of shifted copies over the
-tensor Gauss-Legendre nodes inside the unit ball (144 of the 16^2 at
-d = 1).  A finite sum of shifted copies keeps the roughness of the field:
-the 2/3-Hoelder cusp of hoelder-drift survives in b_n, split into copies
-at the distinct node offsets, so b_n is not the smooth b * rho_n of the
-paper but a rough drift of the same family at every level.
+R^{2d}.  Library fields come from one table, name -> default support
+radius, drift profile and sigma profile: they are time-independent,
+vanish (drift) outside a support ball, and keep sigma's singular values
+inside [1/K, K].  Rough fields are consumed through MollifiedField, the
+CoefficientField whose coefficients are a fixed quadrature of the base
+field's convolution with the compact smooth bump at scale 1/n: a
+bump-weighted sum of shifted copies over the tensor Gauss-Legendre nodes
+inside the unit ball (144 of the 16^2 at d = 1).  A finite sum of shifted
+copies keeps the roughness of the field: the 2/3-Hoelder cusp of
+hoelder-drift survives in b_n, split into copies at the distinct node
+offsets, so b_n is not the smooth b * rho_n of the paper but a rough
+drift of the same family at every level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,15 +37,6 @@ __all__ = [
     "smooth_plateau",
     "LIBRARY",
 ]
-
-LIBRARY = (
-    "free",
-    "constant-sigma-smooth-b",
-    "langevin",
-    "hoelder-drift",
-    "anisotropic-sigma",
-)
-
 
 def _smooth_step(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1.  Shape-preserving,
@@ -80,14 +73,13 @@ class CoefficientField:
     sigma: callable
     support_radius: float
     name: str = "custom"
-    params: dict = dc_field(default_factory=dict)
     constant_sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dimension must be >= 1")
-        if self.support_radius <= 0:
-            raise ValidationError("support radius must be positive")
+        if not 0 < self.support_radius < np.inf:
+            raise ValidationError("support radius must be positive and finite")
         if self.constant_sigma is not None:
             self.constant_sigma = np.asarray(self.constant_sigma, dtype=float)
 
@@ -119,108 +111,91 @@ def _check_state(z, dim):
 # library
 
 
+def _einsum_cut(z, r_in, r_out):
+    # anisotropic-sigma takes |z| through np.linalg.norm instead; the two
+    # roots round differently, so each profile keeps its own
+    return smooth_plateau(np.sqrt(np.einsum("...i,...i->...", z, z)), r_in, r_out)
+
+
+def _free_drift(z, d, kappa, r_in, r_out):
+    return np.zeros(z.shape[:-1] + (d,))
+
+
+def _smooth_b_drift(z, d, kappa, r_in, r_out):
+    cut = _einsum_cut(z, r_in, r_out)
+    v = z[..., d:]
+    x = z[..., :d]
+    # smooth rotation-plus-damping profile, compactly supported
+    return kappa * cut[..., None] * (np.sin(x) - v)
+
+
+def _langevin_drift(z, d, kappa, r_in, r_out):
+    cut = _einsum_cut(z, r_in, r_out)
+    return -kappa * cut[..., None] * z[..., d:]
+
+
+def _hoelder_drift(z, d, kappa, r_in, r_out):
+    cut = _einsum_cut(z, r_in, r_out)
+    x1 = z[..., 0]
+    out = np.zeros(z.shape[:-1] + (d,))
+    out[..., 0] = kappa * np.sign(x1) * np.cbrt(x1 * x1) * cut
+    return out
+
+
+def _anisotropic_drift(z, d, kappa, r_in, r_out):
+    cut = smooth_plateau(np.linalg.norm(z, axis=-1), r_in, r_out)
+    return -kappa * cut[..., None] * z[..., d:]
+
+
+def _anisotropic_sigma(z, d, r_in, r_out):
+    # scalar modulation of the identity, eigenvalues sweeping the full
+    # [1/2, 2] band inside the plateau
+    r2 = np.sum(z * z, axis=-1)
+    cut = smooth_plateau(np.sqrt(r2), r_in, r_out)
+    scalar = 1.25 + 0.75 * np.cos(np.pi * r2) * cut
+    return scalar[..., None, None] * np.eye(d)
+
+
+# name -> (default support radius, drift profile, sigma profile or None for
+# the constant identity); the drift is cut off by a smooth plateau from
+# half the support radius out to it
+_LIBRARY = {
+    "free": (1.0, _free_drift, None),
+    "constant-sigma-smooth-b": (4.0, _smooth_b_drift, None),
+    "langevin": (64.0, _langevin_drift, None),
+    "hoelder-drift": (4.0, _hoelder_drift, None),
+    "anisotropic-sigma": (4.0, _anisotropic_drift, _anisotropic_sigma),
+}
+LIBRARY = tuple(_LIBRARY)
+
+
 def library_field(name, dim, **params):
     """Construct one of the built-in fields.
 
-    Common params: ``kappa`` (drift amplitude, default 1) and
-    ``support_radius``.  Unknown names list the library in the error.
+    Params: ``kappa`` (drift amplitude, default 1) and ``support_radius``.
+    Unknown names list the library in the error.
     """
-    if name not in LIBRARY:
+    if name not in _LIBRARY:
         raise ValidationError(f"unknown field {name!r}; library: {', '.join(LIBRARY)}")
+    radius, drift_profile, sigma_profile = _LIBRARY[name]
     kappa = float(params.pop("kappa", 1.0))
-    eye = np.eye(dim)
-
-    if name == "free":
-        radius = float(params.pop("support_radius", 1.0))
-        _reject_extra(params)
-
-        def drift(t, z, _d=dim):
-            z = _check_state(z, _d)
-            return np.zeros(z.shape[:-1] + (_d,))
-
-        return CoefficientField(dim, drift, _const_sigma_fn(eye), radius,
-                                name, {"kappa": kappa}, eye)
-
-    if name == "constant-sigma-smooth-b":
-        radius = float(params.pop("support_radius", 4.0))
-        _reject_extra(params)
-        r_in, r_out = 0.5 * radius, radius
-
-        def drift(t, z, _d=dim, _k=kappa, _ri=r_in, _ro=r_out):
-            z = _check_state(z, _d)
-            r = np.sqrt(np.einsum("...i,...i->...", z, z))
-            cut = smooth_plateau(r, _ri, _ro)
-            v = z[..., _d:]
-            x = z[..., :_d]
-            # smooth rotation-plus-damping profile, compactly supported
-            return _k * cut[..., None] * (np.sin(x) - v)
-
-        return CoefficientField(dim, drift, _const_sigma_fn(eye), radius,
-                                name, {"kappa": kappa}, eye)
-
-    if name == "langevin":
-        radius = float(params.pop("support_radius", 64.0))
-        _reject_extra(params)
-        r_in, r_out = 0.5 * radius, radius
-
-        def drift(t, z, _d=dim, _k=kappa, _ri=r_in, _ro=r_out):
-            z = _check_state(z, _d)
-            r = np.sqrt(np.einsum("...i,...i->...", z, z))
-            cut = smooth_plateau(r, _ri, _ro)
-            return -_k * cut[..., None] * z[..., _d:]
-
-        return CoefficientField(dim, drift, _const_sigma_fn(eye), radius,
-                                name, {"kappa": kappa}, eye)
-
-    if name == "hoelder-drift":
-        radius = float(params.pop("support_radius", 4.0))
-        _reject_extra(params)
-        r_in, r_out = 0.5 * radius, radius
-
-        def drift(t, z, _d=dim, _k=kappa, _ri=r_in, _ro=r_out):
-            z = _check_state(z, _d)
-            r = np.sqrt(np.einsum("...i,...i->...", z, z))
-            cut = smooth_plateau(r, _ri, _ro)
-            x1 = z[..., 0]
-            out = np.zeros(z.shape[:-1] + (_d,))
-            out[..., 0] = _k * np.sign(x1) * np.cbrt(x1 * x1) * cut
-            return out
-
-        return CoefficientField(dim, drift, _const_sigma_fn(eye), radius,
-                                name, {"kappa": kappa}, eye)
-
-    # anisotropic-sigma: scalar modulation of the identity, eigenvalues
-    # sweeping the full [1/2, 2] band inside the plateau
-    radius = float(params.pop("support_radius", 4.0))
-    _reject_extra(params)
-    r_in, r_out = 0.5 * radius, radius
-
-    def drift(t, z, _d=dim, _k=kappa, _ri=r_in, _ro=r_out):
-        z = _check_state(z, _d)
-        r = np.linalg.norm(z, axis=-1)
-        cut = smooth_plateau(r, _ri, _ro)
-        return -_k * cut[..., None] * z[..., _d:]
-
-    def sigma(t, z, _d=dim, _ri=r_in, _ro=r_out):
-        z = _check_state(z, _d)
-        r2 = np.sum(z * z, axis=-1)
-        cut = smooth_plateau(np.sqrt(r2), _ri, _ro)
-        scalar = 1.25 + 0.75 * np.cos(np.pi * r2) * cut
-        return scalar[..., None, None] * np.eye(_d)
-
-    return CoefficientField(dim, drift, sigma, radius, name, {"kappa": kappa}, None)
-
-
-def _reject_extra(params):
+    radius = float(params.pop("support_radius", radius))
     if params:
         raise ValidationError(f"unknown field parameters: {sorted(params)}")
+    if not np.isfinite(kappa):
+        raise ValidationError(f"kappa must be finite, got {kappa}")
+    r_in, r_out = 0.5 * radius, radius
+    eye = np.eye(dim) if sigma_profile is None else None
 
+    def drift(t, z):
+        return drift_profile(_check_state(z, dim), dim, kappa, r_in, r_out)
 
-def _const_sigma_fn(mat):
-    def sigma(t, z, _m=mat):
-        z = np.asarray(z, dtype=float)
-        return np.broadcast_to(_m, z.shape[:-1] + _m.shape).copy()
-    return sigma
+    def sigma(t, z):
+        if eye is not None:
+            return np.broadcast_to(eye, np.shape(z)[:-1] + eye.shape).copy()
+        return sigma_profile(_check_state(z, dim), dim, r_in, r_out)
+
+    return CoefficientField(dim, drift, sigma, radius, name, eye)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +228,7 @@ def _mollifier_rule(phase_dim, order=16):
 CONVOLVE_CHUNK_BYTES = 1 << 18
 
 
-@dataclass
-class MollifiedField:
+class MollifiedField(CoefficientField):
     """Coefficients of ``base`` convolved with the bump at scale 1/n.
 
     The convolution runs over the flattened batch in chunks of at most
@@ -262,32 +236,14 @@ class MollifiedField:
     bounded however many states one call asks for.
     """
 
-    base: CoefficientField
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, base, n):
+        if n < 1:
             raise ValidationError("mollification level n must be >= 1")
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def phase_dim(self):
-        return self.base.phase_dim
-
-    @property
-    def name(self):
-        return f"{self.base.name}~{self.n}"
-
-    @property
-    def support_radius(self):
-        return self.base.support_radius + 1.0 / self.n
-
-    @property
-    def constant_sigma(self):
-        return self.base.constant_sigma
+        self.base, self.n = base, n
+        self.dim = base.dim
+        self.name = f"{base.name}~{n}"
+        self.support_radius = base.support_radius + 1.0 / n
+        self.constant_sigma = base.constant_sigma
 
     def _convolve(self, fn, t, z, value_ndim):
         z = _check_state(z, self.dim)
@@ -311,8 +267,6 @@ class MollifiedField:
             m = self.base.constant_sigma
             return np.broadcast_to(m, z.shape[:-1] + m.shape).copy()
         return self._convolve(self.base.sigma, t, z, 2)
-
-    generator_a = CoefficientField.generator_a
 
 
 def mollified(base, n):

@@ -38,7 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
-from .integrator import WORK_CHUNK, BrownianGrid, evolve, tagged_stream
+from .integrator import (GRID_TOL, WORK_CHUNK, BrownianGrid, evolve,
+                         tagged_stream)
 from .parallel import parallel_map
 
 __all__ = [
@@ -237,7 +238,8 @@ class FlowEnsemble:
 
     def time_index(self, t):
         idx = int(round(t / (self.times[1] - self.times[0])))
-        if not (0 <= idx < len(self.times)) or abs(self.times[idx] - t) > 1e-9:
+        tol = GRID_TOL * max(1.0, self.times[-1])
+        if not (0 <= idx < len(self.times)) or abs(self.times[idx] - t) > tol:
             raise ValidationError(f"t={t} is not on the trajectory grid")
         return idx
 

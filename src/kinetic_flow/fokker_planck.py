@@ -31,6 +31,7 @@ from .errors import (
     DivergenceError,
     ValidationError,
 )
+from .fields import CoefficientField
 from .integrator import (
     DIVERGENCE_FRACTION,
     DIVERGENCE_THRESHOLD,
@@ -176,8 +177,8 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     the checkpoint snapshots and a running squared norm per atom are kept,
     never the whole path.
     """
-    if not all(hasattr(field, attr) for attr in ("dim", "drift", "sigma")):
-        raise ValidationError("field must provide dim, drift and sigma")
+    if not isinstance(field, CoefficientField):
+        raise ValidationError("field must be a CoefficientField")
     if law.phase_dim != 2 * field.dim:
         raise ValidationError("initial law dimension does not match the field")
     grid = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)

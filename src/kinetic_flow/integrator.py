@@ -43,8 +43,8 @@ WORK_CHUNK = 4096
 # DIVERGENCE_FRACTION of them have
 DIVERGENCE_THRESHOLD = 1e6
 DIVERGENCE_FRACTION = 1e-3
-# relative tolerance (times max(1, horizon)) within which a horizon counts
-# as a whole number of steps
+# relative tolerance (times max(1, horizon)) of every on-grid check: a
+# horizon that is a whole number of steps, a checkpoint, a window end
 GRID_TOL = 1e-9
 
 
@@ -84,8 +84,8 @@ class BrownianGrid:
     @classmethod
     def for_horizon(cls, master_seed, horizon, dt, dim):
         horizon, dt = float(horizon), float(dt)
-        if horizon <= 0 or dt <= 0:
-            raise ValidationError("need horizon > 0 and dt > 0")
+        if not (horizon > 0 and dt > 0 and np.isfinite(horizon / dt)):
+            raise ValidationError("need finite horizon > 0 and dt > 0")
         steps = int(round(horizon / dt))
         if steps < 1 or abs(steps * dt - horizon) > GRID_TOL * max(1.0, horizon):
             raise ValidationError(

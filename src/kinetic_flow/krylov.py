@@ -28,7 +28,7 @@ from scipy.stats import qmc
 from .errors import ValidationError
 from .fields import smooth_plateau
 from .flow import MomentEstimate
-from .integrator import BrownianGrid, evolve
+from .integrator import GRID_TOL, BrownianGrid, evolve
 
 __all__ = [
     "PhaseBump",
@@ -168,7 +168,8 @@ def _window_indices(times, t0, t1):
     i1 = int(round((t1 - times[0]) / dt))
     if not (0 <= i0 < i1 < len(times)):
         raise ValidationError("window must lie inside the simulated horizon")
-    if abs(times[i0] - t0) > 1e-9 or abs(times[i1] - t1) > 1e-9:
+    tol = GRID_TOL * max(1.0, times[-1])
+    if abs(times[i0] - t0) > tol or abs(times[i1] - t1) > tol:
         raise ValidationError("window endpoints must be trajectory grid points")
     return i0, i1
 

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridFunction, grid_mesh
-from .integrator import walk
+from .integrator import GRID_TOL, walk
 from .kernel import KernelStep, apply_semigroup, diffusion_matrix
 
 # Picard stops once the sup-norm increment drops below PICARD_TOL and gives
@@ -534,11 +534,11 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
         )
     if checkpoints is None:
         checkpoints = tuple(u.horizon * q for q in (0.25, 0.5, 0.75, 1.0))
-    step = u.slice_dt
+    step, tol = u.slice_dt, GRID_TOL * max(1.0, u.horizon)
     cp_idx = []
     for t in checkpoints:
         j = int(round(t / step))
-        if not (1 <= j <= steps) or abs(j * step - t) > 1e-9 * max(1.0, steps):
+        if not (1 <= j <= steps) or abs(j * step - t) > tol:
             raise ValidationError(
                 f"checkpoint {t!r} does not lie on the shared time grid"
             )

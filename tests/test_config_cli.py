@@ -151,6 +151,30 @@ def test_cli_refuses_krylov_half_horizon_off_the_step_grid(tmp_path, monkeypatch
                       "N = 100\np = 7\noutput = out\n")
 
 
+@pytest.mark.parametrize("experiment,keys,message", [
+    ("flow", "T = nan\ndt = 0.0625\nN = 100\n", "line 3: expected a finite"),
+    ("flow", "T = inf\ndt = 0.0625\nN = 100\n", "line 3: expected a finite"),
+    ("flow", "T = 1\ndt = nan\nN = 100\n", "line 4: expected a finite"),
+    ("kernel", "T = nan\n", "line 3: expected a finite"),
+    ("converge", "T = 1\ndt = 0.0625\nN = 100\np = nan\nn_ladder = 4,8\n",
+     "line 6: expected a finite"),
+    ("flow", "T = 1\ndt = 0.0625\nN = 100\nfield.kappa = nan\n",
+     "line 6: expected a finite"),
+    ("flow", "T = 1\ndt = 0.0625\nN = 100\nfield.support_radius = -1\n",
+     "support radius must be positive"),
+    ("zvonkin", "T = 1\ndt = 0.0078125\nlambda = 0\n",
+     "lambda must be positive"),
+])
+def test_cli_refuses_bad_values_before_the_output_exists(
+        experiment, keys, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"experiment = {experiment}\nseed = 1\n"
+                                  f"{keys}output = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # worker pool
 

@@ -1,8 +1,13 @@
 """Coefficient library, mollification, and the ellipticity check."""
 
+import hashlib
+import platform
+
 import numpy as np
 import pytest
+import scipy
 
+from kinetic_flow import fields
 from kinetic_flow.errors import ValidationError
 from kinetic_flow.fields import (
     CONVOLVE_CHUNK_BYTES,
@@ -87,6 +92,37 @@ def test_library_membership_and_rejection():
         library_field("free", 1, bogus=3.0)
 
 
+def test_library_order_is_fixed():
+    # error messages list the library in this order
+    assert fields.LIBRARY == LIBRARY
+
+
+# (python, numpy, scipy) the library digest was recorded with
+PINNED_VERSIONS = ("3.11.7", "2.4.6", "1.17.1")
+LIBRARY_SHA1 = "f0b5b4b31590c0178a53725849a54462133e220e"
+
+
+def test_library_field_bits_are_pinned():
+    # drift, sigma and a of every library field at d = 1 and 2, with the
+    # default and with custom kappa/support_radius, plus the mollified
+    # field at n = 4 (d = 1), hashed bit for bit
+    h = hashlib.sha1()
+    for d in (1, 2):
+        z = 2.5 * np.random.default_rng(d).normal(size=(64, 2 * d))
+        for name in LIBRARY:
+            for params in ({}, {"kappa": 1.7, "support_radius": 3.0}):
+                f = library_field(name, d, **params)
+                for g in [f] + ([mollified(f, 4)] if d == 1 else []):
+                    for arr in (g.drift(0.0, z), g.sigma(0.0, z),
+                                g.generator_a(0.0, z)):
+                        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    versions = (platform.python_version(), np.__version__, scipy.__version__)
+    if h.hexdigest() != LIBRARY_SHA1 and versions != PINNED_VERSIONS:
+        pytest.xfail(f"library digest differs under python/numpy/scipy "
+                     f"{versions}; pinned under {PINNED_VERSIONS}")
+    assert h.hexdigest() == LIBRARY_SHA1
+
+
 def test_free_field_is_trivial():
     f = library_field("free", 1)
     z = np.random.default_rng(0).normal(size=(17, 2))
@@ -154,10 +190,10 @@ def test_mollification_commutes_with_translation():
         return np.sin(z[..., :1] + 0.3 * z[..., 1:])
 
     tau = np.array([0.4, -0.7])
-    base = CoefficientField(1, sin_drift, sig, 50.0, "custom", {}, np.eye(1))
+    base = CoefficientField(1, sin_drift, sig, 50.0, "custom", np.eye(1))
     shifted = CoefficientField(
         1, lambda t, z: sin_drift(t, np.asarray(z) + tau), sig, 50.0,
-        "custom", {}, np.eye(1))
+        "custom", np.eye(1))
     z = np.random.default_rng(3).normal(size=(40, 2))
     lhs = mollified(base, 6).drift(0.0, z + tau)
     rhs = mollified(shifted, 6).drift(0.0, z)

@@ -102,7 +102,7 @@ def kick_field(level):
     carries the atom far past the divergence threshold."""
     return CoefficientField(
         1, lambda t, z: np.where(np.asarray(z)[..., 1:] > level, 1e8, 0.0),
-        unit_sigma, 1e9, "kick", {}, np.eye(1))
+        unit_sigma, 1e9, "kick", np.eye(1))
 
 
 def test_particle_measure_drops_and_counts_diverged_atoms():
@@ -130,7 +130,7 @@ def test_particle_measure_drops_and_counts_diverged_atoms():
 def test_particle_measure_aborts_on_non_finite_state():
     blowup = CoefficientField(
         1, lambda t, z: 1e3 * np.asarray(z)[..., 1:] ** 3, unit_sigma,
-        1e9, "blowup", {}, np.eye(1))
+        1e9, "blowup", np.eye(1))
     with pytest.raises(DivergenceError, match="non-finite"):
         particle_measure(blowup, point_mass([0.0, 1.0]), 16, 2.0, 0.25)
 

@@ -15,7 +15,7 @@ def zero_noise_field():
     """b = 0, sigma = 0: deterministic free flight under em."""
     zero_b = lambda t, z: np.zeros(np.asarray(z).shape[:-1] + (1,))
     zero_s = lambda t, z: np.zeros(np.asarray(z).shape[:-1] + (1, 1))
-    return CoefficientField(1, zero_b, zero_s, 1.0, "flight", {},
+    return CoefficientField(1, zero_b, zero_s, 1.0, "flight",
                             np.zeros((1, 1)))
 
 
@@ -286,7 +286,7 @@ def blowup_field():
         1, lambda t, z: 1e3 * np.asarray(z)[..., 1:] ** 3,
         lambda t, z: np.broadcast_to(np.eye(1),
                                      np.asarray(z).shape[:-1] + (1, 1)),
-        1e9, "blowup", {}, np.eye(1))
+        1e9, "blowup", np.eye(1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -1,9 +1,13 @@
-"""Static checks of the package surface: exports resolve, privates stay home."""
+"""Static checks of the package surface: exports resolve, privates stay
+home, and the hooks the benchmark's layer tracer patches exist."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import kinetic_flow
+from kinetic_flow import config, runner
+from kinetic_flow.fields import MollifiedField, library_field
 
 PACKAGE_DIR = Path(kinetic_flow.__file__).resolve().parent
 
@@ -143,3 +147,21 @@ def test_only_integrator_builds_philox_streams():
                     or isinstance(node, ast.alias) and node.name == "Philox"):
                 builders.add(name)
     assert builders == {"integrator"}, sorted(builders - {"integrator"})
+
+
+def test_tracer_hooks_resolve():
+    # the benchmark's layer tracer replaces the mollified field's drift
+    # and sigma on the class and a library field's on the instance; the
+    # runner must dispatch every experiment the config accepts, and every
+    # config key must set a config field or a library-field parameter
+    assert {"drift", "sigma"} <= set(MollifiedField.__dict__)
+    field = library_field("hoelder-drift", 1)
+    wrapper = lambda t, z: None  # noqa: E731
+    field.drift = field.sigma = wrapper
+    assert field.drift is wrapper and field.sigma is wrapper
+    assert set(runner._DISPATCH) == set(config.EXPERIMENTS)
+    names = {f.name for f in fields(config.ExperimentConfig)}
+    for key, (target, _) in config._KEYS.items():
+        if target not in names:
+            # a field parameter: the library accepts it
+            library_field("free", 1, **{target: 1.0})

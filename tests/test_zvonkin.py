@@ -234,6 +234,19 @@ def test_residual_requires_matching_grids():
         transformed_sde_residual(transform, field, np.zeros(2), bad, 64)
 
 
+def test_residual_checkpoints_share_the_grid_tolerance():
+    # GRID_TOL * max(1, T), as for horizons and particle checkpoints: a
+    # checkpoint 1e-8 off the 32-slice grid is refused, 1e-10 off accepted
+    field, _, transform = searched_state()
+    grid = BrownianGrid(3, 1.0 / 32, 32, 1)
+    with pytest.raises(ValidationError, match="does not lie on the shared"):
+        transformed_sde_residual(transform, field, np.zeros(2), grid, 8,
+                                 checkpoints=(0.5 + 1e-8, 1.0))
+    rep = transformed_sde_residual(transform, field, np.zeros(2), grid, 8,
+                                   checkpoints=(0.5 + 1e-10, 1.0))
+    assert rep.mean.shape[0] == 2
+
+
 # float.hex of (mean, std_error) per checkpoint and num_excluded, recorded
 # before the residual streamed its paths through integrator.walk
 RESIDUAL_PINS = {
