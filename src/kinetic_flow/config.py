@@ -16,12 +16,14 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from .errors import ValidationError
 from .fields import library_field
+from .flow import check_convergence_study
 from .integrator import BrownianGrid
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text"]
 
 # name -> (required keys, rules).  Rules: "p", the integrability index
-# feeds an occupation/convergence exponent and must satisfy p > 2d+1;
+# feeds an occupation exponent and must satisfy p > 2d+1; "ladder", the
+# mollification ladder, p and N pass flow.check_convergence_study;
 # "d1", runs at d = 1 only (krylov's bumps, fokker-planck's test
 # dictionary and the spaces probe are one dimensional, and zvonkin's 129
 # slices of a 128^{2d} grid and converge's 129^{2d} drift mesh do not fit
@@ -30,7 +32,7 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
     "flow": (("T", "dt", "N"), ("steps",)),
-    "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "d1", "steps")),
+    "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "ladder", "d1", "steps")),
     "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
     "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps")),
     "fokker-planck": (("T", "dt", "N"), ("d1", "steps")),
@@ -145,6 +147,8 @@ class ExperimentConfig:
         if "d1" in rules and self.d != 1:
             raise ValidationError(
                 f"{self.experiment} runs at d = 1 only, got d = {self.d}")
+        if "ladder" in rules:
+            check_convergence_study(self.d, self.n_ladder, self.num_paths, self.p)
         if "steps" in rules:
             steps = BrownianGrid.for_horizon(self.seed, self.horizon, self.dt,
                                              self.d).num_steps

@@ -1,19 +1,30 @@
-"""Drift/diffusion field library, mollification, and the ellipticity check.
+"""Drift/diffusion field library and mollification.
 
 A CoefficientField bundles the drift b(t, z) (values in R^d) and diffusion
 sigma(t, z) (values in R^{d x d}) of the kinetic system on phase space
 R^{2d}.  Library fields come from one table, name -> default support
-radius, drift profile and sigma profile: they are time-independent,
-vanish (drift) outside a support ball, and keep sigma's singular values
-inside [1/K, K].  Rough fields are consumed through MollifiedField, the
-CoefficientField whose coefficients are a fixed quadrature of the base
-field's convolution with the compact smooth bump at scale 1/n: a
-bump-weighted sum of shifted copies over the tensor Gauss-Legendre nodes
-inside the unit ball (144 of the 16^2 at d = 1).  A finite sum of shifted
-copies keeps the roughness of the field: the 2/3-Hoelder cusp of
-hoelder-drift survives in b_n, split into copies at the distinct node
-offsets, so b_n is not the smooth b * rho_n of the paper but a rough
-drift of the same family at every level.
+radius, drift profile, the |z| its plateau cut reads, the phase axes the
+profile reads inside the plateau, and sigma profile: they are
+time-independent, vanish (drift) outside a support ball, and keep sigma's
+singular values inside [1/K, K].  Each library field carries its Plateau:
+those axes, the cut radii r_in < r_out, and the profile with the cut fixed
+at 1.0.
+
+Rough fields are consumed through MollifiedField, the CoefficientField
+whose coefficients are a fixed quadrature of the base field's convolution
+with the compact smooth bump at scale 1/n: a bump-weighted sum of shifted
+copies over the tensor Gauss-Legendre nodes inside the unit ball (144 of
+the 16^2 at d = 1).  A finite sum of shifted copies keeps the roughness of
+the field: the 2/3-Hoelder cusp of hoelder-drift survives in b_n, split
+into copies at the distinct node offsets, so b_n is not the smooth
+b * rho_n of the paper but a rough drift of the same family at every level.
+
+A library field's mollified drift is evaluated in three regions, each
+bit for bit equal to the full quadrature: the plateau, where the uncut
+profile is evaluated once per distinct node projection and gathered back
+to node order; the band, through the full quadrature; and outside the
+support, where it is +0.0, the value numpy's ``np.sum(vals * w, axis=1)``
+gives for a sum of signed zeros, -0.0 terms included.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ValidationError
 from .spaces import Mollifier
@@ -32,8 +42,6 @@ __all__ = [
     "MollifiedField",
     "library_field",
     "mollified",
-    "check_UE",
-    "UEReport",
     "smooth_plateau",
     "LIBRARY",
 ]
@@ -58,6 +66,21 @@ def smooth_plateau(r, r_inner, r_outer):
     return 1.0 - _smooth_step((np.asarray(r, float) - r_inner) / (r_outer - r_inner))
 
 
+@dataclass(frozen=True)
+class Plateau:
+    """Where a library drift profile is cut.
+
+    For |z| <= r_in the plateau cut is exactly 1.0: there the drift equals
+    ``drift(z)``, the profile with the cut fixed at 1.0, which reads only
+    the phase axes ``axes``.  For |z| >= r_out the drift is a signed zero.
+    """
+
+    axes: tuple
+    r_in: float
+    r_out: float
+    drift: callable
+
+
 @dataclass
 class CoefficientField:
     """Drift and diffusion of one kinetic system.
@@ -66,6 +89,8 @@ class CoefficientField:
     sigma : callable (t, z) -> array (..., d, d)
     constant_sigma : the (d, d) matrix when sigma does not depend on (t, z),
         else None.  Constant-sigma fields unlock the closed-form kernel.
+    plateau : where the drift is a library profile with its cut exactly 1
+        or exactly 0, else None (custom fields).
     """
 
     dim: int
@@ -74,6 +99,7 @@ class CoefficientField:
     support_radius: float
     name: str = "custom"
     constant_sigma: np.ndarray | None = None
+    plateau: Plateau | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -111,40 +137,37 @@ def _check_state(z, dim):
 # library
 
 
-def _einsum_cut(z, r_in, r_out):
-    # anisotropic-sigma takes |z| through np.linalg.norm instead; the two
-    # roots round differently, so each profile keeps its own
-    return smooth_plateau(np.sqrt(np.einsum("...i,...i->...", z, z)), r_in, r_out)
+def _einsum_norm(z):
+    return np.sqrt(np.einsum("...i,...i->...", z, z))
 
 
-def _free_drift(z, d, kappa, r_in, r_out):
+def _linalg_norm(z):
+    return np.linalg.norm(z, axis=-1)
+
+
+# A drift profile takes (z, d, kappa, cut): ``cut`` is the plateau cut of
+# shape (..., 1), or the scalar 1.0 inside the plateau, where the cut is
+# exactly 1 and multiplying by 1.0 changes no bit.
+
+
+def _free_drift(z, d, kappa, cut):
     return np.zeros(z.shape[:-1] + (d,))
 
 
-def _smooth_b_drift(z, d, kappa, r_in, r_out):
-    cut = _einsum_cut(z, r_in, r_out)
-    v = z[..., d:]
-    x = z[..., :d]
+def _smooth_b_drift(z, d, kappa, cut):
     # smooth rotation-plus-damping profile, compactly supported
-    return kappa * cut[..., None] * (np.sin(x) - v)
+    return kappa * cut * (np.sin(z[..., :d]) - z[..., d:])
 
 
-def _langevin_drift(z, d, kappa, r_in, r_out):
-    cut = _einsum_cut(z, r_in, r_out)
-    return -kappa * cut[..., None] * z[..., d:]
+def _damping_drift(z, d, kappa, cut):
+    return -kappa * cut * z[..., d:]
 
 
-def _hoelder_drift(z, d, kappa, r_in, r_out):
-    cut = _einsum_cut(z, r_in, r_out)
-    x1 = z[..., 0]
+def _hoelder_drift(z, d, kappa, cut):
+    x1 = z[..., :1]
     out = np.zeros(z.shape[:-1] + (d,))
-    out[..., 0] = kappa * np.sign(x1) * np.cbrt(x1 * x1) * cut
+    out[..., :1] = kappa * np.sign(x1) * np.cbrt(x1 * x1) * cut
     return out
-
-
-def _anisotropic_drift(z, d, kappa, r_in, r_out):
-    cut = smooth_plateau(np.linalg.norm(z, axis=-1), r_in, r_out)
-    return -kappa * cut[..., None] * z[..., d:]
 
 
 def _anisotropic_sigma(z, d, r_in, r_out):
@@ -156,17 +179,26 @@ def _anisotropic_sigma(z, d, r_in, r_out):
     return scalar[..., None, None] * np.eye(d)
 
 
-# name -> (default support radius, drift profile, sigma profile or None for
-# the constant identity); the drift is cut off by a smooth plateau from
-# half the support radius out to it
+# name -> (default support radius, drift profile, the |z| its plateau cut
+# reads or None for an uncut profile, the phase axes the profile reads
+# inside the plateau, sigma profile or None for the constant identity).
+# The drift is cut off by a smooth plateau from half the support radius
+# out to it; langevin and anisotropic-sigma share a profile but take |z|
+# through different roots, which round differently.
 _LIBRARY = {
-    "free": (1.0, _free_drift, None),
-    "constant-sigma-smooth-b": (4.0, _smooth_b_drift, None),
-    "langevin": (64.0, _langevin_drift, None),
-    "hoelder-drift": (4.0, _hoelder_drift, None),
-    "anisotropic-sigma": (4.0, _anisotropic_drift, _anisotropic_sigma),
+    "free": (1.0, _free_drift, None, (), None),
+    "constant-sigma-smooth-b": (4.0, _smooth_b_drift, _einsum_norm, ("x", "v"), None),
+    "langevin": (64.0, _damping_drift, _einsum_norm, ("v",), None),
+    "hoelder-drift": (4.0, _hoelder_drift, _einsum_norm, ("x1",), None),
+    "anisotropic-sigma": (4.0, _damping_drift, _linalg_norm, ("v",), _anisotropic_sigma),
 }
 LIBRARY = tuple(_LIBRARY)
+
+
+def _phase_axes(groups, d):
+    """Phase-space axes of the named groups: x1, the x block, the v block."""
+    span = {"x1": range(1), "x": range(d), "v": range(d, 2 * d)}
+    return tuple(i for g in groups for i in span[g])
 
 
 def library_field(name, dim, **params):
@@ -177,7 +209,7 @@ def library_field(name, dim, **params):
     """
     if name not in _LIBRARY:
         raise ValidationError(f"unknown field {name!r}; library: {', '.join(LIBRARY)}")
-    radius, drift_profile, sigma_profile = _LIBRARY[name]
+    radius, drift_profile, cut_norm, axes, sigma_profile = _LIBRARY[name]
     kappa = float(params.pop("kappa", 1.0))
     radius = float(params.pop("support_radius", radius))
     if params:
@@ -187,15 +219,23 @@ def library_field(name, dim, **params):
     r_in, r_out = 0.5 * radius, radius
     eye = np.eye(dim) if sigma_profile is None else None
 
+    def uncut_drift(z):
+        return drift_profile(z, dim, kappa, 1.0)
+
     def drift(t, z):
-        return drift_profile(_check_state(z, dim), dim, kappa, r_in, r_out)
+        z = _check_state(z, dim)
+        if cut_norm is None:
+            return uncut_drift(z)
+        cut = smooth_plateau(cut_norm(z), r_in, r_out)
+        return drift_profile(z, dim, kappa, cut[..., None])
 
     def sigma(t, z):
         if eye is not None:
             return np.broadcast_to(eye, np.shape(z)[:-1] + eye.shape).copy()
         return sigma_profile(_check_state(z, dim), dim, r_in, r_out)
 
-    return CoefficientField(dim, drift, sigma, radius, name, eye)
+    plateau = Plateau(_phase_axes(axes, dim), r_in, r_out, uncut_drift)
+    return CoefficientField(dim, drift, sigma, radius, name, eye, plateau)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +267,37 @@ def _mollifier_rule(phase_dim, order=16):
 # every state's sum reads the same node values in the same order
 CONVOLVE_CHUNK_BYTES = 1 << 18
 
+# relative slack of MollifiedField's region tests: a state counts as inside
+# the plateau (outside the support) only if every node's computed
+# |z - xi/n| stays below r_in (above r_out) whatever the rounding of the
+# shift and the root, so each node's cut is exactly 1.0 (exactly 0.0)
+REGION_MARGIN = 1e-9
+
 
 class MollifiedField(CoefficientField):
     """Coefficients of ``base`` convolved with the bump at scale 1/n.
 
-    The convolution runs over the flattened batch in chunks of at most
+    The quadrature runs over the flattened batch in chunks of at most
     CONVOLVE_CHUNK_BYTES of shifted nodes, so temporary memory stays
     bounded however many states one call asks for.
+
+    When ``base`` is a library field, the drift splits the finite states
+    by |z| against the node reach max |xi_i|/n, with REGION_MARGIN to spare:
+
+    * plateau, |z| + reach <= r_in: every node's cut is exactly 1.0, so the
+      profile is evaluated uncut, once per distinct projection of the nodes
+      onto the axes it reads (16 of the 144 nodes at d = 1 for
+      hoelder-drift), gathered back to node order and summed as below;
+    * outside the support, |z| - reach >= r_out: every node's cut is
+      exactly 0.0 and the value is +0.0, which is what numpy's
+      ``np.sum(vals * w, axis=1)`` returns when every term is a signed zero,
+      -0.0 included (numpy 2.4);
+    * the band between, and every non-finite state: the full quadrature,
+      sum_i w_i b(z - xi_i/n) through ``base.drift``.
+
+    The plateau sum adds the same node values in the same order as the
+    full quadrature, and the outside value is what that sum returns, so the
+    drift agrees bit for bit with the full quadrature everywhere.
     """
 
     def __init__(self, base, n):
@@ -244,22 +308,55 @@ class MollifiedField(CoefficientField):
         self.name = f"{base.name}~{n}"
         self.support_radius = base.support_radius + 1.0 / n
         self.constant_sigma = base.constant_sigma
+        self.plateau = None
+        nodes, self._weights = _mollifier_rule(self.phase_dim)
+        self._offsets = nodes / n
+        if base.plateau is not None:
+            self._reach = float(_einsum_norm(self._offsets).max())
+            _, first, self._gather = np.unique(
+                self._offsets[:, list(base.plateau.axes)], axis=0,
+                return_index=True, return_inverse=True)
+            self._distinct = self._offsets[first]
+
+    def _quadrature(self, fn, flat, offsets, value_ndim, gather=None):
+        """sum_i w_i fn(z - offsets[gather[i]]) for every row z of ``flat``."""
+        w = self._weights.reshape((-1,) + (1,) * value_ndim)
+        out = np.empty((flat.shape[0],) + (self.dim,) * value_ndim)
+        step = max(1, CONVOLVE_CHUNK_BYTES // self._offsets.nbytes)
+        for lo in range(0, flat.shape[0], step):
+            vals = fn(flat[lo:lo + step, None, :] - offsets)
+            if gather is not None:
+                # node order, C-contiguous, so the sum adds in the same order
+                vals = np.take(vals, gather, axis=1)
+            out[lo:lo + step] = np.sum(vals * w, axis=1)
+        return out
 
     def _convolve(self, fn, t, z, value_ndim):
         z = _check_state(z, self.dim)
-        nodes, weights = _mollifier_rule(self.phase_dim)
-        offsets = nodes / self.n
-        w = weights.reshape((-1,) + (1,) * value_ndim)
         flat = z.reshape(-1, z.shape[-1])
-        out = np.empty((flat.shape[0],) + (self.dim,) * value_ndim)
-        step = max(1, CONVOLVE_CHUNK_BYTES // offsets.nbytes)
-        for lo in range(0, flat.shape[0], step):
-            shifted = flat[lo:lo + step, None, :] - offsets
-            out[lo:lo + step] = np.sum(fn(t, shifted) * w, axis=1)
+        out = self._quadrature(lambda s: fn(t, s), flat, self._offsets, value_ndim)
         return out.reshape(z.shape[:-1] + out.shape[1:])
 
     def drift(self, t, z):
-        return self._convolve(self.base.drift, t, z, 1)
+        plateau = self.base.plateau
+        if plateau is None:
+            return self._convolve(self.base.drift, t, z, 1)
+        z = _check_state(z, self.dim)
+        flat = z.reshape(-1, z.shape[-1])
+        r = _einsum_norm(flat)
+        finite = np.isfinite(flat).all(axis=1)
+        inside = finite & (
+            (r + self._reach) * (1.0 + REGION_MARGIN) <= plateau.r_in)
+        outside = finite & (
+            r * (1.0 - REGION_MARGIN) - self._reach
+            >= plateau.r_out * (1.0 + REGION_MARGIN))
+        band = ~(inside | outside)
+        out = np.zeros((flat.shape[0], self.dim))
+        out[inside] = self._quadrature(plateau.drift, flat[inside],
+                                       self._distinct, 1, self._gather)
+        out[band] = self._quadrature(lambda s: self.base.drift(t, s),
+                                     flat[band], self._offsets, 1)
+        return out.reshape(z.shape[:-1] + (self.dim,))
 
     def sigma(self, t, z):
         if self.base.constant_sigma is not None:
@@ -272,39 +369,3 @@ class MollifiedField(CoefficientField):
 def mollified(base, n):
     """Convenience constructor for MollifiedField."""
     return MollifiedField(base, int(n))
-
-
-# ---------------------------------------------------------------------------
-# uniform ellipticity
-
-
-@dataclass
-class UEReport:
-    ok: bool
-    constant: float
-    min_singular_value: float
-    max_singular_value: float
-    num_samples: int
-
-
-# quasi-random (t, z) points check_UE samples, t in [0, 1] and z in the
-# support box
-UE_SAMPLES = 512
-
-
-def check_UE(field, K, slack=0.0):
-    """Sample sigma's singular values at quasi-random (t, z) points.
-
-    Passes iff every singular value lies in [1/K - slack, K + slack].
-    """
-    if K < 1.0:
-        raise ValidationError(f"ellipticity constant must be >= 1, got {K}")
-    eng = qmc.Sobol(d=2 * field.dim + 1, scramble=False)
-    pts = eng.random(UE_SAMPLES)
-    t = pts[:, 0]
-    z = field.support_radius * (2.0 * pts[:, 1:] - 1.0)
-    sig = np.stack([field.sigma(ti, zi) for ti, zi in zip(t, z)])
-    svals = np.linalg.svd(sig, compute_uv=False)
-    lo, hi = float(svals.min()), float(svals.max())
-    ok = (lo >= 1.0 / K - slack - 1e-12) and (hi <= K + slack + 1e-12)
-    return UEReport(ok, float(K), lo, hi, UE_SAMPLES)

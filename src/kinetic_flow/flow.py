@@ -51,6 +51,7 @@ __all__ = [
     "HomeomorphismReport",
     "homeomorphism_check",
     "ConvergenceTable",
+    "check_convergence_study",
     "convergence_study",
     "GronwallProcessSpec",
     "GronwallCheck",
@@ -390,6 +391,22 @@ class ConvergenceTable:
         return float(coeffs[0])
 
 
+def check_convergence_study(d, n_ladder, num_paths, p):
+    """Refuse what `convergence_study` cannot honour: a ladder that is not
+    dyadic with at least 3 entries, p <= 2(2d+1) and fewer than 100 paths.
+    The experiment config calls this too, before any output exists."""
+    ladder = [int(n) for n in n_ladder]
+    if len(ladder) < 3:
+        raise ValidationError("mollification ladder needs at least 3 entries")
+    for a, b in zip(ladder[:-1], ladder[1:]):
+        if b != 2 * a:
+            raise ValidationError("ladder must be dyadic: each entry twice the last")
+    if p <= 2 * (2 * d + 1):
+        raise ValidationError(f"need p > {2 * (2 * d + 1)} for the envelope exponent")
+    if num_paths < 100:
+        raise ValidationError("need num_paths >= 100")
+
+
 def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
                       z0=None, master_seed=0, lp_box_half_width=None,
                       lp_points_per_axis=129):
@@ -414,21 +431,14 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     holds every level's coupled paths at once.
     """
     ladder = [int(n) for n in n_ladder]
-    if len(ladder) < 3:
-        raise ValidationError("mollification ladder needs at least 3 entries")
-    for a, b in zip(ladder[:-1], ladder[1:]):
-        if b != 2 * a:
-            raise ValidationError("ladder must be dyadic: each entry twice the last")
-    if callable(field) and not isinstance(field, CoefficientField):
-        family = field
-    else:
+    if isinstance(field, CoefficientField):
         family = lambda n: mollified(field, n)  # noqa: E731
-    probe = family(ladder[0])
-    d = probe.dim
-    if p <= 2 * (2 * d + 1):
-        raise ValidationError(f"need p > {2 * (2 * d + 1)} for the envelope exponent")
-    if num_paths < 100:
-        raise ValidationError("need num_paths >= 100")
+        d = field.dim
+    else:
+        family = field
+        # an empty ladder is refused whatever d is
+        d = family(ladder[0]).dim if ladder else 1
+    check_convergence_study(d, ladder, num_paths, p)
     z0 = np.zeros(2 * d) if z0 is None else np.asarray(z0, dtype=float)
     steps = BrownianGrid.for_horizon(master_seed, horizon, dt, d).num_steps
     fine = BrownianGrid(master_seed, 0.5 * dt, 2 * steps, d)

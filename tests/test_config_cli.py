@@ -164,6 +164,14 @@ def test_cli_refuses_krylov_half_horizon_off_the_step_grid(tmp_path, monkeypatch
      "support radius must be positive"),
     ("zvonkin", "T = 1\ndt = 0.0078125\nlambda = 0\n",
      "lambda must be positive"),
+    ("converge", "T = 1\ndt = 0.0625\nN = 100\np = 5\nn_ladder = 4,8,16\n",
+     "need p > 6"),
+    ("converge", "T = 1\ndt = 0.0625\nN = 99\np = 7\nn_ladder = 4,8,16\n",
+     "need num_paths >= 100"),
+    ("converge", "T = 1\ndt = 0.0625\nN = 100\np = 7\nn_ladder = 4,8\n",
+     "at least 3 entries"),
+    ("converge", "T = 1\ndt = 0.0625\nN = 100\np = 7\nn_ladder = 4,12,24\n",
+     "must be dyadic"),
 ])
 def test_cli_refuses_bad_values_before_the_output_exists(
         experiment, keys, message, tmp_path, capsys):

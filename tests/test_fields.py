@@ -1,4 +1,4 @@
-"""Coefficient library, mollification, and the ellipticity check."""
+"""Coefficient library and mollification."""
 
 import hashlib
 import platform
@@ -12,7 +12,6 @@ from kinetic_flow.errors import ValidationError
 from kinetic_flow.fields import (
     CONVOLVE_CHUNK_BYTES,
     CoefficientField,
-    check_UE,
     library_field,
     mollified,
     smooth_plateau,
@@ -219,13 +218,20 @@ def test_sigma_sup_gap_nonincreasing_in_n():
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
-def test_chunked_convolution_matches_unchunked():
-    def unchunked(m, fn, z, value_ndim):
-        nodes, weights = _mollifier_rule(m.phase_dim)
-        vals = fn(0.0, np.asarray(z)[..., None, :] - nodes / m.n)
-        w = weights.reshape((-1,) + (1,) * value_ndim)
-        return np.sum(vals * w, axis=vals.ndim - value_ndim - 1)
+def unchunked(m, fn, z, value_ndim):
+    """The full quadrature in one pass, the reference for every fast path."""
+    nodes, weights = _mollifier_rule(m.phase_dim)
+    vals = fn(0.0, np.asarray(z)[..., None, :] - nodes / m.n)
+    w = weights.reshape((-1,) + (1,) * value_ndim)
+    return np.sum(vals * w, axis=vals.ndim - value_ndim - 1)
 
+
+def bits(a):
+    # -0.0 and +0.0 compare equal as floats but not as bits
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_chunked_convolution_matches_unchunked():
     nodes, _ = _mollifier_rule(2)
     chunk = CONVOLVE_CHUNK_BYTES // nodes.nbytes
     rng = np.random.default_rng(5)
@@ -235,31 +241,61 @@ def test_chunked_convolution_matches_unchunked():
         m = mollified(base, 4)
         for shape in shapes:
             z = rng.uniform(-5.0, 5.0, size=shape)
-            assert np.array_equal(m.drift(0.0, z),
-                                  unchunked(m, base.drift, z, 1))
+            assert np.array_equal(bits(m.drift(0.0, z)),
+                                  bits(unchunked(m, base.drift, z, 1)))
             if name == "anisotropic-sigma":
-                assert np.array_equal(m.sigma(0.0, z),
-                                      unchunked(m, base.sigma, z, 2))
+                assert np.array_equal(bits(m.sigma(0.0, z)),
+                                      bits(unchunked(m, base.sigma, z, 2)))
+
+
+def region_states(field, n, d, rng):
+    """States inside the plateau, in the band and wholly outside the
+    support of ``field`` mollified at level n, plus one non-finite row."""
+    reach = 1.0 / n    # the nodes lie inside the unit ball
+    r_in, r_out = 0.5 * field.support_radius, field.support_radius
+    radii = np.concatenate([
+        rng.uniform(0.0, max(r_in - reach, 0.0), 6),      # plateau, if any
+        rng.uniform(r_in - reach, r_out + reach, 6),      # band
+        r_out + reach + rng.uniform(0.0, 2.0, 6),         # outside
+    ])
+    dirs = rng.normal(size=(radii.size, 2 * d))
+    z = radii[:, None] * dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+    # outside rows with x1 < 0 pin the +0.0 of an all-signed-zero sum
+    far = z[12:]
+    far[:, 0] = -np.abs(far[:, 0])
+    return np.concatenate([z, [[np.nan] + [0.0] * (2 * d - 1)]])
+
+
+@pytest.mark.parametrize("name,d", [(name, 1) for name in LIBRARY]
+                         + [("hoelder-drift", 2), ("langevin", 2)])
+def test_mollified_drift_fast_paths_match_full_quadrature_bitwise(name, d):
+    rng = np.random.default_rng(17)
+    num_nodes = len(_mollifier_rule(2 * d)[0])
+    for kappa in (1.0, 0.05, -3.0):
+        base = library_field(name, d, kappa=kappa)
+        full_drift, evaluated = base.drift, []
+
+        def counted(t, z):
+            evaluated.append(z.shape[0] * z.shape[1])
+            return full_drift(t, z)
+
+        base.drift = counted
+        for n in (1, 2, 4, 64, 256):
+            m = mollified(base, n)
+            z = region_states(base, n, d, rng)
+            evaluated.clear()
+            got = m.drift(0.0, z)
+            want = unchunked(m, full_drift, z, 1)
+            assert np.array_equal(bits(got), bits(want)), (kappa, n)
+            # the outside rows are +0.0, not merely zero
+            assert np.all(bits(got[12:-1]) == 0)
+            # only the band rows and the NaN row reach the base drift; at
+            # n = 1 the free field's node ball never fits in its plateau
+            band_rows = 7 if 0.5 * base.support_radius >= 1.0 / n else 13
+            assert sum(evaluated) == band_rows * num_nodes, (kappa, n)
 
 
 def test_mollified_rejects_bad_level():
     base = library_field("hoelder-drift", 1)
     with pytest.raises(ValidationError):
         mollified(base, 0)
-
-
-# ---------------------------------------------------------------------------
-# uniform ellipticity
-
-
-def test_check_UE_identity_and_anisotropic():
-    assert check_UE(library_field("hoelder-drift", 1), 1.0, slack=1e-9).ok
-    ani = library_field("anisotropic-sigma", 1)
-    rep = check_UE(ani, 2.0, slack=1e-6)
-    assert rep.ok
-    # eigenvalues sweep the full [1/2, 2] band, so a tighter constant fails
-    assert not check_UE(ani, 1.1).ok
-    assert rep.min_singular_value >= 0.5 - 1e-6
-    assert rep.max_singular_value <= 2.0 + 1e-6
-    with pytest.raises(ValidationError):
-        check_UE(ani, 0.5)
