@@ -16,13 +16,15 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from .errors import ValidationError
 from .fields import library_field
-from .flow import check_convergence_study
+from .flow import check_convergence_study, check_path_count
 from .integrator import BrownianGrid
+from .krylov import check_integrability
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text"]
 
 # name -> (required keys, rules).  Rules: "p", the integrability index
-# feeds an occupation exponent and must satisfy p > 2d+1; "ladder", the
+# feeds an occupation exponent and passes krylov.check_integrability
+# (p > 2d+1); "paths", N passes flow.check_path_count; "ladder", the
 # mollification ladder, p and N pass flow.check_convergence_study;
 # "d1", runs at d = 1 only (krylov's bumps, fokker-planck's test
 # dictionary and the spaces probe are one dimensional, and zvonkin's 129
@@ -31,7 +33,7 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # a whole number of dt
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
-    "flow": (("T", "dt", "N"), ("steps",)),
+    "flow": (("T", "dt", "N"), ("paths", "steps")),
     "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "ladder", "d1", "steps")),
     "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
     "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps")),
@@ -139,14 +141,13 @@ class ExperimentConfig:
             raise ValidationError("field.mollify must be >= 0")
         if any(n < 1 for n in self.n_ladder):
             raise ValidationError("n_ladder entries must be >= 1")
-        if "p" in rules and not self.p > 2 * self.d + 1:
-            raise ValidationError(
-                f"{self.experiment} needs p > 2d+1 = {2 * self.d + 1}, "
-                f"got p = {self.p:g}"
-            )
+        if "p" in rules:
+            check_integrability(self.d, self.p, self.experiment)
         if "d1" in rules and self.d != 1:
             raise ValidationError(
                 f"{self.experiment} runs at d = 1 only, got d = {self.d}")
+        if "paths" in rules:
+            check_path_count(self.num_paths)
         if "ladder" in rules:
             check_convergence_study(self.d, self.n_ladder, self.num_paths, self.p)
         if "steps" in rules:

@@ -44,6 +44,7 @@ from .parallel import parallel_map
 
 __all__ = [
     "MomentEstimate",
+    "check_path_count",
     "two_point_moment",
     "weak_gradient_moment",
     "FlowEnsemble",
@@ -78,6 +79,14 @@ class MomentEstimate:
         return cls(mean, se, n)
 
 
+def check_path_count(num_paths):
+    """Refuse fewer than 100 paths.  The moment estimators, the convergence
+    study and the Gronwall harness call this, and so does the experiment
+    config, before any output exists."""
+    if num_paths < 100:
+        raise ValidationError("need num_paths >= 100")
+
+
 def _coupled_blocks(field, starts, brownian, num_paths):
     """Yield [states for each start] per block of WORK_CHUNK paths.
 
@@ -109,8 +118,7 @@ def two_point_moment(field, z, z_prime, q, num_paths, horizon, dt, *,
     """
     if q < -1.0:
         raise ValidationError("q < -1 not supported (left-tail dominated)")
-    if num_paths < 100:
-        raise ValidationError("need num_paths >= 100")
+    check_path_count(num_paths)
     z = np.asarray(z, dtype=float).reshape(-1)
     zp = np.asarray(z_prime, dtype=float).reshape(-1)
     gap = float(np.linalg.norm(z - zp))
@@ -148,8 +156,7 @@ def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
     """
     if not (0.0 < delta <= 1e-1):
         raise ValidationError("delta must lie in (0, 1e-1]")
-    if num_paths < 100:
-        raise ValidationError("need num_paths >= 100")
+    check_path_count(num_paths)
     z = np.asarray(z, dtype=float).reshape(-1)
     pd = 2 * field.dim
     if z.shape[0] != pd:
@@ -393,7 +400,8 @@ class ConvergenceTable:
 
 def check_convergence_study(d, n_ladder, num_paths, p):
     """Refuse what `convergence_study` cannot honour: a ladder that is not
-    dyadic with at least 3 entries, p <= 2(2d+1) and fewer than 100 paths.
+    dyadic with at least 3 entries, p <= 2(2d+1) and fewer than 100 paths
+    (check_path_count).
     The experiment config calls this too, before any output exists."""
     ladder = [int(n) for n in n_ladder]
     if len(ladder) < 3:
@@ -403,8 +411,7 @@ def check_convergence_study(d, n_ladder, num_paths, p):
             raise ValidationError("ladder must be dyadic: each entry twice the last")
     if p <= 2 * (2 * d + 1):
         raise ValidationError(f"need p > {2 * (2 * d + 1)} for the envelope exponent")
-    if num_paths < 100:
-        raise ValidationError("need num_paths >= 100")
+    check_path_count(num_paths)
 
 
 def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
@@ -586,8 +593,7 @@ def stochastic_gronwall_check(spec, num_paths=1000, *, master_seed=0):
     their ratio (the fitted constant), and pass/fail against
     GRONWALL_REFERENCE_C.
     """
-    if num_paths < 100:
-        raise ValidationError("need num_paths >= 100")
+    check_path_count(num_paths)
     n, steps = num_paths, spec.num_steps
     dt = spec.horizon / steps
     rng = tagged_stream(master_seed, _GRONWALL_TAG)

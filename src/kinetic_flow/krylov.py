@@ -40,6 +40,7 @@ __all__ = [
     "khasminskii_mgf",
     "FactorialReport",
     "moment_factorial_check",
+    "check_integrability",
     "krylov_beta",
 ]
 
@@ -50,9 +51,23 @@ TRUNCATION_RADII = (3.0, 4.0)
 MIN_FAMILY = 20
 
 
+def check_integrability(d, p, experiment=None):
+    """Refuse p <= 2d+1, where the occupation exponent beta is not positive.
+
+    krylov_beta calls this, and so does the experiment config before any
+    output exists; ``experiment`` names the config's experiment in the
+    refusal.
+    """
+    if not p > 2 * d + 1:
+        if experiment is None:
+            raise ValidationError(f"need p > {2 * d + 1}")
+        raise ValidationError(
+            f"{experiment} needs p > 2d+1 = {2 * d + 1}, got p = {p:g}")
+
+
 def krylov_beta(d, p):
-    if p <= 2 * d + 1:
-        raise ValidationError(f"need p > {2 * d + 1}")
+    """beta = 1/(2d+1) - 1/p of the occupation bound."""
+    check_integrability(d, p)
     return 1.0 / (2 * d + 1) - 1.0 / p
 
 

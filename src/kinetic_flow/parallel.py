@@ -11,6 +11,13 @@ therefore change scheduling and nothing observable.
 Callers: the ``flow`` experiment maps its delta ladder of two-point
 moments, and ``flow.convergence_study`` (the ``converge`` experiment and
 criterion 8) maps the levels of its mollification ladder.
+
+The same count is the thread count of the Zvonkin resolvent's
+slice-batched FFTs (``KernelStep.to_mixed``/``from_mixed`` and the
+spectral velocity derivative), which pass it to ``scipy.fft`` as
+``workers``.  Those threads split a batch of one-axis transforms between
+them, and each transform is the same arithmetic on any thread, so the
+bits do not depend on the count either.
 """
 
 import os

@@ -4,16 +4,19 @@ Each experiment is a thin orchestration of one module's public surface
 with the config's seed threaded through; all output rows are written in
 a fixed order through `write_rows`, with 17-significant-digit decimals,
 so reruns are byte comparable.  The manifest records the verbatim config
-(the echo alone reproduces the run), its git-style blob hash, and the
-wall time.
+(the echo alone reproduces the run), its git-style blob hash, the wall
+time, and the Python, numpy and scipy versions and KF_WORKERS count the
+run had: the pinned output bits rest on numpy's and scipy's FFTs.
 """
 
 import csv
 import hashlib
 import os
+import platform
 import time
 
 import numpy as np
+import scipy
 
 from . import flow, fokker_planck as fp, krylov, spaces, zvonkin
 from .config import ZVONKIN_SLICES, ExperimentConfig
@@ -22,7 +25,7 @@ from .fields import library_field, mollified
 from .grids import GridFunction
 from .integrator import BrownianGrid
 from .kernel import kernel_covariance
-from .parallel import parallel_map
+from .parallel import parallel_map, worker_count
 
 __all__ = ["run_experiment", "manifest_hash", "write_rows"]
 
@@ -231,6 +234,10 @@ def run_experiment(cfg):
         fh.write(f"outputs = {','.join(outputs)}\n")
         for key in sorted(notes):
             fh.write(f"note.{key} = {notes[key]}\n")
+        fh.write(f"python = {platform.python_version()}\n")
+        fh.write(f"numpy = {np.__version__}\n")
+        fh.write(f"scipy = {scipy.__version__}\n")
+        fh.write(f"workers = {worker_count()}\n")
         fh.write("# --- config echo (verbatim) ---\n")
         fh.write(cfg.source_text)
         if cfg.source_text and not cfg.source_text.endswith("\n"):

@@ -21,6 +21,7 @@ contracts and the velocity gradient of u is provably small.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.fft
 from scipy import ndimage
 
 from .errors import (
@@ -32,6 +33,7 @@ from .errors import (
 from .grids import GridFunction, grid_mesh
 from .integrator import GRID_TOL, walk
 from .kernel import KernelStep, apply_semigroup, diffusion_matrix
+from .parallel import worker_count
 
 # Picard stops once the sup-norm increment drops below PICARD_TOL and gives
 # up after PICARD_MAX_ITER sweeps
@@ -59,14 +61,18 @@ def _axis_derivative(vals, axis, spacing, order=1):
     """Spectral d^order/dz^order of periodic samples along one axis.
 
     irfft drops the imaginary part of the Nyquist bin, which is what the
-    real part of a full complex transform does there.
+    real part of a full complex transform does there.  The transforms run
+    on scipy.fft with KF_WORKERS threads, batched over every other axis
+    (all time slices at once for grad_v and pde_defect).
     """
     n = vals.shape[axis]
     shape = [1] * vals.ndim
     shape[axis] = n // 2 + 1
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
     mult = (1j * k.reshape(shape)) ** order
-    return np.fft.irfft(np.fft.rfft(vals, axis=axis) * mult, n=n, axis=axis)
+    workers = worker_count()
+    spec = scipy.fft.rfft(vals, axis=axis, workers=workers)
+    return scipy.fft.irfft(spec * mult, n=n, axis=axis, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,10 @@ def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
     slice gap, built once per call (the transition operators compose
     exactly, so this equals the direct sum up to rounding).  The source
     goes to the step's mixed layout in one batched rfft, the recursion
-    runs there, and one batched irfft brings u back; the seam guard then
+    runs there, and one batched irfft brings u back; the two batched
+    transforms run on scipy.fft threaded by KF_WORKERS, while the
+    per-slice transport of the recursion stays on numpy.fft, since one
+    slice is too small to thread (see KernelStep).  The seam guard then
     checks each carried slice u_{i+1} + (step/2) f_{i+1}, one at a time,
     so a rejected lam fails after its whole sweep.  'direct' performs the
     O(slices^2) sum through apply_semigroup and exists to cross-check the

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from kinetic_flow import cli
 from kinetic_flow.acceptance import _experiment_texts
@@ -172,6 +173,9 @@ def test_cli_refuses_krylov_half_horizon_off_the_step_grid(tmp_path, monkeypatch
      "at least 3 entries"),
     ("converge", "T = 1\ndt = 0.0625\nN = 100\np = 7\nn_ladder = 4,12,24\n",
      "must be dyadic"),
+    ("flow", "T = 1\ndt = 0.0625\nN = 50\n", "need num_paths >= 100"),
+    ("krylov", "T = 1\ndt = 0.0625\nN = 100\np = 3\n",
+     "krylov needs p > 2d+1 = 3, got p = 3"),
 ])
 def test_cli_refuses_bad_values_before_the_output_exists(
         experiment, keys, message, tmp_path, capsys):
@@ -258,6 +262,18 @@ def test_kernel_runner_rerun_is_reproducible(tmp_path):
     assert keep == keep2
     sha_line = next(ln for ln in keep if ln.startswith("config_sha1"))
     assert sha_line.split(" = ")[1] == manifest_hash(cfg.source_text)
+
+
+def test_manifest_records_versions_and_workers(tmp_path, monkeypatch):
+    monkeypatch.setenv("KF_WORKERS", "2")
+    out = tmp_path / "run"
+    run_experiment(kernel_config(out))
+    lines = read_lines(out / "manifest.txt")
+    echo = lines.index("# --- config echo (verbatim) ---")
+    expected = [f"python = {'.'.join(map(str, sys.version_info[:3]))}",
+                f"numpy = {np.__version__}", f"scipy = {scipy.__version__}",
+                "workers = 2"]
+    assert lines[echo - len(expected):echo] == expected
 
 
 def test_spaces_runner_outputs(tmp_path):

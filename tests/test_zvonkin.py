@@ -101,6 +101,21 @@ def test_duhamel_pinned_values():
                    122.65863407014453, 8.40060347995866)
 
 
+def test_resolvent_and_grad_v_independent_of_workers(monkeypatch):
+    # KF_WORKERS threads the slice-batched transforms; each transform
+    # along one axis is the same arithmetic on any thread, so the bits
+    # do not depend on the count
+    results = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("KF_WORKERS", workers)
+        u = duhamel_resolvent(gaussian_source(), 2.0, tail_tol=1.0)
+        results.append((u.values, u.grad_v()))
+    (serial_u, serial_gv), (pooled_u, pooled_gv) = results
+    assert np.array_equal(serial_u, pooled_u)
+    assert np.array_equal(serial_gv, pooled_gv)
+    assert float(serial_u.sum()) == 122.65863407014453
+
+
 def test_duhamel_seam_guard_rejects_boundary_mass():
     with pytest.raises(AccuracyError):
         duhamel_resolvent(constant_source(2.0), 3.0)
