@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .fields import library_field
 from .flow import check_convergence_study, check_path_count
 from .integrator import BrownianGrid
-from .krylov import check_integrability
+from .krylov import check_integrability, experiment_windows, window_steps
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text"]
 
@@ -30,13 +30,14 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # dictionary and the spaces probe are one dimensional, and zvonkin's 129
 # slices of a 128^{2d} grid and converge's 129^{2d} drift mesh do not fit
 # in memory beyond d = 1); "steps", steps paths from 0 to T, which must be
-# a whole number of dt
+# a whole number of dt; "windows", every window of krylov.experiment_windows
+# passes krylov.window_steps on the dt grid of the 2T ensemble
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
     "flow": (("T", "dt", "N"), ("paths", "steps")),
     "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "ladder", "d1", "steps")),
     "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
-    "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps")),
+    "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps", "windows")),
     "fokker-planck": (("T", "dt", "N"), ("d1", "steps")),
     "spaces": ((), ("d1",)),
 }
@@ -157,10 +158,9 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
-            if self.experiment == "krylov":
-                # two of krylov's occupation windows start or end at T/2
-                BrownianGrid.for_horizon(self.seed, 0.5 * self.horizon,
-                                         self.dt, self.d)
+        if "windows" in rules:
+            for window in experiment_windows(self.horizon):
+                window_steps(window, self.dt, 2.0 * self.horizon)
 
 
 _CONFIG_FIELDS = {f.name for f in dc_fields(ExperimentConfig)}

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
-from .integrator import (GRID_TOL, WORK_CHUNK, BrownianGrid, evolve,
+from .integrator import (WORK_CHUNK, BrownianGrid, evolve, step_index,
                          tagged_stream)
 from .parallel import parallel_map
 
@@ -245,11 +245,7 @@ class FlowEnsemble:
                    grid_shape=grid_shape)
 
     def time_index(self, t):
-        idx = int(round(t / (self.times[1] - self.times[0])))
-        tol = GRID_TOL * max(1.0, self.times[-1])
-        if not (0 <= idx < len(self.times)) or abs(self.times[idx] - t) > tol:
-            raise ValidationError(f"t={t} is not on the trajectory grid")
-        return idx
+        return step_index(t, self.times[1] - self.times[0], self.times[-1])
 
 
 @dataclass

@@ -35,9 +35,10 @@ from .fields import CoefficientField
 from .integrator import (
     DIVERGENCE_FRACTION,
     DIVERGENCE_THRESHOLD,
-    GRID_TOL,
     BrownianGrid,
+    step_index,
     tagged_stream,
+    uniform_step,
     walk,
 )
 from .kernel import kernel_covariance
@@ -187,7 +188,12 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     if checkpoints is None:
         check_idx = np.arange(steps + 1)
     else:
-        check_idx = _checkpoint_indices(times, checkpoints, horizon)
+        req = np.asarray(checkpoints, dtype=float)
+        if req.ndim != 1 or req.size < 1:
+            raise ValidationError("checkpoints must be a nonempty 1d sequence")
+        check_idx = step_index(req, grid.dt, horizon)
+        if np.any(np.diff(check_idx) <= 0):
+            raise ValidationError("checkpoints must be strictly increasing")
 
     atoms0 = law.sample(num_atoms, tagged_stream(master_seed, _INIT_TAG))
     slot = {j: c for c, j in enumerate(check_idx.tolist())}
@@ -211,19 +217,6 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     ids = np.flatnonzero(keep)
     return [EmpiricalMeasure(float(times[j]), snaps[c], ids, num_atoms)
             for c, j in enumerate(check_idx)]
-
-
-def _checkpoint_indices(times, checkpoints, horizon):
-    req = np.asarray(checkpoints, dtype=float)
-    if req.ndim != 1 or req.size < 1:
-        raise ValidationError("checkpoints must be a nonempty 1d sequence")
-    if np.any(np.diff(req) <= 0):
-        raise ValidationError("checkpoints must be strictly increasing")
-    tol = GRID_TOL * max(1.0, horizon)
-    idx = np.searchsorted(times, req - tol)
-    if np.any(idx >= times.size) or np.any(np.abs(times[np.minimum(idx, times.size - 1)] - req) > tol):
-        raise ValidationError("every checkpoint must lie on the time grid")
-    return idx
 
 
 def checkpoints_to_csv(measures, path):
@@ -514,10 +507,7 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
     if len(measures) < 2:
         raise ValidationError("need at least two checkpoints for a residual")
     times = np.array([m.t for m in measures], dtype=float)
-    gaps = np.diff(times)
-    if np.any(gaps <= 0) or np.ptp(gaps) > GRID_TOL * max(1.0, times[-1]):
-        raise ValidationError("checkpoints must form a uniform time grid")
-    grid_dt = float(gaps[0])
+    grid_dt = uniform_step(times)
     ids = measures[0].atom_ids
     for m in measures[1:]:
         if not np.array_equal(m.atom_ids, ids):

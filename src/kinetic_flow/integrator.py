@@ -11,6 +11,16 @@ normals, so the schemes are synchronously coupled under a shared grid.
 ``walk`` is the one stepping loop: it yields each chunk's state at every
 step with the increment that drives it on, so an estimator keeps only
 what it needs; ``evolve`` is the recorder over it that returns whole paths.
+
+The PDE slices, path steps, particle checkpoints and occupation windows
+must share one time grid for the Ito identity of H(Z), so one rule decides
+it: ``step_index`` maps t to its step j on origin + j dt up to a horizon T
+and refuses a t more than GRID_TOL * max(1, T) off the grid or outside
+[origin, T], and ``uniform_step`` checks that times are such a grid.  The
+callers add only their own range rule: ``BrownianGrid.for_horizon``,
+``FlowEnsemble.time_index``, ``particle_measure``, ``weak_residual``,
+``krylov.window_steps``, ``SpaceTimeField``, ``transformed_sde_residual``
+and ``pde_defect``.
 """
 
 from __future__ import annotations
@@ -25,7 +35,9 @@ __all__ = [
     "BrownianGrid",
     "Trajectory",
     "evolve",
+    "step_index",
     "tagged_stream",
+    "uniform_step",
     "walk",
     "DIVERGENCE_THRESHOLD",
     "DIVERGENCE_FRACTION",
@@ -43,9 +55,43 @@ WORK_CHUNK = 4096
 # DIVERGENCE_FRACTION of them have
 DIVERGENCE_THRESHOLD = 1e6
 DIVERGENCE_FRACTION = 1e-3
-# relative tolerance (times max(1, horizon)) of every on-grid check: a
-# horizon that is a whole number of steps, a checkpoint, a window end
+# relative tolerance (times max(1, horizon)) of the one on-grid rule
 GRID_TOL = 1e-9
+
+
+def step_index(t, dt, horizon, origin=0.0):
+    """Step j with t = origin + j dt on the dt grid from origin to horizon.
+
+    ``t`` is a number (an int comes back) or an array (an int array comes
+    back).  A t more than GRID_TOL * max(1, horizon) off the grid, or whose
+    step lies outside [origin, horizon], is refused.
+    """
+    ts = np.asarray(t, dtype=float)
+    steps = np.rint((ts - origin) / dt)
+    off = ~(np.abs(origin + steps * dt - ts) <= GRID_TOL * max(1.0, horizon))
+    if np.any(off):
+        raise ValidationError(f"{float(ts[off][0])!r} is not a whole number "
+                              f"of dt = {float(dt)!r} steps from {float(origin)!r}")
+    outside = (steps < 0) | (steps > np.rint((horizon - origin) / dt))
+    if np.any(outside):
+        raise ValidationError(f"{float(ts[outside][0])!r} lies outside the "
+                              f"grid from {float(origin)!r} to {float(horizon)!r}")
+    return steps.astype(int) if steps.ndim else int(steps)
+
+
+def uniform_step(times):
+    """First gap of ``times``; refuses times that do not increase through
+    the uniform grid between their ends, each within step_index's tolerance
+    of its grid point."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ValidationError("need a 1d sequence of at least two times")
+    n = times.size - 1
+    grid = times[0] + np.arange(n + 1) * ((times[-1] - times[0]) / n)
+    if not (np.all(np.diff(times) > 0) and np.all(
+            np.abs(times - grid) <= GRID_TOL * max(1.0, times[-1]))):
+        raise ValidationError("times must increase on a uniform time grid")
+    return float(times[1] - times[0])
 
 
 def tagged_stream(master_seed, tag):
@@ -86,10 +132,10 @@ class BrownianGrid:
         horizon, dt = float(horizon), float(dt)
         if not (horizon > 0 and dt > 0 and np.isfinite(horizon / dt)):
             raise ValidationError("need finite horizon > 0 and dt > 0")
-        steps = int(round(horizon / dt))
-        if steps < 1 or abs(steps * dt - horizon) > GRID_TOL * max(1.0, horizon):
+        steps = step_index(horizon, dt, horizon)
+        if steps < 1:
             raise ValidationError(
-                f"horizon {horizon:g} is not a whole number of dt = {dt:g} steps")
+                f"horizon {horizon:g} is shorter than one dt = {dt:g} step")
         return cls(master_seed, dt, steps, dim)
 
     @property

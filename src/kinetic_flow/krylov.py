@@ -28,7 +28,7 @@ from scipy.stats import qmc
 from .errors import ValidationError
 from .fields import smooth_plateau
 from .flow import MomentEstimate
-from .integrator import GRID_TOL, BrownianGrid, evolve
+from .integrator import BrownianGrid, evolve, step_index
 
 __all__ = [
     "PhaseBump",
@@ -42,6 +42,8 @@ __all__ = [
     "moment_factorial_check",
     "check_integrability",
     "krylov_beta",
+    "experiment_windows",
+    "window_steps",
 ]
 
 # truncation radius of the bumps, in width units; the cut band contributes
@@ -177,21 +179,26 @@ def bump_family(num_members=20):
     return bumps
 
 
-def _window_indices(times, t0, t1):
-    dt = times[1] - times[0]
-    i0 = int(round((t0 - times[0]) / dt))
-    i1 = int(round((t1 - times[0]) / dt))
-    if not (0 <= i0 < i1 < len(times)):
-        raise ValidationError("window must lie inside the simulated horizon")
-    tol = GRID_TOL * max(1.0, times[-1])
-    if abs(times[i0] - t0) > tol or abs(times[i1] - t1) > tol:
-        raise ValidationError("window endpoints must be trajectory grid points")
+def experiment_windows(horizon):
+    """The krylov experiment's occupation windows for a config horizon T,
+    on an ensemble run to 2T."""
+    return [(0.0, 0.5 * horizon), (0.0, horizon), (0.0, 2.0 * horizon),
+            (0.5 * horizon, horizon)]
+
+
+def window_steps(window, dt, horizon, origin=0.0):
+    """Grid steps (i0, i1) of a window (t0, t1) on the dt grid from origin
+    to horizon: both ends pass ``integrator.step_index`` and t0 < t1."""
+    i0, i1 = (step_index(t, dt, horizon, origin) for t in window)
+    if i0 >= i1:
+        raise ValidationError(f"window {tuple(window)} must end after it starts")
     return i0, i1
 
 
 def _window_occupation(trajectory, fn, t0, t1, dt):
     """Per-path trapezoid of fn(Z_s) over the window [t0, t1] at step dt."""
-    i0, i1 = _window_indices(trajectory.times, t0, t1)
+    times = trajectory.times
+    i0, i1 = window_steps((t0, t1), times[1] - times[0], times[-1], times[0])
     vals = fn(trajectory.states[:, i0:i1 + 1, :])
     w = np.full(i1 - i0 + 1, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -294,7 +301,7 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
         add_rows(traj, t0, t1)
     if restart:
         for (t0, t1) in [w for w in win_list if w[0] > 0.0]:
-            i0, _ = _window_indices(traj.times, t0, t1)
+            i0 = step_index(t0, dt, horizon)
             sub = BrownianGrid(master_seed + 104729, dt, steps - i0, field.dim)
             re_traj = evolve(field, traj.states[:, i0, :], sub)
             re_traj.times = re_traj.times + t0

@@ -153,17 +153,11 @@ def _run_zvonkin(cfg, out_dir):
 def _run_krylov(cfg, out_dir):
     field = _build_field(cfg)
     bumps = krylov.bump_family(20)
-    horizon = 2.0 * cfg.horizon
-    windows = [
-        (0.0, 0.5 * cfg.horizon),
-        (0.0, cfg.horizon),
-        (0.0, 2.0 * cfg.horizon),
-        (0.5 * cfg.horizon, cfg.horizon),
-    ]
     z0 = np.zeros(2 * cfg.d)
-    table = krylov.krylov_ratio(field, bumps, cfg.p, windows, cfg.num_paths,
-                                horizon, cfg.dt, z0=z0,
-                                master_seed=cfg.seed, restart=True)
+    table = krylov.krylov_ratio(field, bumps, cfg.p,
+                                krylov.experiment_windows(cfg.horizon),
+                                cfg.num_paths, 2.0 * cfg.horizon, cfg.dt,
+                                z0=z0, master_seed=cfg.seed, restart=True)
     write_rows(os.path.join(out_dir, "krylov.csv"),
                ["f_id", "window", "estimate", "se", "norm_lp", "ratio"],
                [(fid, f"{t0:g}:{t1:g}", est, se, nrm, rat)

@@ -19,7 +19,6 @@ from .grids import fourier_multiply
 
 __all__ = [
     "Mollifier",
-    "fractional_laplacian",
     "bessel_norm",
     "spectral_derivative",
     "spectral_gradient",
@@ -27,7 +26,6 @@ __all__ = [
     "lipschitz_via_maximal_check",
     "LipschitzReport",
     "lp_norm",
-    "lp_distance",
 ]
 
 
@@ -116,19 +114,6 @@ def _apply_multiplier(f, axes, mult_of_k2):
     return f.with_values(fourier_multiply(f.values, mult_of_k2(k2), grid_axes))
 
 
-def fractional_laplacian(f, axes, s):
-    """Fractional Laplacian -(-Delta)^s ... applied as the multiplier -|k|^(2s).
-
-    ``axes`` selects the position axes, velocity axes, or an explicit index
-    subset; s must lie in (0, 1].  At s=1 this is the exact spectral
-    Laplacian over the chosen axes.
-    """
-    if not 0.0 < s <= 1.0:
-        raise ValidationError(f"fractional order must be in (0, 1], got {s}")
-    axes = _resolve_axes(f, axes)
-    return _apply_multiplier(f, axes, lambda k2: -(k2**s))
-
-
 def spectral_derivative(f, axis):
     """First partial derivative along one grid axis via i k."""
     if not 0 <= axis < f.num_grid_axes:
@@ -186,17 +171,6 @@ def lp_norm(f, p):
         raise ValidationError(f"lp_norm requires p > 0, got {p}")
     mag = _magnitude(f)
     return float((np.sum(mag**p) * f.cell_volume) ** (1.0 / p))
-
-
-def lp_distance(f, g, p):
-    """||f - g||_p on a shared grid; mismatched grids are rejected."""
-    if (
-        f.values.shape != g.values.shape
-        or f.axis_kinds != g.axis_kinds
-        or not math.isclose(f.box_half_width, g.box_half_width)
-    ):
-        raise ValidationError("lp_distance requires identical grids")
-    return lp_norm(f.with_values(f.values - g.values), p)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridFunction, grid_mesh
-from .integrator import GRID_TOL, walk
+from .integrator import step_index, uniform_step, walk
 from .kernel import KernelStep, apply_semigroup, diffusion_matrix
 from .parallel import worker_count
 
@@ -100,13 +100,9 @@ class SpaceTimeField:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise ValidationError("need at least two time slices")
-        dts = np.diff(self.times)
-        if self.times[0] != 0.0 or np.any(dts <= 0):
-            raise ValidationError("times must increase from 0")
-        if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-            raise ValidationError("time slices must be uniform")
+        uniform_step(self.times)
+        if self.times[0] != 0.0:
+            raise ValidationError("time slices must start at 0")
         if self.values.shape[0] != self.times.size:
             raise ValidationError("leading axis of values must match times")
         d = self.values.shape[-1]
@@ -202,8 +198,7 @@ class SpaceTimeField:
 # Duhamel quadrature
 
 
-def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
-                      tail_tol=1e-6):
+def duhamel_resolvent(source, lam, *, method="recursive", tail_tol=1e-6):
     """u_t = integral_t^T exp(lam (t-s)) P_{t,s} f_s ds, trapezoid in s.
 
     P is the transition operator of the source's own diffusion, applied by
@@ -227,8 +222,6 @@ def duhamel_resolvent(source, lam, horizon=None, *, method="recursive",
     if lam < 0:
         raise ValidationError("lam must be >= 0")
     a = source.diffusion
-    if horizon is not None and not np.isclose(horizon, source.horizon):
-        raise ValidationError("horizon does not match the source time grid")
     if method not in ("recursive", "direct"):
         raise ValidationError(f"unknown quadrature method {method!r}")
     nt = source.num_slices - 1
@@ -536,24 +529,19 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
             "residual check needs the constant-sigma field the transform "
             "was built from"
         )
-    steps = u.num_slices - 1
-    if brownian.num_steps != steps or not np.isclose(brownian.dt, u.slice_dt):
+    steps, step = u.num_slices - 1, u.slice_dt
+    # the PDE's last slice is the noise grid's last step
+    if (brownian.num_steps != steps
+            or step_index(u.horizon, brownian.dt, brownian.horizon) != steps):
         raise ValidationError(
             "integrator and PDE must share one time grid (same dt and steps)"
         )
     if checkpoints is None:
         checkpoints = tuple(u.horizon * q for q in (0.25, 0.5, 0.75, 1.0))
-    step, tol = u.slice_dt, GRID_TOL * max(1.0, u.horizon)
-    cp_idx = []
-    for t in checkpoints:
-        j = int(round(t / step))
-        if not (1 <= j <= steps) or abs(j * step - t) > tol:
-            raise ValidationError(
-                f"checkpoint {t!r} does not lie on the shared time grid"
-            )
-        cp_idx.append(j)
-    if sorted(cp_idx) != cp_idx:
-        raise ValidationError("checkpoints must increase")
+    cp_idx = np.atleast_1d(step_index(checkpoints, step, u.horizon)).tolist()
+    if not cp_idx or cp_idx[0] < 1 or np.any(np.diff(cp_idx) <= 0):
+        raise ValidationError(
+            "checkpoints must be strictly increasing grid times after 0")
     nc = len(cp_idx)
 
     z0 = np.asarray(z0, dtype=float)
@@ -603,7 +591,7 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
             var = np.maximum(sumsq[c] - n * mean[c] ** 2, 0.0) / (n - 1)
             se[c] = np.sqrt(var / n)
     return ResidualReport(
-        times=np.asarray([u.times[j] for j in cp_idx]),
+        times=u.times[cp_idx],
         mean=mean, std_error=se, num_paths=counts.copy(),
         num_excluded=excluded.copy(), lam=lamv, dt=step, scheme=scheme,
     )
@@ -622,7 +610,7 @@ def pde_defect(u, source):
     """
     if u.values.shape != source.values.shape:
         raise ValidationError("u and source must share one grid")
-    if not np.allclose(u.times, source.times):
+    if step_index(source.horizon, u.slice_dt, u.horizon) != u.num_slices - 1:
         raise ValidationError("u and source must share one time grid")
     d = u.dim
     n = u.points_per_axis

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
-from kinetic_flow.integrator import WORK_CHUNK, BrownianGrid, evolve, walk
+from kinetic_flow.integrator import (GRID_TOL, WORK_CHUNK, BrownianGrid,
+                                    Trajectory, evolve, walk)
 
 
 def zero_noise_field():
@@ -101,7 +102,10 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
     from kinetic_flow.flow import (FlowEnsemble, convergence_study,
                                    two_point_moment, weak_gradient_moment)
     from kinetic_flow.fokker_planck import particle_measure, point_mass
-    from kinetic_flow.krylov import bump_family, krylov_ratio
+    from kinetic_flow.krylov import (bump_family, krylov_ratio,
+                                     occupation_functional)
+    from kinetic_flow.zvonkin import (SpaceTimeField, transformed_sde_residual,
+                                      zvonkin_transform)
 
     free = library_field("free", 1)
     z, z_v = np.zeros(2), np.array([0.0, 1e-3])
@@ -122,6 +126,32 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
     for call in calls:
         with pytest.raises(ValidationError, match="not a whole number"):
             call()
+
+    # every other time a caller maps to a step obeys the same rule: a time
+    # 10 GRID_TOL off the dt = 0.25 grid is refused, GRID_TOL / 10 off is
+    # accepted
+    grid = BrownianGrid(0, 0.25, 2, 1)
+    traj = evolve(free, np.zeros((4, 2)), grid)
+    # the grid a restarted krylov window runs on, from t0 = 0.25
+    restarted = Trajectory(traj.times + 0.25, traj.states)
+    one = lambda z: np.ones(z.shape[:-1])  # noqa: E731
+    ens = FlowEnsemble.build(free, [[0.0, 0.0], [0.5, 0.0]], 1, 0.5, 0.25)
+    transform = zvonkin_transform(
+        SpaceTimeField.zeros(2, 0.5, 6.0, 8, 1, 0.5), np.eye(1))
+    timed = [
+        lambda t: particle_measure(free, point_mass(z), 4, 0.5, 0.25,
+                                   checkpoints=[t, 0.5]),
+        lambda t: krylov_ratio(free, bump_family(20), 7.0, [(t, 0.5)], 100,
+                               0.5, 0.25, restart=True),
+        lambda t: occupation_functional(restarted, one, t + 0.25, 0.75),
+        lambda t: ens.time_index(t),
+        lambda t: transformed_sde_residual(transform, free, z, grid, 4,
+                                           checkpoints=(t, 0.5)),
+    ]
+    for call in timed:
+        with pytest.raises(ValidationError, match="not a whole number"):
+            call(0.25 + 10 * GRID_TOL)
+        call(0.25 + GRID_TOL / 10)
 
 
 # ---------------------------------------------------------------------------

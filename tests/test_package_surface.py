@@ -75,8 +75,6 @@ def test_no_private_imports_between_modules():
 # shrink, and an entry must go once its name gains a caller
 UNCALLED_EXPORTS = {
     ("kernel", "kernel_density"),
-    ("spaces", "fractional_laplacian"),
-    ("spaces", "lp_distance"),
 }
 
 
@@ -146,6 +144,19 @@ def test_only_integrator_builds_philox_streams():
                     or isinstance(node, ast.alias) and node.name == "Philox"):
                 builders.add(name)
     assert builders == {"integrator"}, sorted(builders - {"integrator"})
+
+
+def test_only_integrator_reads_grid_tol():
+    # every on-grid decision goes through integrator.step_index and
+    # uniform_step, so no other module may fork the tolerance
+    readers = set()
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "GRID_TOL"
+                    or isinstance(node, ast.Attribute) and node.attr == "GRID_TOL"
+                    or isinstance(node, ast.alias) and node.name == "GRID_TOL"):
+                readers.add(name)
+    assert readers == {"integrator"}, sorted(readers - {"integrator"})
 
 
 def test_tracer_hooks_resolve():

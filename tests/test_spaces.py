@@ -9,9 +9,7 @@ from kinetic_flow.grids import GridFunction
 from kinetic_flow.spaces import (
     Mollifier,
     bessel_norm,
-    fractional_laplacian,
     lipschitz_via_maximal_check,
-    lp_distance,
     lp_norm,
     maximal_function,
     spectral_derivative,
@@ -82,31 +80,6 @@ def test_mollifier_scaling_mass(eps):
 # spectral identities
 
 
-def test_plancherel_half_laplacian_vs_gradient():
-    for seed in (3, 11, 27):
-        f = band_limited(seed)
-        lhs = lp_norm(fractional_laplacian(f, "xv", 0.5), 2)
-        rhs = lp_norm(spectral_gradient(f, "xv"), 2)
-        assert abs(lhs - rhs) <= 1e-10 * rhs
-
-
-def test_fractional_laplacian_composition():
-    # multiplier is -(|k|^2)^s, so s=1/2 twice equals minus the s=1 operator
-    f = band_limited(5)
-    half = fractional_laplacian(f, "xv", 0.5)
-    twice = fractional_laplacian(half, "xv", 0.5)
-    full = fractional_laplacian(f, "xv", 1.0)
-    scale = lp_norm(full, 2)
-    assert lp_norm(full.with_values(twice.values + full.values), 2) <= 1e-10 * scale
-
-
-def test_fractional_laplacian_rejects_bad_order():
-    f = band_limited(1, n=32)
-    for s in (0.0, -0.5, 1.5):
-        with pytest.raises(ValidationError):
-            fractional_laplacian(f, "xv", s)
-
-
 def test_spectral_derivative_exact_on_modes():
     n, box = 64, np.pi
     x = np.linspace(-box, box, n, endpoint=False)
@@ -128,17 +101,6 @@ def test_lp_norm_homogeneity_and_validation():
                           2.5 * lp_norm(f, p), rtol=1e-12)
     with pytest.raises(ValidationError):
         lp_norm(f, 0.0)
-
-
-def test_lp_distance_grid_mismatch():
-    f = band_limited(9, n=32)
-    g = band_limited(9, n=64)
-    with pytest.raises(ValidationError):
-        lp_distance(f, g, 2)
-    h = GridFunction(f.values, f.box_half_width * 2, ("x", "v"))
-    with pytest.raises(ValidationError):
-        lp_distance(f, h, 2)
-    assert lp_distance(f, f, 2) == 0.0
 
 
 def test_bessel_norm_zero_order_and_monotonicity():

@@ -141,8 +141,6 @@ def test_duhamel_validation():
     with pytest.raises(ValidationError):
         duhamel_resolvent(src, -1.0)
     with pytest.raises(ValidationError):
-        duhamel_resolvent(src, 1.0, horizon=2.0)
-    with pytest.raises(ValidationError):
         duhamel_resolvent(src, 1.0, method="simpson")
 
 
@@ -243,10 +241,12 @@ def test_transform_sandwich_under_gradient_bound():
 
 def test_residual_requires_matching_grids():
     field, _, transform = searched_state()
-    # 48 steps cannot align with 32 slices over the unit horizon
-    bad = BrownianGrid(3, 1.0 / 48, 48, 1)
-    with pytest.raises(ValidationError):
-        transformed_sde_residual(transform, field, np.zeros(2), bad, 64)
+    # 48 steps cannot align with 32 slices over the unit horizon, and 32
+    # steps of a dt too long by a factor 1 + 5e-6 end 5e-6 past the last slice
+    for bad in (BrownianGrid(3, 1.0 / 48, 48, 1),
+                BrownianGrid(3, (1.0 + 5e-6) / 32, 32, 1)):
+        with pytest.raises(ValidationError):
+            transformed_sde_residual(transform, field, np.zeros(2), bad, 64)
 
 
 def test_residual_checkpoints_share_the_grid_tolerance():
@@ -254,9 +254,13 @@ def test_residual_checkpoints_share_the_grid_tolerance():
     # checkpoint 1e-8 off the 32-slice grid is refused, 1e-10 off accepted
     field, _, transform = searched_state()
     grid = BrownianGrid(3, 1.0 / 32, 32, 1)
-    with pytest.raises(ValidationError, match="does not lie on the shared"):
+    with pytest.raises(ValidationError, match="not a whole number"):
         transformed_sde_residual(transform, field, np.zeros(2), grid, 8,
                                  checkpoints=(0.5 + 1e-8, 1.0))
+    # a repeated checkpoint would repeat its row
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        transformed_sde_residual(transform, field, np.zeros(2), grid, 8,
+                                 checkpoints=(0.5, 0.5, 1.0))
     rep = transformed_sde_residual(transform, field, np.zeros(2), grid, 8,
                                    checkpoints=(0.5 + 1e-10, 1.0))
     assert rep.mean.shape[0] == 2
