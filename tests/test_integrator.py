@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
 from kinetic_flow.integrator import (GRID_TOL, WORK_CHUNK, BrownianGrid,
-                                    Trajectory, evolve, walk)
+                                    Trajectory, evolve, step_index,
+                                    uniform_step, walk)
 
 
 def zero_noise_field():
@@ -96,6 +97,49 @@ def test_brownian_grid_for_horizon():
                         (0.0, 0.1)):
         with pytest.raises(ValidationError):
             BrownianGrid.for_horizon(3, horizon, dt, 1)
+
+
+def test_step_index_tolerance_scales_with_the_horizon():
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: still step 3
+    assert step_index(0.3, 0.1, 1.0) == 3
+    assert type(step_index(0.3, 0.1, 1.0)) is int
+    assert step_index(0.5 + GRID_TOL / 10, 0.25, 1.0) == 2
+    with pytest.raises(ValidationError, match="not a whole number"):
+        step_index(0.5 + 10 * GRID_TOL, 0.25, 1.0)
+    # the tolerance is GRID_TOL * max(1, horizon): 5 GRID_TOL off is too
+    # far on a unit horizon, within it on a horizon of 10
+    with pytest.raises(ValidationError, match="not a whole number"):
+        step_index(0.5 + 5 * GRID_TOL, 0.25, 1.0)
+    assert step_index(0.5 + 5 * GRID_TOL, 0.25, 10.0) == 2
+
+
+def test_step_index_range_origin_and_arrays():
+    steps = step_index([0.0, 0.5, 1.0], 0.25, 1.0)
+    assert steps.dtype.kind == "i" and steps.tolist() == [0, 2, 4]
+    assert step_index(0.75, 0.25, 1.0, origin=0.25) == 2
+    for t, origin in ((-0.25, 0.0), (1.25, 0.0), (0.0, 0.25)):
+        with pytest.raises(ValidationError, match="lies outside the grid"):
+            step_index(t, 0.25, 1.0, origin=origin)
+    # one off-grid entry refuses the whole array, naming that entry
+    with pytest.raises(ValidationError, match="^0.3 is not a whole number"):
+        step_index([0.25, 0.3, 0.5], 0.25, 1.0)
+
+
+def test_uniform_step_accepts_only_uniform_increasing_times():
+    assert uniform_step(np.linspace(0.0, 1.0, 5)) == 0.25
+    assert uniform_step(np.arange(4) * 0.1 + 0.5) == pytest.approx(0.1)
+    near = np.linspace(0.0, 1.0, 5)
+    near[2] += GRID_TOL / 10
+    assert uniform_step(near) == 0.25
+    near[2] += 10 * GRID_TOL
+    with pytest.raises(ValidationError, match="uniform time grid"):
+        uniform_step(near)
+    for times in ([0.0, 0.25, 0.25, 1.0], [0.0, 0.3, 0.5], [1.0, 0.5, 0.0]):
+        with pytest.raises(ValidationError, match="uniform time grid"):
+            uniform_step(times)
+    for times in ([0.5], [[0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="at least two times"):
+            uniform_step(times)
 
 
 def test_horizon_off_the_step_grid_is_refused_everywhere():

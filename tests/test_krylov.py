@@ -10,11 +10,13 @@ from kinetic_flow.krylov import (
     DEFAULT_WIDTH_PAIRS,
     PhaseBump,
     bump_family,
+    experiment_windows,
     khasminskii_mgf,
     krylov_beta,
     krylov_ratio,
     moment_factorial_check,
     occupation_functional,
+    window_steps,
 )
 
 
@@ -112,6 +114,26 @@ def test_occupation_window_validation():
         occupation_functional(traj, one, 0.0, 1.5)   # beyond horizon
     with pytest.raises(ValidationError):
         occupation_functional(traj, one, 0.5, 0.5)   # empty window
+
+
+def test_window_steps_of_the_experiment_windows():
+    assert experiment_windows(1.0) == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0),
+                                       (0.5, 1.0)]
+    # the experiment's ensemble runs to 2T
+    steps = [window_steps(w, 1.0 / 64, 2.0) for w in experiment_windows(1.0)]
+    assert steps == [(0, 32), (0, 64), (0, 128), (32, 64)]
+    # a restarted window's grid starts at its own t0
+    assert window_steps((0.5, 1.0), 0.25, 1.0, origin=0.5) == (0, 2)
+    for window in ((0.5, 0.5), (0.75, 0.25)):
+        with pytest.raises(ValidationError, match="must end after it starts"):
+            window_steps(window, 0.25, 1.0)
+    with pytest.raises(ValidationError, match="lies outside the grid"):
+        window_steps((0.0, 1.25), 0.25, 1.0)
+    # T = 0.75 is 3 steps of 0.25, but its half-horizon window is not
+    with pytest.raises(ValidationError,
+                       match="0.375 is not a whole number of dt = 0.25"):
+        for window in experiment_windows(0.75):
+            window_steps(window, 0.25, 1.5)
 
 
 # ---------------------------------------------------------------------------
