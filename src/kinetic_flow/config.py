@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from .errors import ValidationError
 from .fields import library_field
 from .flow import check_convergence_study, check_path_count
+from .fokker_planck import check_atom_count
 from .integrator import BrownianGrid
 from .krylov import check_integrability, experiment_windows, window_steps
 
@@ -31,14 +32,15 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # slices of a 128^{2d} grid and converge's 129^{2d} drift mesh do not fit
 # in memory beyond d = 1); "steps", steps paths from 0 to T, which must be
 # a whole number of dt; "windows", every window of krylov.experiment_windows
-# passes krylov.window_steps on the dt grid of the 2T ensemble
+# passes krylov.window_steps on the dt grid of the 2T ensemble; "atoms",
+# N passes fokker_planck.check_atom_count
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
     "flow": (("T", "dt", "N"), ("paths", "steps")),
     "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "ladder", "d1", "steps")),
     "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
     "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps", "windows")),
-    "fokker-planck": (("T", "dt", "N"), ("d1", "steps")),
+    "fokker-planck": (("T", "dt", "N"), ("d1", "steps", "atoms")),
     "spaces": ((), ("d1",)),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -158,6 +160,8 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
+        if "atoms" in rules:
+            check_atom_count(self.num_paths)
         if "windows" in rules:
             for window in experiment_windows(self.horizon):
                 window_steps(window, self.dt, 2.0 * self.horizon)

@@ -18,7 +18,13 @@ Three consistency instruments live here:
   Gaussian one by sliced 1-Wasserstein projections.
 
 Test functions carry analytic derivative closures; nothing in the weak
-form is differentiated numerically.
+form is differentiated numerically.  The monomial bumps of the default
+dictionary are evaluated exactly: rows inside a bump's plateau square
+(|x|, |v| <= r_in, x and v nonzero) skip the cutoffs, whose pieces are
+exactly (1.0, +0.0, +0.0) there, and every other row (ramp, outside,
+exact zero, NaN) takes the full formula; exact zeros are left out of
+the plateau because the full formula turns a -0.0 derivative monomial
+into +0.0.  Both paths give the same bits.
 """
 
 from dataclasses import dataclass
@@ -54,6 +60,7 @@ __all__ = [
     "monomial_bump",
     "test_dictionary",
     "ResidualTable",
+    "check_atom_count",
     "weak_residual",
     "GaussianMeasure",
     "exact_measure_constant",
@@ -288,18 +295,44 @@ def _mono_d2(s, k):
 _MONO_DERIVATIVES = (_mono, _mono_d1, _mono_d2)
 
 
+# Largest monomial power the plateau path serves.  Up to it, a derivative
+# monomial k s^(k-1) or k (k-1) s^(k-2) is a signed zero only at s = +-0;
+# above it, a tiny negative s can underflow one to -0.0 (4 s^3 at s =
+# -1e-200), which the full formula's m' + m * (+0.0) turns into +0.0.
+_PLATEAU_MAX_POWER = 3
+
+
+def _plateau_rows(z, r_in):
+    """Rows of states z (d=1) inside the plateau square of inner radius
+    r_in: |x| <= r_in, |v| <= r_in, x != 0 and v != 0 (NaN is never
+    inside)."""
+    x, v = z[..., 0], z[..., 1]
+    return (np.abs(x) <= r_in) & (np.abs(v) <= r_in) & (x != 0.0) & (v != 0.0)
+
+
 class _Pieces:
     """Per-state memo of what monomial bumps share at states z (d=1).
 
-    One ``_cut_pieces`` per (axis, r_in, r_out) and one monomial power or
-    derivative per (axis, k, order), each computed on first use; members
-    evaluated through the same memo never recompute a piece.
+    One ``_cut_pieces`` per (axis, r_in, r_out), one monomial power or
+    derivative per (axis, k, order) and one plateau split per r_in, each
+    computed on first use; members evaluated through the same memo never
+    recompute a piece.
+
+    The split sorts the rows into two classes.  *Inside* rows
+    (``_plateau_rows``) have both cutoffs exactly (1.0, +0.0, +0.0), so
+    their jet needs no cutoff at all.  Every other row is *rest*: on a
+    ramp, outside the support, an exact zero in x or v, or NaN.  Exact
+    zeros are rest for their sign: the full formula adds m * (+0.0) to a
+    derivative monomial m', which turns m' = -0.0 (2x at x = -0.0) into
+    +0.0.  The split keeps the rest rows' index and a memo of their states
+    alone, so the cutoffs are computed on those rows only.
     """
 
     def __init__(self, z):
         self.z = np.asarray(z, dtype=float)
         self._cuts = {}
         self._powers = {}
+        self._splits = {}
 
     def cut(self, axis, r_in, r_out):
         key = (axis, r_in, r_out)
@@ -313,15 +346,23 @@ class _Pieces:
             self._powers[key] = _MONO_DERIVATIVES[order](self.z[..., axis], k)
         return self._powers[key]
 
+    def split(self, r_in):
+        """Plateau split at r_in: None when no row is inside, else (rest
+        index, memo of the rest rows), both None when every row is."""
+        if r_in not in self._splits:
+            inside = _plateau_rows(self.z, r_in)
+            if not inside.any():
+                self._splits[r_in] = None
+            elif inside.all():
+                self._splits[r_in] = (None, None)
+            else:
+                rest = np.nonzero(~inside)
+                self._splits[r_in] = (rest, _Pieces(self.z[rest]))
+        return self._splits[r_in]
 
-def _bump_jet(pieces, bump):
-    """Value, d/dx, d/dv and d^2/dv^2 of the monomial bump ``bump``.
 
-    ``bump`` is ``(i, j, r_in, r_out)``: x^i v^j times plateau cutoffs in
-    x and v.  Each result has the batch shape of the states.
-    """
-    if pieces.z.shape[-1] != 2:
-        raise ValidationError("monomial test functions are one dimensional")
+def _full_jet(pieces, bump):
+    """``_bump_jet`` through the cutoff pieces, valid on every row."""
     i, j, r_in, r_out = bump
     cx, cx1, _ = pieces.cut(0, r_in, r_out)
     cv, cv1, cv2 = pieces.cut(1, r_in, r_out)
@@ -332,6 +373,38 @@ def _bump_jet(pieces, bump):
     gv = x_part * (mv1 * cv + mv * cv1)
     hv = x_part * (pieces.mono(1, j, 2) * cv + 2.0 * mv1 * cv1 + mv * cv2)
     return value, gx, gv, hv
+
+
+def _bump_jet(pieces, bump):
+    """Value, d/dx, d/dv and d^2/dv^2 of the monomial bump ``bump``.
+
+    ``bump`` is ``(i, j, r_in, r_out)``: x^i v^j times plateau cutoffs in
+    x and v.  Each result has the batch shape of the states.
+
+    Inside rows of the memo's plateau split at r_in take the exact
+    plateau path: with the cutoffs (1.0, +0.0, +0.0) the full formula
+    reduces, bit for bit, to value = mx mv, d/dx = mx' mv, d/dv = mx mv'
+    and d^2/dv^2 = mx mv'' (multiplying by 1.0 is exact, and adding
+    m * (+0.0) leaves a nonzero or +0.0 derivative monomial unchanged).
+    Rest rows take ``_full_jet`` on the rest memo and are scattered back.
+    With no row inside, or a power above _PLATEAU_MAX_POWER, every row
+    takes ``_full_jet`` on the memo itself.
+    """
+    if pieces.z.shape[-1] != 2:
+        raise ValidationError("monomial test functions are one dimensional")
+    i, j, r_in, _ = bump
+    split = (pieces.split(r_in) if max(i, j) <= _PLATEAU_MAX_POWER
+             else None)
+    if split is None:
+        return _full_jet(pieces, bump)
+    mx, mv = pieces.mono(0, i, 0), pieces.mono(1, j, 0)
+    jet = (mx * mv, pieces.mono(0, i, 1) * mv, mx * pieces.mono(1, j, 1),
+           mx * pieces.mono(1, j, 2))
+    rest, rest_pieces = split
+    if rest is not None:
+        for out, part in zip(jet, _full_jet(rest_pieces, bump)):
+            out[rest] = part
+    return jet
 
 
 def _apply_generator(v, drift, a, grad_x, grad_v, hess_v):
@@ -469,6 +542,19 @@ class _RunningMember:
     __slots__ = ("value0", "gen_sum", "mg_sum", "grad_v")
 
 
+def check_atom_count(num_atoms):
+    """Refuse fewer than two atoms: the weak residual's standard errors
+    use ddof = 1.
+
+    weak_residual calls this, and so does the fokker-planck config
+    before any output exists.
+    """
+    if num_atoms < 2:
+        raise ValidationError(
+            "the weak residual needs at least 2 atoms (its standard errors "
+            f"use ddof = 1), got {num_atoms}")
+
+
 def _member_jet(phi, pieces):
     """Value and derivatives of one member at the memo's states."""
     if phi.bump is not None:
@@ -498,11 +584,15 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
 
     One pass over the checkpoints: at each one the field's drift and
     ``a`` are evaluated once and shared by every member, and monomial
-    bumps share one ``_Pieces`` memo of cutoffs and powers.  Each member
-    carries O(N) running state (its values at t_0, the running sum of
-    L phi and of the martingale), and each checkpoint's row of means and
-    standard errors is written as the pass reaches it, so no
-    (checkpoints x N) array is built.
+    bumps share one ``_Pieces`` memo of cutoffs, powers and plateau
+    splits.  A checkpoint's rows are classed once per inner radius:
+    inside rows (plateau square, x and v nonzero) take the exact plateau
+    path of ``_bump_jet``; ramp, outside, exact-zero and NaN rows take the
+    full cutoff formula, exact zeros because its m' + m * (+0.0) turns a
+    -0.0 derivative into +0.0.  Each member carries O(N) running state
+    (its values at t_0, the running sum of L phi and of the martingale),
+    and each checkpoint's row of means and standard errors is written as
+    the pass reaches it, so no (checkpoints x N) array is built.
     """
     if len(measures) < 2:
         raise ValidationError("need at least two checkpoints for a residual")
@@ -512,6 +602,7 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
     for m in measures[1:]:
         if not np.array_equal(m.atom_ids, ids):
             raise ValidationError("checkpoints do not share their atom set")
+    check_atom_count(measures[0].num_atoms)
     if not test_set:
         raise ValidationError("empty test set")
     for phi in test_set:

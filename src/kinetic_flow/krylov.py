@@ -195,23 +195,38 @@ def window_steps(window, dt, horizon, origin=0.0):
     return i0, i1
 
 
-def _window_occupation(trajectory, fn, t0, t1, dt):
-    """Per-path trapezoid of fn(Z_s) over the window [t0, t1] at step dt."""
-    times = trajectory.times
-    i0, i1 = window_steps((t0, t1), times[1] - times[0], times[-1], times[0])
+def _window_occupation(trajectory, fn, steps, dt):
+    """Per-path trapezoid of fn(Z_s) over the grid steps (i0, i1) at step
+    dt."""
+    i0, i1 = steps
     vals = fn(trajectory.states[:, i0:i1 + 1, :])
     w = np.full(i1 - i0 + 1, dt)
     w[0] = w[-1] = 0.5 * dt
     return vals @ w
 
 
-def _simulate(field, z0, num_paths, horizon, dt, master_seed, trajectory=None):
-    """``trajectory`` if given, else num_paths paths started at z0."""
+def _grid_steps(trajectory, window):
+    """``window_steps`` of a window on the time grid of ``trajectory``."""
+    times = trajectory.times
+    return window_steps(window, times[1] - times[0], times[-1], times[0])
+
+
+def _simulate(field, z0, num_paths, horizon, dt, master_seed, windows,
+              trajectory=None):
+    """Grid steps of each window, then the ensemble they index.
+
+    The ensemble is ``trajectory`` if given, else num_paths paths started
+    at z0 on the dt grid to horizon.  Every window passes
+    ``window_steps`` on the ensemble's grid before any path is simulated.
+    """
     if trajectory is not None:
-        return trajectory
-    z0 = np.zeros(2 * field.dim) if z0 is None else np.asarray(z0, dtype=float)
+        return trajectory, [_grid_steps(trajectory, w) for w in windows]
     brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
-    return evolve(field, np.tile(z0, (num_paths, 1)), brownian)
+    # evolve's time grid, linspace(0, brownian.horizon, num_steps + 1)
+    grid_dt = brownian.horizon / brownian.num_steps
+    steps = [window_steps(w, grid_dt, brownian.horizon) for w in windows]
+    z0 = np.zeros(2 * field.dim) if z0 is None else np.asarray(z0, dtype=float)
+    return evolve(field, np.tile(z0, (num_paths, 1)), brownian), steps
 
 
 def occupation_functional(trajectory, f, t0, t1):
@@ -223,7 +238,8 @@ def occupation_functional(trajectory, f, t0, t1):
     """
     fn = f.value if hasattr(f, "value") else f
     return MomentEstimate.from_samples(_window_occupation(
-        trajectory, fn, t0, t1, trajectory.times[1] - trajectory.times[0]))
+        trajectory, fn, _grid_steps(trajectory, (t0, t1)),
+        trajectory.times[1] - trajectory.times[0]))
 
 
 @dataclass
@@ -280,7 +296,9 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
         if f.lp_norm(p) == 0.0:
             raise ValidationError(f"bump {i} has zero norm")
     beta = krylov_beta(field.dim, p)
-    traj = _simulate(field, z0, num_paths, horizon, dt, master_seed)
+    win_list = [tuple(map(float, w)) for w in windows]
+    traj, win_steps = _simulate(field, z0, num_paths, horizon, dt,
+                                master_seed, win_list)
     steps = len(traj.times) - 1
 
     f_ids, rows_w, ests, ses, norms, ratios = [], [], [], [], [], []
@@ -296,12 +314,12 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
             norms.append(nrm)
             ratios.append(est.value / ((t1 - t0) ** beta * nrm))
 
-    win_list = [tuple(map(float, w)) for w in windows]
     for (t0, t1) in win_list:
         add_rows(traj, t0, t1)
     if restart:
-        for (t0, t1) in [w for w in win_list if w[0] > 0.0]:
-            i0 = step_index(t0, dt, horizon)
+        for (t0, t1), (i0, _) in zip(win_list, win_steps):
+            if t0 <= 0.0:
+                continue
             sub = BrownianGrid(master_seed + 104729, dt, steps - i0, field.dim)
             re_traj = evolve(field, traj.states[:, i0, :], sub)
             re_traj.times = re_traj.times + t0
@@ -343,8 +361,9 @@ def khasminskii_mgf(field, f, lam, t0, t1, num_paths, horizon, dt, *,
     if fitted_c <= 0.0:
         raise ValidationError("need a positive fitted constant")
     beta = krylov_beta(field.dim, p)
-    traj = _simulate(field, z0, num_paths, horizon, dt, master_seed, trajectory)
-    occ = _window_occupation(traj, f.value, t0, t1, dt)
+    traj, (steps,) = _simulate(field, z0, num_paths, horizon, dt, master_seed,
+                               [(t0, t1)], trajectory)
+    occ = _window_occupation(traj, f.value, steps, dt)
     norm_t = f.spacetime_norm(p, 0.0, horizon)
 
     emps, bounds, passes, maxes, ks = [], [], [], [], []
@@ -387,8 +406,9 @@ def moment_factorial_check(field, f, m_ladder, t0, t1, num_paths, horizon,
     if not m_ladder or any(m < 1 or m > 6 for m in m_ladder):
         raise ValidationError("m ladder must be a nonempty subset of {1,...,6}")
     beta = krylov_beta(field.dim, p)
-    traj = _simulate(field, z0, num_paths, horizon, dt, master_seed, trajectory)
-    occ = _window_occupation(traj, f.value, t0, t1, dt)
+    traj, (steps,) = _simulate(field, z0, num_paths, horizon, dt, master_seed,
+                               [(t0, t1)], trajectory)
+    occ = _window_occupation(traj, f.value, steps, dt)
     unit = fitted_c * f.spacetime_norm(p, 0.0, horizon) * (t1 - t0) ** beta
     ms, moments, bounds, passes = [], [], [], []
     for m in m_ladder:

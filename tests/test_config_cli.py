@@ -176,6 +176,8 @@ def test_cli_refuses_krylov_half_horizon_off_the_step_grid(tmp_path, monkeypatch
     ("flow", "T = 1\ndt = 0.0625\nN = 50\n", "need num_paths >= 100"),
     ("krylov", "T = 1\ndt = 0.0625\nN = 100\np = 3\n",
      "krylov needs p > 2d+1 = 3, got p = 3"),
+    ("fokker-planck", "T = 1\ndt = 0.25\nN = 1\nfield.name = hoelder-drift\n",
+     "needs at least 2 atoms"),
 ])
 def test_cli_refuses_bad_values_before_the_output_exists(
         experiment, keys, message, tmp_path, capsys):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kinetic_flow import fokker_planck
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
 from kinetic_flow.fokker_planck import (
@@ -193,6 +194,11 @@ def test_weak_residual_validation():
     bare = TestFunction("raw", value=lambda z: np.zeros(z.shape[:-1]))
     with pytest.raises(ValidationError, match="derivative closures"):
         weak_residual(measures, field, [bare])
+    # one atom has no ddof = 1 standard error
+    single = [EmpiricalMeasure(mu.t, mu.atoms[:1], mu.atom_ids[:1], 1)
+              for mu in measures]
+    with pytest.raises(ValidationError, match="at least 2 atoms"):
+        weak_residual(single, field, [phi])
 
 
 def test_monomial_bump_plateau_values():
@@ -378,6 +384,99 @@ def test_monomial_bump_closures_match_finite_differences():
         assert np.allclose(phi.hess_v(z)[:, 0, 0], fd_vv, rtol=1e-6, atol=1e-6)
         assert np.all(phi.hess_v(z)[2:5, 0, 0] != 0.0)
         assert np.all(phi.value(z[5:]) == 0.0)
+
+
+def jet_states():
+    """States of every row class of the plateau split, for each of the
+    dictionary's radius pairs: plateau, ramp, outside, |x| or |v| exactly
+    r_in or r_out, signed zeros, subnormals and NaN."""
+    rng = np.random.default_rng(5)
+    coords = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-200, np.nan]
+    for r_in, r_out in ((2.5, 4.0), (1.5, 2.5), (3.0, 5.0)):
+        ramp = r_in + (r_out - r_in) * np.array([0.1, 0.5, 0.9])
+        coords += [r_in, -r_in, r_out, -r_out, np.nextafter(r_in, 0.0),
+                   np.nextafter(r_in, 9.0), r_out + 1.0]
+        coords += list(ramp) + list(-ramp)
+    coords += list(rng.uniform(-1.4, 1.4, 12))
+    grid = np.array([(x, v) for x in coords for v in coords])
+    return np.concatenate([grid, rng.uniform(-6.0, 6.0, (400, 2))])
+
+
+def plateau_mask(z, r_in):
+    x, v = z[:, 0], z[:, 1]
+    return (np.abs(x) <= r_in) & (np.abs(v) <= r_in) & (x != 0.0) & (v != 0.0)
+
+
+def test_bump_jet_plateau_path_matches_full_formula_bitwise(monkeypatch):
+    z = jet_states()
+    seen = []
+    cut_pieces = fokker_planck._cut_pieces
+
+    def counted(s, r_in, r_out):
+        seen.append((r_in, np.asarray(s).size))
+        return cut_pieces(s, r_in, r_out)
+
+    monkeypatch.setattr(fokker_planck, "_cut_pieces", counted)
+    for phi in default_dictionary():
+        r_in = phi.bump[2]
+        inside = plateau_mask(z, r_in)
+        assert 0 < inside.sum() < len(z)
+        seen.clear()
+        fast = fokker_planck._bump_jet(fokker_planck._Pieces(z), phi.bump)
+        # only the rest rows reach the cutoffs, once per axis
+        assert seen == [(r_in, int((~inside).sum()))] * 2
+        full = fokker_planck._full_jet(fokker_planck._Pieces(z), phi.bump)
+        for a, b in zip(fast, full):
+            assert a.shape == (len(z),)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), phi.name
+        # a batch of plateau rows alone never reaches the cutoffs
+        seen.clear()
+        fokker_planck._bump_jet(fokker_planck._Pieces(z[inside]), phi.bump)
+        assert seen == []
+        # closures on a (rows, cols, 2) batch scatter back into its shape
+        block = z[:6 * (len(z) // 6)].reshape(6, -1, 2)
+        assert np.array_equal(phi.hess_v(block)[..., 0, 0].view(np.uint64),
+                              full[3][:block[..., 0].size].reshape(6, -1)
+                              .view(np.uint64))
+
+
+def test_bump_jet_high_powers_keep_the_full_formula():
+    # above the plateau path's power cap a tiny negative coordinate
+    # underflows a derivative monomial to -0.0, which the full formula
+    # turns into +0.0 through m' + m * (+0.0)
+    z = np.array([[-1e-200, 0.5], [0.5, -1e-200], [1.0, 1.0], [3.0, 0.2]])
+    for bump in ((4, 1, 2.5, 4.0), (1, 4, 2.5, 4.0), (2, 5, 2.5, 4.0)):
+        fast = fokker_planck._bump_jet(fokker_planck._Pieces(z), bump)
+        full = fokker_planck._full_jet(fokker_planck._Pieces(z), bump)
+        for a, b in zip(fast, full):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    x, v = z[0]
+    plateau_gx = (4 * x ** 3) * v
+    full_gx = fokker_planck._full_jet(fokker_planck._Pieces(z),
+                                      (4, 1, 2.5, 4.0))[1][0]
+    assert np.signbit(plateau_gx) and not np.signbit(full_gx)
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_weak_residual_plateau_path_matches_full_formula_bitwise(
+        monkeypatch, control_variate):
+    field = library_field("hoelder-drift", 1)
+    # wide enough that many atoms sit on the ramps and outside the support
+    measures = particle_measure(field, gaussian_cloud([0.3, 0.0], 2.0), 3000,
+                                0.5, 1.0 / 16, master_seed=9)
+    z = np.concatenate([mu.atoms for mu in measures])
+    for r_in in (1.5, 2.5, 3.0):
+        assert 0.1 < 1.0 - plateau_mask(z, r_in).mean() < 0.9
+    fast = weak_residual(measures, field, default_dictionary(),
+                         control_variate=control_variate)
+    monkeypatch.setattr(fokker_planck, "_plateau_rows",
+                        lambda z, r_in: np.zeros(z.shape[:-1], dtype=bool))
+    full = weak_residual(measures, field, default_dictionary(),
+                         control_variate=control_variate)
+    for name in ("residuals", "std_errors"):
+        assert np.array_equal(getattr(fast, name).view(np.uint64),
+                              getattr(full, name).view(np.uint64))
+    assert float.hex(fast.integrability) == float.hex(full.integrability)
 
 
 # ---------------------------------------------------------------------------

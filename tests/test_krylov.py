@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kinetic_flow import krylov
 from kinetic_flow.errors import ValidationError
 from kinetic_flow.fields import library_field
 from kinetic_flow.integrator import BrownianGrid, evolve
@@ -223,3 +224,48 @@ def test_factorial_ladder_validation():
     with pytest.raises(ValidationError, match="nonempty subset"):
         moment_factorial_check(field, bumps[0], (), 0.0, 0.5, 256, 1.0,
                                1.0 / 64, fitted_c=0.75, p=4.0)
+
+
+def off_grid_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(krylov, "evolve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("estimator", ["ratio", "mgf", "factorial"])
+def test_off_grid_window_is_refused_before_any_simulation(monkeypatch,
+                                                          estimator):
+    field, bumps = ratio_inputs()
+    calls = off_grid_calls(monkeypatch)
+    window = (0.3, 1.0)
+    run = {
+        "ratio": lambda: krylov_ratio(field, bumps, 4.0, [(0.0, 0.5), window],
+                                      20_000, 1.0, 1.0 / 64),
+        "mgf": lambda: khasminskii_mgf(field, bumps[0], 1.0, *window, 20_000,
+                                       1.0, 1.0 / 64, fitted_c=0.75, p=4.0),
+        "factorial": lambda: moment_factorial_check(
+            field, bumps[0], (1, 2), *window, 20_000, 1.0, 1.0 / 64,
+            fitted_c=0.75, p=4.0),
+    }[estimator]
+    with pytest.raises(ValidationError, match="0.3 is not a whole number"):
+        run()
+    assert calls == []
+
+
+def test_windows_are_checked_on_a_given_trajectory_grid(monkeypatch):
+    field, bumps = ratio_inputs()
+    traj = occupation_trajectory()           # dt = 1/64 to T = 1
+    calls = off_grid_calls(monkeypatch)
+    # on the trajectory's own grid, not the (dt, horizon) arguments
+    report = khasminskii_mgf(field, bumps[0], 0.0, 0.25, 0.75, 1, 8.0, 0.5,
+                             fitted_c=0.75, p=4.0, trajectory=traj)
+    assert report.all_passed
+    with pytest.raises(ValidationError, match="lies outside the grid"):
+        moment_factorial_check(field, bumps[0], (1,), 0.0, 2.0, 1, 8.0, 0.5,
+                               fitted_c=0.75, p=4.0, trajectory=traj)
+    assert calls == []
