@@ -428,10 +428,10 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
 
     Each ladder level is built, evolved on both grids and sampled on the
     L^p box exactly once, at t = 0 (the library fields are autonomous), as
-    one task of `parallel_map` (KF_WORKERS threads); results are gathered
-    in ladder order and every rung is then reduced from the two cached
-    levels, so the table does not depend on the worker count.  The cache
-    holds every level's coupled paths at once.
+    one task of `parallel_map` (KF_WORKERS forked worker processes);
+    results are gathered in ladder order and every rung is then reduced
+    from the two cached levels, so the table does not depend on the worker
+    count.  The cache holds every level's coupled paths at once.
     """
     ladder = [int(n) for n in n_ladder]
     if isinstance(field, CoefficientField):

@@ -1,16 +1,22 @@
 """Config dialect, worker pool, experiment runner, and CLI exit codes."""
 
+import concurrent.futures
+import inspect
+import multiprocessing
+import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 import scipy
 
-from kinetic_flow import cli
+from kinetic_flow import cli, errors
 from kinetic_flow.acceptance import _experiment_texts
 from kinetic_flow.config import ExperimentConfig, parse_config, parse_config_text
-from kinetic_flow.errors import ValidationError
+from kinetic_flow.errors import LambdaTooSmallError, ValidationError
 from kinetic_flow.parallel import parallel_map, worker_count
 from kinetic_flow.runner import manifest_hash, run_experiment
 
@@ -207,6 +213,79 @@ def test_parallel_map_preserves_order():
     serial = [i * i - 3 for i in items]
     assert parallel_map(lambda i: i * i - 3, items, workers=1) == serial
     assert parallel_map(lambda i: i * i - 3, items, workers=4) == serial
+
+
+def _fail_at_three(i):
+    if i == 3:
+        raise LambdaTooSmallError(f"no contraction at task {i}",
+                                  observed_ratio=0.875)
+    return i
+
+
+def test_parallel_map_reraises_a_worker_error_and_joins_its_workers():
+    with pytest.raises(LambdaTooSmallError) as info:
+        parallel_map(_fail_at_three, range(6), workers=2)
+    assert type(info.value) is LambdaTooSmallError
+    assert str(info.value) == "no contraction at task 3"
+    assert info.value.observed_ratio == 0.875
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_runs_in_at_most_one_forked_worker_per_task():
+    for workers, count in ((3, 7), (4, 2)):
+        pids = parallel_map(lambda i: os.getpid(), range(count),
+                            workers=workers)
+        assert len(pids) == count
+        assert 1 <= len(set(pids)) <= min(workers, count)
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_reports_a_dead_worker():
+    def die(i):
+        if i == 1:
+            os._exit(3)
+        return i
+
+    with pytest.raises(BrokenProcessPool):
+        parallel_map(die, range(4), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_without_fork_maps_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    pids = parallel_map(lambda i: (i, os.getpid()), range(5), workers=4)
+    assert pids == [(i, os.getpid()) for i in range(5)]
+
+
+# the extra constructor arguments of the errors.py classes that take any
+ERROR_SAMPLES = {
+    errors.LambdaTooSmallError: {"observed_ratio": 0.96875},
+    errors.GradientBoundError: {"measured": 1.5},
+}
+
+
+def test_every_package_error_survives_pickling():
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.KineticFlowError)]
+    assert set(ERROR_SAMPLES) < set(classes)
+    for cls in classes:
+        extra = ERROR_SAMPLES.get(cls, {})
+        if cls.__init__ is not Exception.__init__:
+            # every extra constructor argument is set from ERROR_SAMPLES
+            params = inspect.signature(cls.__init__).parameters
+            assert list(params) == ["self", "message", *extra]
+        err = cls(f"{cls.__name__} raised", **extra)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err)
+        assert back.args == err.args
+        assert vars(back) == vars(err) == extra
 
 
 # ---------------------------------------------------------------------------
