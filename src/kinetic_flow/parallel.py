@@ -17,9 +17,22 @@ its items, closures included, so only task indices go out and only
 results (and exceptions, which must therefore pickle) come back.  Where
 the platform cannot fork, the map runs serially.
 
-Callers: the ``flow`` experiment maps its delta ladder of two-point
-moments, and ``flow.convergence_study`` (the ``converge`` experiment and
-criterion 8) maps the levels of its mollification ladder.
+Callers, each with what runs in a worker and what comes back by pickle:
+- the ``flow`` experiment: one two-point moment of its delta ladder per
+  task; a CSV row comes back.
+- ``flow.convergence_study`` (the ``converge`` experiment and criterion
+  8): one level of the mollification ladder per task; its coupled paths
+  on both grids and its drift sample on the L^p box come back.
+- ``zvonkin.search_lambda`` (the ``zvonkin`` experiment and criteria 5-7):
+  one damping rate of the lam ladder per task, in batches of the worker
+  count; the Picard fixed point, the rejection reason or the exception
+  raised comes back, and the caller reads them in ladder order.
+- ``zvonkin.transformed_sde_residual`` (the ``zvonkin`` experiment and
+  criterion 7): one WORK_CHUNK chunk of paths per task, on its own Philox
+  streams; per-checkpoint partial sums and counts come back and are added
+  in chunk order.
+Each task's result is the same bits in any process, and each caller
+combines results in a fixed order, so no output depends on the count.
 
 The same count is the thread count of the Zvonkin resolvent's
 slice-batched FFTs (``KernelStep.to_mixed``/``from_mixed`` and the

@@ -145,9 +145,14 @@ def _run_zvonkin(cfg, out_dir):
         np.linalg.norm(np.atleast_2d(report.std_error), axis=-1))]
     write_rows(os.path.join(out_dir, "residual.csv"),
                ["t", "mean_residual", "std_error"], rows)
+    # lam:reason[=ratio or sup] per lam the search tried, in ladder order
+    tried = ",".join(
+        f"{lam:.17g}:{reason}" + ("" if value is None else f"={value:.17g}")
+        for lam, reason, value in result.lambda_tried)
     return (["contraction.csv", "residual.csv"],
             {"lambda_star": "%.17g" % result.u.lam,
-             "grad_v_sup": "%.17g" % result.u.gradient_v_sup()})
+             "grad_v_sup": "%.17g" % result.u.gradient_v_sup(),
+             "lambda_tried": tried})
 
 
 def _run_krylov(cfg, out_dir):

@@ -31,9 +31,10 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridFunction, grid_mesh
+from . import integrator
 from .integrator import step_index, uniform_step, walk
 from .kernel import KernelStep, apply_semigroup, diffusion_matrix
-from .parallel import worker_count
+from .parallel import parallel_map, worker_count
 
 # Picard stops once the sup-norm increment drops below PICARD_TOL and gives
 # up after PICARD_MAX_ITER sweeps
@@ -124,6 +125,13 @@ class SpaceTimeField:
         if self.lam < 0:
             raise ValidationError("lam must be >= 0")
         self.values.setflags(write=False)
+
+    def __setstate__(self, state):
+        # a field that comes back from a worker by pickle stays read-only
+        self.__dict__.update(state)
+        for arr in (self.values, self._gv):
+            if arr is not None:
+                arr.setflags(write=False)
 
     # -- geometry ---------------------------------------------------------
 
@@ -274,6 +282,8 @@ class PicardResult:
     u: SpaceTimeField
     increments: np.ndarray
     num_iterations: int
+    # (lam, reason, value) per lam `search_lambda` tried; empty otherwise
+    lambda_tried: tuple = ()
 
     @property
     def ratios(self):
@@ -341,22 +351,61 @@ def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
     Returns the accepted PicardResult; the rate is in result.u.lam.  A lam
     too small shows up either as a non-contracting iteration or as kernel
     mass reaching the periodic seam (the resolvent spreads over ~1/lam of
-    time); both advance the search.
+    time); both advance the search, as does a gradient above the target.
+    result.lambda_tried lists each lam tried, in ladder order, as
+    (lam, reason, value): ("contraction", observed ratio), ("seam", None),
+    ("gradient", measured sup), and last ("accepted", None).
+
+    The ladder lam_init * 2^k runs in batches of KF_WORKERS values through
+    `parallel_map`: each worker process runs `picard_solve` and the
+    gradient test for one lam and sends back by pickle the PicardResult
+    (u with its cached grad_v), the rejection reason, or the exception
+    raised.  The caller reads a batch in ladder order and stops at the
+    first lam the serial loop would stop at, so a speculative lam after it
+    is never recorded and never raises.  Each lam's sweep is the same
+    arithmetic in any process, so the accepted lam, the returned bits,
+    the trace and every error raised do not depend on KF_WORKERS.
     """
-    lam = float(lam_init)
-    for _ in range(max_doublings):
+    if max_doublings < 1:
+        raise ValidationError(f"max_doublings must be >= 1, got {max_doublings}")
+    if not gradient_target > 0:
+        raise ValidationError(
+            f"gradient_target must be > 0, got {gradient_target}")
+
+    def attempt(lam):
         try:
-            res = picard_solve(
-                drift, lam, horizon, a, box_half_width=box_half_width,
-                points_per_axis=points_per_axis, num_slices=num_slices, dim=dim)
-        except (LambdaTooSmallError, AccuracyError):
-            lam *= 2.0
-            continue
-        if res.u.gradient_v_sup() <= gradient_target:
-            return res
-        lam *= 2.0
+            try:
+                res = picard_solve(
+                    drift, lam, horizon, a, box_half_width=box_half_width,
+                    points_per_axis=points_per_axis, num_slices=num_slices,
+                    dim=dim)
+            except LambdaTooSmallError as exc:
+                return "contraction", exc.observed_ratio
+            except AccuracyError:
+                return "seam", None
+            sup = res.u.gradient_v_sup()
+            if sup > gradient_target:
+                return "gradient", sup
+            return "accepted", res
+        except Exception as exc:
+            # raised by the caller only if the serial loop would reach lam
+            return "error", exc
+
+    ladder = [float(lam_init) * 2.0 ** k for k in range(max_doublings)]
+    batch = worker_count()
+    tried = []
+    for start in range(0, max_doublings, batch):
+        lams = ladder[start:start + batch]
+        for lam, (reason, value) in zip(lams, parallel_map(attempt, lams)):
+            if reason == "error":
+                raise value
+            if reason == "accepted":
+                value.lambda_tried = tuple(tried) + ((lam, reason, None),)
+                return value
+            tried.append((lam, reason, value))
     raise LambdaTooSmallError(
-        f"gradient target {gradient_target:g} not reached up to lam={lam:g}"
+        f"gradient target {gradient_target:g} not reached up to "
+        f"lam={float(lam_init) * 2.0 ** max_doublings:g}"
     )
 
 
@@ -518,6 +567,15 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
     reach within SEAM_MARGIN_CELLS of the periodic seam are excluded from
     that checkpoint onward and counted.  Returns mean and standard error
     of R across surviving paths at each checkpoint.
+
+    Each chunk [lo, lo + integrator.WORK_CHUNK) of paths is one task of
+    `parallel_map`: a worker process walks ``z0[lo:hi]`` with
+    ``path_offset=lo``, so its noise is the counter-based Philox stream of
+    paths lo .. hi - 1 whatever process draws it, and sends back by pickle
+    only its per-checkpoint partial sums, sums of squares, survivor and
+    exclusion counts.  The caller adds the partials to zeros in chunk
+    order, the order the serial loop used, so every bit of the report is
+    the same for any KF_WORKERS.
     """
     u = transform.u
     d = u.dim
@@ -551,36 +609,46 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
         raise ValidationError("z0 must be one state or (num_paths, 2d)")
 
     lamv = u.lam
-    sums = np.zeros((nc, d))
-    sumsq = np.zeros((nc, d))
-    counts = np.zeros(nc, dtype=int)
-    excluded = np.zeros(nc, dtype=int)
-
     last = cp_idx[-1]
-    for lo, hi, i, pts, dw in walk(field, z0, brownian, scheme=scheme):
-        if i > last:
-            continue
-        u_i = transform.shift(i, pts)
-        if i == 0:
-            alive = transform.in_domain(pts)
-            u0, h0 = u_i, pts[:, d:] + u_i
-            integ = np.zeros((hi - lo, d))
-            mart = np.zeros((hi - lo, d))
-            ci = 0
-        else:
-            alive &= transform.in_domain(pts)
-        if i == cp_idx[ci]:
-            quad = step * (integ + 0.5 * u_i - 0.5 * u0)
-            resid = pts[:, d:] + u_i - h0 - lamv * quad - mart
-            live = resid[alive]
-            counts[ci] += live.shape[0]
-            excluded[ci] += (hi - lo) - live.shape[0]
-            sums[ci] += live.sum(axis=0)
-            sumsq[ci] += (live ** 2).sum(axis=0)
-            ci += 1
-        if i < last:
-            integ += u_i
-            mart += np.einsum("ncj,nj->nc", transform.theta(i, pts), dw)
+
+    def chunk_sums(lo):
+        hi = min(lo + chunk, num_paths)
+        sums, sumsq = np.zeros((2, nc, d))
+        counts, excluded = np.zeros((2, nc), dtype=int)
+        for _, _, i, pts, dw in walk(field, z0[lo:hi], brownian, scheme=scheme,
+                                     path_offset=lo):
+            if i > last:
+                continue
+            u_i = transform.shift(i, pts)
+            if i == 0:
+                alive = transform.in_domain(pts)
+                u0, h0 = u_i, pts[:, d:] + u_i
+                integ = np.zeros((hi - lo, d))
+                mart = np.zeros((hi - lo, d))
+                ci = 0
+            else:
+                alive &= transform.in_domain(pts)
+            if i == cp_idx[ci]:
+                quad = step * (integ + 0.5 * u_i - 0.5 * u0)
+                resid = pts[:, d:] + u_i - h0 - lamv * quad - mart
+                live = resid[alive]
+                counts[ci] += live.shape[0]
+                excluded[ci] += (hi - lo) - live.shape[0]
+                sums[ci] += live.sum(axis=0)
+                sumsq[ci] += (live ** 2).sum(axis=0)
+                ci += 1
+            if i < last:
+                integ += u_i
+                mart += np.einsum("ncj,nj->nc", transform.theta(i, pts), dw)
+        return sums, sumsq, counts, excluded
+
+    # read at call time: the chunk is the integrator's work unit
+    chunk = integrator.WORK_CHUNK
+    sums, sumsq = np.zeros((2, nc, d))
+    counts, excluded = np.zeros((2, nc), dtype=int)
+    for part in parallel_map(chunk_sums, range(0, num_paths, chunk)):
+        for total, partial in zip((sums, sumsq, counts, excluded), part):
+            total += partial
 
     mean = np.full((nc, d), np.nan)
     se = np.full((nc, d), np.nan)

@@ -338,6 +338,31 @@ def test_walk_yields_what_evolve_records():
                     for lo in (0, WORK_CHUNK) for k in range(g.num_steps + 1)]
 
 
+@pytest.mark.parametrize("scheme,coarsen", [("em", 1), ("kinetic-exact", 1),
+                                            ("em", 2)])
+def test_walk_of_one_chunk_at_its_offset_matches_the_whole_walk(scheme, coarsen):
+    # a chunk walked on its own with path_offset = lo is chunk [lo, hi) of
+    # the whole walk, bit for bit: what a worker task of the residual runs
+    n = WORK_CHUNK + 5
+    field = library_field("hoelder-drift", 1)
+    g = BrownianGrid(6, 1.0 / 8, 8, 1)
+    if coarsen > 1:
+        g = g.coarsened(coarsen)
+    z0 = np.random.default_rng(2).uniform(-1.0, 1.0, size=(n, 2))
+    whole = {(lo, k): (state, dW)
+             for lo, _, k, state, dW in walk(field, z0, g, scheme=scheme)}
+    for lo, hi in ((0, WORK_CHUNK), (WORK_CHUNK, n)):
+        for sub_lo, sub_hi, k, state, dW in walk(field, z0[lo:hi], g,
+                                                 scheme=scheme, path_offset=lo):
+            assert (sub_lo, sub_hi) == (0, hi - lo)
+            full_state, full_dW = whole[lo, k]
+            assert state.tobytes() == full_state.tobytes()
+            if k < g.num_steps:
+                assert dW.tobytes() == full_dW.tobytes()
+            else:
+                assert dW is None and full_dW is None
+
+
 @pytest.mark.parametrize("scheme, bound", [("em", 2.0), ("kinetic-exact", 3.0)])
 def test_evolve_peak_memory_within_one_chunk(scheme, bound):
     # at most one chunk: the path beside its noise (normals, 2d per step)

@@ -1,5 +1,6 @@
 """Resolvent PDE layer and the drift-removing phase-space transform."""
 
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from kinetic_flow.errors import (
     ValidationError,
 )
 from kinetic_flow.fields import library_field, mollified
-from kinetic_flow import integrator
+from kinetic_flow import integrator, zvonkin
 from kinetic_flow.integrator import BrownianGrid
 from kinetic_flow.zvonkin import (
     SpaceTimeField,
@@ -219,12 +220,115 @@ def test_search_lambda_contraction_and_gradient():
     assert float(np.round(np.log2(lam))) == np.log2(lam)
 
 
-def test_search_lambda_unreachable_target():
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_lambda_unreachable_target(monkeypatch, workers):
+    monkeypatch.setenv("KF_WORKERS", workers)
     field = mollified(library_field("hoelder-drift", 1), 4)
-    with pytest.raises(LambdaTooSmallError):
+    with pytest.raises(LambdaTooSmallError,
+                       match="^gradient target 1e-09 not reached up to lam=4$"):
         search_lambda(field.drift, 1.0, 0.5, box_half_width=8.0,
                       points_per_axis=64, num_slices=16,
                       gradient_target=1e-9, max_doublings=2)
+
+
+def test_search_lambda_refuses_a_bad_search_up_front(monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("picard_solve ran")
+
+    monkeypatch.setattr(zvonkin, "picard_solve", untouched)
+    drift = library_field("hoelder-drift", 1).drift
+    for bad in ({"max_doublings": 0}, {"max_doublings": -3},
+                {"gradient_target": 0.0}, {"gradient_target": -0.5},
+                {"gradient_target": float("nan")}):
+        with pytest.raises(ValidationError):
+            search_lambda(drift, 1.0, 0.5, box_half_width=8.0,
+                          points_per_axis=64, num_slices=16, **bad)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def search_across_workers(monkeypatch, field, n, slices, **kwargs):
+    """search_lambda under KF_WORKERS 1 (no pool may start) and 2."""
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("KF_WORKERS", workers)
+        with monkeypatch.context() as m:
+            if workers == "1":
+                m.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+            runs.append(search_lambda(field.drift, 1.0, 0.5, box_half_width=8.0,
+                                      points_per_axis=n, num_slices=slices,
+                                      **kwargs))
+    serial, pooled = runs
+    assert pooled.u.lam == serial.u.lam
+    assert ([float(x).hex() for x in pooled.increments]
+            == [float(x).hex() for x in serial.increments])
+    assert pooled.u.values.tobytes() == serial.u.values.tobytes()
+    assert not pooled.u.values.flags.writeable
+    assert pooled.lambda_tried == serial.lambda_tried
+    return serial
+
+
+def test_search_lambda_seam_ladder_independent_of_workers(monkeypatch):
+    # criterion 5's fast search: six lam rejected by the seam guard
+    res = search_across_workers(
+        monkeypatch, mollified(library_field("hoelder-drift", 1), 8), 64, 64)
+    assert res.u.lam == 64.0
+    assert res.lambda_tried == tuple(
+        (2.0 ** k, "seam", None) for k in range(6)) + ((64.0, "accepted", None),)
+
+
+def test_search_lambda_gradient_rejection_independent_of_workers(monkeypatch):
+    # lam = 32 contracts but leaves sup |grad_v u| = 0.039 above the target;
+    # under two workers lam = 128 runs speculatively and is not recorded
+    res = search_across_workers(
+        monkeypatch, mollified(library_field("hoelder-drift", 1), 4), 64, 32,
+        lam_init=16.0, gradient_target=0.03)
+    assert res.u.lam == 64.0
+    (lam0, why0, sup0), (lam1, why1, sup1), last = res.lambda_tried
+    assert (lam0, why0, sup0) == (16.0, "seam", None)
+    assert (lam1, why1) == (32.0, "gradient") and 0.03 < sup1 < 0.05
+    assert last == (64.0, "accepted", None)
+
+
+def picard_failing_at(fail_lam, error):
+    """picard_solve that raises ``error`` at lam = fail_lam only."""
+    def patched(drift, lam, *args, **kwargs):
+        if lam == fail_lam:
+            raise error
+        return picard_solve(drift, lam, *args, **kwargs)
+
+    return patched
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_lambda_reads_the_ladder_in_order(monkeypatch, workers):
+    monkeypatch.setenv("KF_WORKERS", workers)
+    field = mollified(library_field("hoelder-drift", 1), 4)
+
+    def search(lam_init):
+        return search_lambda(field.drift, 1.0, 0.5, box_half_width=8.0,
+                             points_per_axis=64, num_slices=32,
+                             lam_init=lam_init)
+
+    # lam = 32 is accepted; an error at the speculative lam = 64 is ignored
+    monkeypatch.setattr(zvonkin, "picard_solve", picard_failing_at(
+        64.0, ValidationError("speculative failure")))
+    res = search(32.0)
+    assert res.u.lam == 32.0
+    assert res.lambda_tried == ((32.0, "accepted", None),)
+    # an error at a lam the serial loop reaches is raised as it was
+    monkeypatch.setattr(zvonkin, "picard_solve", picard_failing_at(
+        16.0, ValidationError("failure at 16")))
+    with pytest.raises(ValidationError, match="^failure at 16$"):
+        search(16.0)
+    # a contraction failure advances the ladder and records its ratio
+    monkeypatch.setattr(zvonkin, "picard_solve", picard_failing_at(
+        16.0, LambdaTooSmallError("no contraction", observed_ratio=0.75)))
+    res = search(16.0)
+    assert res.lambda_tried == ((16.0, "contraction", 0.75),
+                                (32.0, "accepted", None))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +386,11 @@ RESIDUAL_PINS = {
 }
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(RESIDUAL_PINS))
-def test_residual_pinned_values(case):
+def test_residual_pinned_values(case, workers, monkeypatch):
+    # each case spans two WORK_CHUNK chunks, one worker task each
+    monkeypatch.setenv("KF_WORKERS", workers)
     field, _, transform = searched_state()
     if case == "kinetic-exact":
         rep = transformed_sde_residual(
