@@ -1,18 +1,19 @@
 """Pathwise studies of the random flow map z -> Z_t(z, omega).
 
 Everything here rides on synchronous coupling: several initial points are
-pushed through `evolve` under the *identical* noise, so differences between
-trajectories are differences of the flow map at fixed omega.  Two coupling
-layouts are used, both exactly reproducible:
+stepped under the *identical* noise, so differences between trajectories
+are differences of the flow map at fixed omega.  Two coupling layouts are
+used, both exactly reproducible:
 
 * replica layout - a whole grid of initial points consumes one stream
   (``shared_stream=r``), one evolve call per replica.  Used by FlowEnsemble
   and the homeomorphism diagnostics, where the grid is small and the
   replica count modest.
-* stream layout - each of a handful of initial points is tiled across N
-  paths with ``path_offset=0``, so path i of every tile consumes stream i.
-  Used by the moment estimators, where N is large and only 2 to 4 initial
-  points are in play.  Path i across the tiles is one omega.
+* stream layout - the 2 to 4d initial points of a moment estimator, each
+  tiled across N rows, go through one `walk` as a stack of starts: row i
+  of every start consumes stream i, so row i across the stack is one
+  omega.  Each chunk's noise is drawn once, and the estimators keep one
+  running extremum per row instead of whole paths.
 
 Estimators reduce in fixed path order, so results are independent of any
 outer parallelism.
@@ -38,8 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
-from .integrator import (WORK_CHUNK, BrownianGrid, evolve, step_index,
-                         tagged_stream)
+from .integrator import BrownianGrid, evolve, step_index, tagged_stream, walk
 from .parallel import parallel_map
 
 __all__ = [
@@ -87,61 +87,65 @@ def check_path_count(num_paths):
         raise ValidationError("need num_paths >= 100")
 
 
-def _coupled_blocks(field, starts, brownian, num_paths):
-    """Yield [states for each start] per block of WORK_CHUNK paths.
-
-    Row i of the block starting at path lo consumed stream lo + i,
-    identically across the starting points, so per-row differences are
-    flow differences at one omega.
-    """
+def _checked_starts(field, q, num_paths, starts):
+    """Refuse a non-finite q, too few paths and starts that are not 2d
+    long, before any noise is drawn; return the starts as flat arrays."""
+    if not np.isfinite(q):
+        raise ValidationError(f"moment order q must be finite, got {q!r}")
+    check_path_count(num_paths)
     starts = [np.asarray(z, dtype=float).reshape(-1) for z in starts]
-    for z in starts:
-        if z.shape[0] != 2 * field.dim:
-            raise ValidationError("initial state dimension mismatch")
-    for lo in range(0, num_paths, WORK_CHUNK):
-        hi = min(lo + WORK_CHUNK, num_paths)
-        yield [evolve(field, np.tile(z, (hi - lo, 1)), brownian,
-                      path_offset=lo).states for z in starts]
+    if any(z.shape != (2 * field.dim,) for z in starts):
+        raise ValidationError(f"initial states need {2 * field.dim} entries")
+    return starts
+
+
+def _coupled_walk(field, starts, num_paths, horizon, dt, master_seed):
+    """`walk` of the stack of ``starts``, each tiled over num_paths rows.
+
+    Row i of every start consumes stream i, so per-row differences are
+    flow differences at one omega; each chunk's noise is drawn once.
+    """
+    stack = np.stack(starts)[:, None, :]
+    stack = np.broadcast_to(stack, (len(stack), num_paths, stack.shape[-1]))
+    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
+    return walk(field, stack, brownian)
 
 
 def two_point_moment(field, z, z_prime, q, num_paths, horizon, dt, *,
                      master_seed=0):
     """E sup_{t<=T} |Z_t(z) - Z_t(z')|^{2q} / |z - z'|^{2q} under one noise.
 
-    For q >= 0 the running maximum of the separation is used; for q < 0
-    the power flips the extremum, so the running *minimum* separation is
-    raised to 2q.  q is restricted to [-1, inf): moments far below -1 hinge
-    on the extreme left tail of the minimum separation, which desk-scale
-    Monte Carlo cannot see.  A coupled pair whose minimum separation
-    underflows to exact zero makes a negative moment meaningless and raises
+    The pair walks as one stack of two starts: each chunk's noise is drawn
+    once, no path is stored, and each row keeps a running extremum of its
+    separation.  For q >= 0 that is the maximum; for q < 0 the power flips
+    the extremum, so the running *minimum* separation is raised to 2q.  q
+    must be finite and lie in [-1, inf): moments far below -1 hinge on the
+    extreme left tail of the minimum separation, which desk-scale Monte
+    Carlo cannot see.  A coupled pair whose minimum separation underflows
+    to exact zero makes a negative moment meaningless and raises
     DegenerateRatioError.
     """
+    z, zp = _checked_starts(field, q, num_paths, [z, z_prime])
     if q < -1.0:
         raise ValidationError("q < -1 not supported (left-tail dominated)")
-    check_path_count(num_paths)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    zp = np.asarray(z_prime, dtype=float).reshape(-1)
     gap = float(np.linalg.norm(z - zp))
     if gap == 0.0:
         if q < 0:
             raise ValidationError("coincident points need q >= 0")
         # identical noise, identical drift: paths coincide exactly
         return MomentEstimate(0.0, 0.0, num_paths)
-    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
-    chunks = []
-    for sa, sb in _coupled_blocks(field, [z, zp], brownian, num_paths):
-        sep = np.linalg.norm(sa - sb, axis=-1)  # (n, steps+1)
-        if q >= 0:
-            extremum = sep.max(axis=1)
-        else:
-            extremum = sep.min(axis=1)
-            if np.any(extremum == 0.0):
-                raise DegenerateRatioError(
-                    "coupled paths collided to floating-point identity; "
-                    "negative-moment ratio undefined"
-                )
-        chunks.append((extremum / gap) ** (2.0 * q))
-    return MomentEstimate.from_samples(np.concatenate(chunks))
+    extreme = np.maximum if q >= 0 else np.minimum
+    ext = np.empty(num_paths)
+    for lo, hi, k, state, _ in _coupled_walk(field, [z, zp], num_paths,
+                                             horizon, dt, master_seed):
+        sep = np.linalg.norm(state[0] - state[1], axis=-1)
+        ext[lo:hi] = sep if k == 0 else extreme(ext[lo:hi], sep)
+    if q < 0 and np.any(ext == 0.0):
+        raise DegenerateRatioError(
+            "coupled paths collided to floating-point identity; "
+            "negative-moment ratio undefined"
+        )
+    return MomentEstimate.from_samples((ext / gap) ** (2.0 * q))
 
 
 def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
@@ -149,34 +153,25 @@ def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
     """E sup_{t<=T} ||grad_z Z_t||_F^q by central differences of the flow.
 
     The Jacobian is estimated one column at a time from coupled
-    perturbations z +/- delta e_j, all 4d trajectories driven by the same
-    noise.  A finite difference rather than a variational equation is
-    deliberate: the drift need not be differentiable, and the object of
-    interest is exactly the weak derivative that survives for rough b.
+    perturbations z +/- delta e_j.  All 4d starts walk as one stack: each
+    chunk's noise is drawn once, no path is stored, and each row keeps the
+    running maximum of ||grad_z Z_t||_F^2.  q must be finite.  A finite
+    difference rather than a variational equation is deliberate:
+    the drift need not be differentiable, and the object of interest is
+    exactly the weak derivative that survives for rough b.
     """
     if not (0.0 < delta <= 1e-1):
         raise ValidationError("delta must lie in (0, 1e-1]")
-    check_path_count(num_paths)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    pd = 2 * field.dim
-    if z.shape[0] != pd:
-        raise ValidationError("initial state dimension mismatch")
-    starts = []
-    for j in range(pd):
-        e = np.zeros(pd)
-        e[j] = delta
-        starts.extend([z + e, z - e])
-    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
-    chunks = []
-    for tiles in _coupled_blocks(field, starts, brownian, num_paths):
-        frob2 = None
-        for j in range(pd):
-            col = (tiles[2 * j] - tiles[2 * j + 1]) / (2.0 * delta)
-            contrib = np.sum(col * col, axis=-1)  # (n, steps+1)
-            frob2 = contrib if frob2 is None else frob2 + contrib
-        sup2 = frob2.max(axis=1)
-        chunks.append(sup2 ** (0.5 * q))
-    return MomentEstimate.from_samples(np.concatenate(chunks))
+    z = _checked_starts(field, q, num_paths, [z])[0]
+    starts = [z + sign * e for e in delta * np.eye(z.size) for sign in (1, -1)]
+    sup2 = np.empty(num_paths)
+    for lo, hi, k, state, _ in _coupled_walk(field, starts, num_paths,
+                                             horizon, dt, master_seed):
+        cols = (state[0::2] - state[1::2]) / (2.0 * delta)
+        # squared column norms, shape (2d, n), added in column order
+        frob2 = np.sum(np.sum(cols * cols, axis=-1), axis=0)
+        sup2[lo:hi] = frob2 if k == 0 else np.maximum(sup2[lo:hi], frob2)
+    return MomentEstimate.from_samples(sup2 ** (0.5 * q))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ normals, so the schemes are synchronously coupled under a shared grid.
 ``walk`` is the one stepping loop: it yields each chunk's state at every
 step with the increment that drives it on, so an estimator keeps only
 what it needs; ``evolve`` is the recorder over it that returns whole paths.
+A stack of starts (s, n, 2d) walks on one draw of each chunk's noise, row
+i of every start on stream path_offset + i: synchronous coupling by row.
 
 The PDE slices, path steps, particle checkpoints and occupation windows
 must share one time grid for the Ito identity of H(Z), so one rule decides
@@ -214,7 +216,7 @@ class _CoarsenedGrid:
 
 @dataclass
 class Trajectory:
-    """Time grid plus states, shape (num_paths, num_steps+1, 2d)."""
+    """Time grid plus states, shape ([s,] num_paths, num_steps+1, 2d)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -249,22 +251,25 @@ def _step_batch(field, scheme, times, states, d, k, dt, dW, extra_normals):
 def walk(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
     """Step paths one WORK_CHUNK chunk at a time: the package's one loop.
 
-    z0: (2d,) or (n, 2d).  Per-path noise by default (path i uses stream
-    path_offset + i); pass ``shared_stream=j`` to drive every initial point
-    with stream j (replica-style coupling).  Yields (lo, hi, k, state, dW)
-    for k = 0 .. num_steps of each chunk [lo, hi): the fresh (hi - lo, 2d)
-    state at step k and the increment that drives it to k + 1 (None at the
-    last step).  A NaN/inf state raises DivergenceError before it is yielded.
+    z0: (2d,), (n, 2d) or a stack of s starts (s, n, 2d).  Per-path noise
+    by default (path i uses stream path_offset + i); pass
+    ``shared_stream=j`` to drive every initial point with stream j
+    (replica-style coupling).  Row i of every start in a stack uses path
+    i's stream, drawn once per chunk, so each start walks exactly as it
+    would alone.  Yields (lo, hi, k, state, dW) for k = 0 .. num_steps of
+    each chunk [lo, hi): the fresh ([s,] hi - lo, 2d) state at step k and
+    the (hi - lo, d) increment that drives it to k + 1 (None at the last
+    step).  A NaN/inf state raises DivergenceError before it is yielded.
     """
     if scheme not in ("em", "kinetic-exact"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     d = field.dim
-    if z0.shape[-1] != 2 * d:
-        raise ValidationError("initial state dimension mismatch")
+    if z0.shape[-1] != 2 * d or z0.ndim > 3:
+        raise ValidationError(f"initial state must be ([s,] [n,] {2 * d})")
     steps, dt = brownian.num_steps, brownian.dt
     times = np.linspace(0.0, brownian.horizon, steps + 1)
-    n = z0.shape[0]
+    n = z0.shape[-2]
     for lo in range(0, n, WORK_CHUNK):
         hi = min(lo + WORK_CHUNK, n)
         if shared_stream is None:
@@ -276,7 +281,7 @@ def walk(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
             dws, extras = np.sqrt(dt) * normals[:, :, :d], normals[:, :, d:]
         else:
             dws, extras = brownian.increments(*streams), None
-        state = z0[lo:hi].copy()
+        state = z0[..., lo:hi, :].copy()
         for k in range(steps + 1):
             if not np.all(np.isfinite(state)):
                 raise DivergenceError("non-finite state encountered during integration")
@@ -289,13 +294,13 @@ def walk(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
 
 def evolve(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
     """Record every state ``walk`` yields (same arguments) in a Trajectory."""
-    n = np.atleast_2d(np.asarray(z0)).shape[0]
+    lead = np.atleast_2d(np.asarray(z0)).shape[:-1]
     times = np.linspace(0.0, brownian.horizon, brownian.num_steps + 1)
     out = np.empty((0, times.size, 2 * field.dim))
     for lo, hi, k, state, _ in walk(field, z0, brownian, scheme,
                                     shared_stream, path_offset):
         if lo == k == 0:
             # allocated once the first chunk's noise has freed its temporaries
-            out = np.empty((n, times.size, 2 * field.dim))
-        out[lo:hi, k] = state
+            out = np.empty(lead + (times.size, 2 * field.dim))
+        out[..., lo:hi, k, :] = state
     return Trajectory(times, out)

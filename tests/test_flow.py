@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kinetic_flow import integrator
 from kinetic_flow.errors import DegenerateRatioError, ValidationError
 from kinetic_flow.fields import MollifiedField, library_field
 from kinetic_flow.flow import (
@@ -41,6 +42,54 @@ def test_two_point_rejects_left_tail_orders():
     with pytest.raises(ValidationError):
         two_point_moment(field, [0.0, 0.0], [0.1, 0.0], 2, 50, 0.25,
                          1.0 / 32)
+
+
+def test_two_point_refuses_starts_of_different_lengths(monkeypatch):
+    # refused before any noise is drawn, not by numpy's broadcast error
+    drawn = []
+    monkeypatch.setattr(integrator.BrownianGrid, "normals",
+                        lambda self, lo, hi: drawn.append((lo, hi)))
+    field = library_field("hoelder-drift", 1)
+    for z, z_prime in (([0.0, 0.0], [0.1, 0.0, 0.0]),
+                       ([0.0, 0.0, 0.0], [0.1, 0.0, 0.0])):
+        with pytest.raises(ValidationError, match="initial states need 2"):
+            two_point_moment(field, z, z_prime, 1.0, 200, 0.25, 1.0 / 32)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("estimate", [
+    lambda f, q: two_point_moment(f, [0.0, 0.0], [0.1, 0.0], q, 200, 0.25,
+                                  1.0 / 32),
+    lambda f, q: weak_gradient_moment(f, [0.0, 0.0], 1e-3, q, 200, 0.25,
+                                      1.0 / 32),
+], ids=["two-point", "weak-gradient"])
+def test_moment_estimators_refuse_a_non_finite_order(estimate, q):
+    with pytest.raises(ValidationError, match="must be finite"):
+        estimate(library_field("hoelder-drift", 1), q)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda f, n: two_point_moment(f, [0.3, 0.0], [0.31, 0.0], 1.0, n, 0.25,
+                                  1.0 / 32),
+    lambda f, n: weak_gradient_moment(f, [0.3, 0.0], 1e-2, 2.0, n, 0.25,
+                                      1.0 / 32),
+], ids=["two-point", "weak-gradient"])
+def test_moment_estimators_draw_each_chunk_noise_once(monkeypatch, estimate):
+    # every coupled start walks on one draw of each chunk's noise
+    monkeypatch.setenv("KF_WORKERS", "1")
+    calls = []
+    normals = integrator.BrownianGrid.normals
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return normals(self, lo, hi)
+
+    monkeypatch.setattr(integrator.BrownianGrid, "normals", counted)
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 16)
+    est = estimate(library_field("hoelder-drift", 1), 100)
+    assert est.num_paths == 100 and np.isfinite(est.value)
+    assert calls == [(lo, min(lo + 16, 100)) for lo in range(0, 100, 16)]
 
 
 def test_weak_gradient_free_field_closed_form():
@@ -144,9 +193,11 @@ def test_convergence_study_levels_independent_of_workers(monkeypatch):
         "0.659286195361074", "0.3858834138883508"]
 
 
-def test_convergence_study_samples_each_level_once_on_the_box():
+def test_convergence_study_samples_each_level_once_on_the_box(monkeypatch):
     # the library fields are autonomous, so each level's drift is sampled
-    # on the L^p box once, not once per time node
+    # on the L^p box once, not once per time node; serial, so the counts
+    # are made in this process whatever KF_WORKERS says
+    monkeypatch.setenv("KF_WORKERS", "1")
     base = library_field("hoelder-drift", 1)
     box_shape = (33, 33, 2)
     sampled = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kinetic_flow import integrator
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
 from kinetic_flow.integrator import (GRID_TOL, WORK_CHUNK, BrownianGrid,
@@ -361,6 +362,53 @@ def test_walk_of_one_chunk_at_its_offset_matches_the_whole_walk(scheme, coarsen)
                 assert dW.tobytes() == full_dW.tobytes()
             else:
                 assert dW is None and full_dW is None
+
+
+@pytest.mark.parametrize("scheme,coarsen", [("em", 1), ("kinetic-exact", 1),
+                                            ("em", 2)])
+def test_walk_of_a_start_stack_matches_each_start_alone(monkeypatch, scheme,
+                                                        coarsen):
+    # start s of an (s, n, 2d) stack gets row i's noise from stream
+    # path_offset + i, as a walk of that start alone does: same states and
+    # increments bit for bit, across chunk boundaries and at an offset
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 16)
+    n, offset = 40, 5
+    field = library_field("hoelder-drift", 2)
+    g = BrownianGrid(8, 1.0 / 8, 8, 2)
+    if coarsen > 1:
+        g = g.coarsened(coarsen)
+    z0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, n, 4))
+    alone = [{(lo, k): (state, dW) for lo, _, k, state, dW
+              in walk(field, z, g, scheme=scheme, path_offset=offset)}
+             for z in z0]
+    seen = []
+    for lo, hi, k, state, dW in walk(field, z0, g, scheme=scheme,
+                                     path_offset=offset):
+        seen.append((lo, hi, k))
+        assert state.shape == (3, hi - lo, 4)
+        for s, lone in enumerate(alone):
+            lone_state, lone_dW = lone[lo, k]
+            assert state[s].tobytes() == lone_state.tobytes()
+            if k < g.num_steps:
+                assert dW.tobytes() == lone_dW.tobytes()
+            else:
+                assert dW is None and lone_dW is None
+    assert seen == [(lo, min(lo + 16, n), k) for lo in (0, 16, 32)
+                    for k in range(g.num_steps + 1)]
+    # evolve records a stack with its start axis in front
+    stacked = evolve(field, z0, g, scheme=scheme, path_offset=offset).states
+    assert stacked.shape == (3, n, g.num_steps + 1, 4)
+    assert np.array_equal(stacked[1], evolve(field, z0[1], g, scheme=scheme,
+                                             path_offset=offset).states)
+
+
+def test_walk_refuses_a_wrong_last_axis_or_more_than_three_axes():
+    field = library_field("hoelder-drift", 1)
+    g = BrownianGrid(1, 0.25, 4, 1)
+    for z0 in (np.zeros(3), np.zeros((5, 3)), np.zeros((2, 5, 3)),
+               np.zeros((2, 2, 5, 2))):
+        with pytest.raises(ValidationError, match="initial state"):
+            next(walk(field, z0, g))
 
 
 @pytest.mark.parametrize("scheme, bound", [("em", 2.0), ("kinetic-exact", 3.0)])

@@ -409,6 +409,8 @@ def test_residual_pinned_values(case, workers, monkeypatch):
 
 
 def test_residual_draws_each_chunk_noise_once(monkeypatch):
+    # serial, so the draws are made in this process whatever KF_WORKERS says
+    monkeypatch.setenv("KF_WORKERS", "1")
     field, _, transform = searched_state()
     calls = []
     normals = BrownianGrid.normals
