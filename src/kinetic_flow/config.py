@@ -12,6 +12,7 @@ parameters included, is refused before anything is written.
 """
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from .errors import ValidationError
@@ -33,14 +34,16 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # in memory beyond d = 1); "steps", steps paths from 0 to T, which must be
 # a whole number of dt; "windows", every window of krylov.experiment_windows
 # passes krylov.window_steps on the dt grid of the 2T ensemble; "atoms",
-# N passes fokker_planck.check_atom_count
+# N passes fokker_planck.check_atom_count; "memory" (with "steps"), the
+# checkpoint at every grid time, (T/dt + 1) N 2d float64s, fits in the
+# machine's physical memory
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
     "flow": (("T", "dt", "N"), ("paths", "steps")),
     "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "ladder", "d1", "steps")),
     "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
     "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps", "windows")),
-    "fokker-planck": (("T", "dt", "N"), ("d1", "steps", "atoms")),
+    "fokker-planck": (("T", "dt", "N"), ("d1", "steps", "atoms", "memory")),
     "spaces": ((), ("d1",)),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -103,6 +106,14 @@ _KEYS = {
 ZVONKIN_SLICES = 128
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One parsed experiment: typed values plus the verbatim source text."""
@@ -160,6 +171,14 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
+            if "memory" in rules:
+                need = (steps + 1) * self.num_paths * 2 * self.d * 8
+                have = _physical_memory()
+                if have is not None and need > have:
+                    raise ValidationError(
+                        f"{self.experiment} keeps a checkpoint at every grid "
+                        f"time: {need / 2**30:.1f} GiB exceeds the "
+                        f"{have / 2**30:.1f} GiB of physical memory")
         if "atoms" in rules:
             check_atom_count(self.num_paths)
         if "windows" in rules:

@@ -2,18 +2,13 @@
 
 Everything here rides on synchronous coupling: several initial points are
 stepped under the *identical* noise, so differences between trajectories
-are differences of the flow map at fixed omega.  Two coupling layouts are
-used, both exactly reproducible:
-
-* replica layout - a whole grid of initial points consumes one stream
-  (``shared_stream=r``), one evolve call per replica.  Used by FlowEnsemble
-  and the homeomorphism diagnostics, where the grid is small and the
-  replica count modest.
-* stream layout - the 2 to 4d initial points of a moment estimator, each
-  tiled across N rows, go through one `walk` as a stack of starts: row i
-  of every start consumes stream i, so row i across the stack is one
-  omega.  Each chunk's noise is drawn once, and the estimators keep one
-  running extremum per row instead of whole paths.
+are differences of the flow map at fixed omega.  One layout does it,
+exactly reproducibly: the starts, each tiled across N rows, go through one
+`walk` as a stack, and row i of every start consumes stream i, so row i
+across the stack is one omega.  Each chunk's noise is drawn once, and no
+path is stored.  The moment estimators stack their 2 to 4d starts and keep
+one running extremum per row; the homeomorphism check stacks a grid of
+points, one row per replica, and keeps each row's state at the horizon.
 
 Estimators reduce in fixed path order, so results are independent of any
 outer parallelism.
@@ -39,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
-from .integrator import BrownianGrid, evolve, step_index, tagged_stream, walk
+from .integrator import BrownianGrid, evolve, tagged_stream, walk
 from .parallel import parallel_map
 
 __all__ = [
@@ -47,7 +42,6 @@ __all__ = [
     "check_path_count",
     "two_point_moment",
     "weak_gradient_moment",
-    "FlowEnsemble",
     "phase_grid",
     "HomeomorphismReport",
     "homeomorphism_check",
@@ -175,7 +169,7 @@ def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
 
 
 # ---------------------------------------------------------------------------
-# flow ensembles over an initial grid
+# the flow map over a grid of initial points
 
 
 def phase_grid(x_half_width, v_half_width, num_x, num_v):
@@ -191,56 +185,6 @@ def phase_grid(x_half_width, v_half_width, num_x, num_v):
     vg = np.linspace(-v_half_width, v_half_width, num_v)
     pts = np.stack(np.meshgrid(xg, vg, indexing="ij"), axis=-1).reshape(-1, 2)
     return pts, (num_x, num_v)
-
-
-@dataclass
-class FlowEnsemble:
-    """Trajectories of a grid of initial points under shared per-replica noise.
-
-    ``states`` has shape (num_replicas, num_points, num_steps+1, 2d); every
-    initial point of replica r consumed stream r of the Brownian grid, so a
-    fixed replica slice is one realization of the flow map evaluated on the
-    whole grid.  ``grid_shape`` is set when the points came from
-    `phase_grid` and enables the grid-line diagnostics.
-    """
-
-    field: CoefficientField
-    times: np.ndarray
-    points: np.ndarray
-    states: np.ndarray
-    master_seed: int
-    grid_shape: tuple | None = None
-
-    @property
-    def num_replicas(self):
-        return self.states.shape[0]
-
-    @property
-    def num_points(self):
-        return self.states.shape[1]
-
-    @classmethod
-    def build(cls, field, points, num_replicas, horizon, dt, *,
-              master_seed=0, grid_shape=None):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if num_replicas < 1:
-            raise ValidationError("need num_replicas >= 1")
-        if points.shape[0] >= 2 and float(pdist(points).min()) == 0.0:
-            raise ValidationError("initial grid contains duplicate points")
-        brownian = BrownianGrid.for_horizon(master_seed, horizon, dt,
-                                            field.dim)
-        states = np.empty((num_replicas, points.shape[0],
-                           brownian.num_steps + 1, 2 * field.dim))
-        times = None
-        for r in range(num_replicas):
-            traj = evolve(field, points, brownian, shared_stream=r)
-            states[r] = traj.states
-            times = traj.times
-        return cls(field, times, points, states, master_seed,
-                   grid_shape=grid_shape)
-
-    def time_index(self, t):
-        return step_index(t, self.times[1] - self.times[0], self.times[-1])
 
 
 @dataclass
@@ -282,30 +226,45 @@ def _ordering_failures(transported, lines):
     return fails
 
 
-def homeomorphism_check(ensemble, t=None):
-    """Injectivity proxy + grid-line ordering for each replica at time t.
+def homeomorphism_check(field, points, num_replicas, horizon, dt, *,
+                        master_seed=0, grid_shape=None):
+    """Injectivity proxy + grid-line ordering for each replica at the horizon.
 
+    The points walk as a stack of starts over num_replicas rows, so row r
+    of every point is replica r on stream r: one realization of the flow
+    map on the whole grid.  Only each row's state at the horizon is kept.
     min_ratio > 0 for every replica says no two grid points were collapsed
     (a necessary condition for injectivity at the grid's resolution);
     failures counts nearest-neighbor violations along grid lines, the
-    discrete stand-in for order-preserving invertibility.
+    discrete stand-in for order-preserving invertibility.  ``grid_shape``
+    (nx, nv) from `phase_grid` enables the grid-line diagnostics and must
+    hold exactly the points.
     """
-    t = float(ensemble.times[-1]) if t is None else float(t)
-    it = ensemble.time_index(t)
-    d0 = pdist(ensemble.points)
-    m = ensemble.num_points
-    num_pairs = d0.size
-    min_ratio = np.empty(ensemble.num_replicas)
-    failures = np.zeros(ensemble.num_replicas, dtype=int)
-    lines = (_line_indices(ensemble.grid_shape)
-             if ensemble.grid_shape is not None else [])
-    for r in range(ensemble.num_replicas):
-        transported = ensemble.states[r, :, it, :]
-        dt_pairs = pdist(transported)
-        min_ratio[r] = float(np.min(dt_pairs / d0))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if num_replicas < 1:
+        raise ValidationError("need num_replicas >= 1")
+    if points.shape[0] < 2:
+        raise ValidationError("need at least two points")
+    d0 = pdist(points)
+    if float(d0.min()) == 0.0:
+        raise ValidationError("initial grid contains duplicate points")
+    if grid_shape is not None and int(np.prod(grid_shape)) != points.shape[0]:
+        raise ValidationError(f"grid_shape {tuple(grid_shape)} does not hold "
+                              f"the {points.shape[0]} points")
+    final = np.empty((points.shape[0], num_replicas, points.shape[1]))
+    for lo, hi, _, state, dW in _coupled_walk(field, points, num_replicas,
+                                              horizon, dt, master_seed):
+        if dW is None:
+            final[:, lo:hi] = state
+    min_ratio = np.empty(num_replicas)
+    failures = np.zeros(num_replicas, dtype=int)
+    lines = _line_indices(grid_shape) if grid_shape is not None else []
+    for r in range(num_replicas):
+        transported = final[:, r, :]
+        min_ratio[r] = float(np.min(pdist(transported) / d0))
         if lines:
             failures[r] = _ordering_failures(transported, lines)
-    return HomeomorphismReport(t, min_ratio, failures, num_pairs)
+    return HomeomorphismReport(float(horizon), min_ratio, failures, d0.size)
 
 
 # ---------------------------------------------------------------------------

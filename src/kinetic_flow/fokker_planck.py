@@ -424,8 +424,8 @@ class TestFunction:
     the generator needs exact derivatives so the residual measures time
     discretization and nothing else.  ``bump`` is ``(i, j, r_in, r_out)``
     on members made by ``monomial_bump``, whose closures evaluate that
-    bump; ``weak_residual`` evaluates such members from it directly,
-    sharing the cutoff pieces between members.
+    bump; ``weak_residual`` and ``generator_apply`` evaluate such members
+    from it directly, one jet for all four parts.
     """
 
     __test__ = False        # not a pytest collection target
@@ -447,10 +447,11 @@ class TestFunction:
     def generator_apply(self, field, t, z):
         """(v . grad_x + b . grad_v + a : hess_v) applied at states z."""
         self._require_closures()
-        z = np.asarray(z, dtype=float)
+        pieces = _Pieces(z)
+        z = pieces.z
         return _apply_generator(z[..., field.dim:], field.drift(t, z),
-                                field.generator_a(t, z), self.grad_x(z),
-                                self.grad_v(z), self.hess_v(z))
+                                field.generator_a(t, z),
+                                *_member_jet(self, pieces)[1:])
 
     @classmethod
     def constant(cls, c):
@@ -479,19 +480,11 @@ def monomial_bump(x_power, v_power, *, r_in=2.5, r_out=4.0, name=None):
     label = name or f"x{i}v{j}[{r_in:g},{r_out:g}]"
     bump = (i, j, r_in, r_out)
 
-    def value(z):
-        return _bump_jet(_Pieces(z), bump)[0]
+    def part(k, index):
+        return lambda z: _bump_jet(_Pieces(z), bump)[k][index]
 
-    def grad_x(z):
-        return _bump_jet(_Pieces(z), bump)[1][..., None]
-
-    def grad_v(z):
-        return _bump_jet(_Pieces(z), bump)[2][..., None]
-
-    def hess_v(z):
-        return _bump_jet(_Pieces(z), bump)[3][..., None, None]
-
-    return TestFunction(label, value, grad_x, grad_v, hess_v, bump)
+    return TestFunction(label, part(0, ...), part(1, (..., None)),
+                        part(2, (..., None)), part(3, (..., None, None)), bump)
 
 
 _DICTIONARY_POWERS = (

@@ -20,9 +20,8 @@ it: ``step_index`` maps t to its step j on origin + j dt up to a horizon T
 and refuses a t more than GRID_TOL * max(1, T) off the grid or outside
 [origin, T], and ``uniform_step`` checks that times are such a grid.  The
 callers add only their own range rule: ``BrownianGrid.for_horizon``,
-``FlowEnsemble.time_index``, ``particle_measure``, ``weak_residual``,
-``krylov.window_steps``, ``SpaceTimeField``, ``transformed_sde_residual``
-and ``pde_defect``.
+``particle_measure``, ``weak_residual``, ``krylov.window_steps``,
+``SpaceTimeField``, ``transformed_sde_residual`` and ``pde_defect``.
 """
 
 from __future__ import annotations
@@ -174,38 +173,26 @@ class BrownianGrid:
     def coarsened(self, factor):
         if factor < 1 or self.num_steps % factor != 0:
             raise ValidationError("coarsening factor must divide num_steps")
-        return _CoarsenedGrid(self, int(factor))
+        factor = int(factor)
+        return _CoarsenedGrid(self.master_seed, self.dt * factor,
+                              self.num_steps // factor, self.dim, self)
 
 
 @dataclass(frozen=True)
-class _CoarsenedGrid:
+class _CoarsenedGrid(BrownianGrid):
+    """``fine`` at factor * dt: each increment sums ``factor`` fine ones."""
+
     fine: BrownianGrid
-    factor: int
-
-    @property
-    def dt(self):
-        return self.fine.dt * self.factor
-
-    @property
-    def num_steps(self):
-        return self.fine.num_steps // self.factor
-
-    @property
-    def dim(self):
-        return self.fine.dim
 
     @property
     def horizon(self):
+        # dt * num_steps would round differently for factors off powers of 2
         return self.fine.horizon
-
-    @property
-    def master_seed(self):
-        return self.fine.master_seed
 
     def increments(self, path_lo, path_hi):
         fine = self.fine.increments(path_lo, path_hi)
-        n, steps, d = fine.shape
-        return fine.reshape(n, steps // self.factor, self.factor, d).sum(axis=2)
+        n, _, d = fine.shape
+        return fine.reshape(n, self.num_steps, -1, d).sum(axis=2)
 
     def normals(self, path_lo, path_hi):
         raise ValidationError(
@@ -248,14 +235,12 @@ def _step_batch(field, scheme, times, states, d, k, dt, dW, extra_normals):
     return np.concatenate([x_new, v_new], axis=-1)
 
 
-def walk(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
+def walk(field, z0, brownian, scheme="em", path_offset=0):
     """Step paths one WORK_CHUNK chunk at a time: the package's one loop.
 
-    z0: (2d,), (n, 2d) or a stack of s starts (s, n, 2d).  Per-path noise
-    by default (path i uses stream path_offset + i); pass
-    ``shared_stream=j`` to drive every initial point with stream j
-    (replica-style coupling).  Row i of every start in a stack uses path
-    i's stream, drawn once per chunk, so each start walks exactly as it
+    z0: (2d,), (n, 2d) or a stack of s starts (s, n, 2d).  Path i uses
+    stream path_offset + i; row i of every start in a stack uses that
+    stream, drawn once per chunk, so each start walks exactly as it
     would alone.  Yields (lo, hi, k, state, dW) for k = 0 .. num_steps of
     each chunk [lo, hi): the fresh ([s,] hi - lo, 2d) state at step k and
     the (hi - lo, d) increment that drives it to k + 1 (None at the last
@@ -272,10 +257,7 @@ def walk(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
     n = z0.shape[-2]
     for lo in range(0, n, WORK_CHUNK):
         hi = min(lo + WORK_CHUNK, n)
-        if shared_stream is None:
-            streams = (path_offset + lo, path_offset + hi)
-        else:
-            streams = (shared_stream, shared_stream + 1)
+        streams = (path_offset + lo, path_offset + hi)
         if scheme == "kinetic-exact":
             normals = brownian.normals(*streams)
             dws, extras = np.sqrt(dt) * normals[:, :, :d], normals[:, :, d:]
@@ -292,13 +274,12 @@ def walk(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
                 state = _step_batch(field, scheme, times, state, d, k, dt, dW, extra)
 
 
-def evolve(field, z0, brownian, scheme="em", shared_stream=None, path_offset=0):
+def evolve(field, z0, brownian, scheme="em", path_offset=0):
     """Record every state ``walk`` yields (same arguments) in a Trajectory."""
     lead = np.atleast_2d(np.asarray(z0)).shape[:-1]
     times = np.linspace(0.0, brownian.horizon, brownian.num_steps + 1)
     out = np.empty((0, times.size, 2 * field.dim))
-    for lo, hi, k, state, _ in walk(field, z0, brownian, scheme,
-                                    shared_stream, path_offset):
+    for lo, hi, k, state, _ in walk(field, z0, brownian, scheme, path_offset):
         if lo == k == 0:
             # allocated once the first chunk's noise has freed its temporaries
             out = np.empty(lead + (times.size, 2 * field.dim))

@@ -195,6 +195,51 @@ def test_cli_refuses_bad_values_before_the_output_exists(
     assert not out.exists()
 
 
+def test_fokker_planck_checkpoint_store_is_budgeted_at_parse_time(
+        tmp_path, monkeypatch, capsys):
+    # every grid time is kept: (T/dt + 1) N 2d float64s.  Only the parse
+    # runs here, so nothing of that size is ever allocated.
+    from kinetic_flow import config
+    text = "experiment = fokker-planck\nseed = 1\nT = 1\n"
+    # 5 checkpoints of 1000 atoms in 2 coordinates: 80,000 bytes
+    small = text + "dt = 0.25\nN = 1000\noutput = out\n"
+    monkeypatch.setattr(config, "_physical_memory", lambda: 80_000)
+    parse_config_text(small)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 79_999)
+    with pytest.raises(ValidationError, match="of physical memory"):
+        parse_config_text(small)
+    # N = 10^6 at dt = 2^-10 needs 16.4 GB, over a 7.8 GiB box
+    monkeypatch.setattr(config, "_physical_memory", lambda: 7.8 * 2**30)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text + f"dt = 0.0009765625\nN = 1000000\n"
+                                         f"output = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "15.3 GiB exceeds the 7.8 GiB" in capsys.readouterr().err
+    assert not out.exists()
+    # a budget os.sysconf cannot tell is not checked
+    monkeypatch.setattr(config, "_physical_memory", lambda: None)
+    parse_config(path)
+
+
+def test_fokker_planck_budget_reads_the_physical_memory(tmp_path, capsys):
+    # T / dt = 2^20 steps of 10^6 atoms: 16 TB, more than any desk machine
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"experiment = fokker-planck\nseed = 1\nT = 1024\n"
+                  f"dt = 0.0009765625\nN = 1000000\noutput = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "of physical memory" in capsys.readouterr().err
+    assert not out.exists()
+    # the benchmark's particles config (52 MB) and every artifact
+    # determinism config still parse
+    parse_config_text("experiment = fokker-planck\nseed = 1\nT = 1.0\n"
+                      "dt = 0.015625\nN = 50000\n"
+                      "field.name = hoelder-drift\noutput = out\n")
+    for fast in (True, False):
+        for text in _experiment_texts(fast).values():
+            parse_config_text(text + "output = out\n")
+
+
 # ---------------------------------------------------------------------------
 # worker pool
 

@@ -1,13 +1,14 @@
-"""Flow-map statistics: coupled moments, ensembles, convergence, Gronwall."""
+"""Flow-map statistics: coupled moments, the homeomorphism check,
+convergence, Gronwall."""
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from kinetic_flow import integrator
+from kinetic_flow import flow, integrator
 from kinetic_flow.errors import DegenerateRatioError, ValidationError
 from kinetic_flow.fields import MollifiedField, library_field
 from kinetic_flow.flow import (
-    FlowEnsemble,
     GRONWALL_REFERENCE_C,
     convergence_study,
     gronwall_corpus,
@@ -17,6 +18,7 @@ from kinetic_flow.flow import (
     two_point_moment,
     weak_gradient_moment,
 )
+from kinetic_flow.integrator import evolve
 
 
 # ---------------------------------------------------------------------------
@@ -102,51 +104,96 @@ def test_weak_gradient_free_field_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# flow ensembles
+# the flow map over a grid of initial points
 
 
-def test_flow_ensemble_deterministic_rebuild():
+def test_homeomorphism_check_deterministic_rerun():
     field = library_field("hoelder-drift", 1)
     pts, shape = phase_grid(1.0, 1.0, 4, 4)
-    a = FlowEnsemble.build(field, pts, 3, 0.5, 1.0 / 32, master_seed=5,
-                           grid_shape=shape)
-    b = FlowEnsemble.build(field, pts, 3, 0.5, 1.0 / 32, master_seed=5,
-                           grid_shape=shape)
-    assert np.array_equal(a.states, b.states)
-    assert a.num_replicas == 3
-    assert a.num_points == 16
+    a, b = (homeomorphism_check(field, pts, 3, 0.5, 1.0 / 32, master_seed=5,
+                                grid_shape=shape) for _ in range(2))
+    assert np.array_equal(a.min_ratio, b.min_ratio)
+    assert np.array_equal(a.failures, b.failures)
+    assert a.min_ratio.shape == (3,) and a.num_pairs == 16 * 15 // 2
+    assert a.t == 0.5
 
 
-def test_flow_ensemble_replica_coupling():
+def test_homeomorphism_check_replica_coupling():
     # within one replica every initial point consumes the same stream, so
     # two coincident-velocity starts of the free field keep their exact gap
     field = library_field("free", 1)
     pts = np.array([[0.0, 0.5], [1.0, 0.5]])
-    ens = FlowEnsemble.build(field, pts, 2, 0.5, 1.0 / 32, master_seed=1)
-    gap = ens.states[:, 1, :, 0] - ens.states[:, 0, :, 0]
-    assert np.abs(gap - 1.0).max() <= 1e-12
+    report = homeomorphism_check(field, pts, 2, 0.5, 1.0 / 32, master_seed=1)
+    assert np.abs(report.min_ratio - 1.0).max() <= 1e-12
 
 
-def test_flow_ensemble_rejects_duplicates():
+@pytest.mark.parametrize("name, dim", [("hoelder-drift", 1),
+                                       ("anisotropic-sigma", 2)])
+def test_homeomorphism_check_replica_is_the_row_stream(monkeypatch, name,
+                                                       dim):
+    # replica r of point p at T is row r of a walk of point p tiled over
+    # the replicas, bit for bit
+    field = library_field(name, dim)
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 2 * dim))
+    replicas, horizon, dt = 5, 0.5, 1.0 / 32
+    walked = flow._coupled_walk
+    final = {}
+
+    def recording(*args):
+        for lo, hi, k, state, dW in walked(*args):
+            if dW is None:
+                final[lo] = state.copy()
+            yield lo, hi, k, state, dW
+
+    monkeypatch.setattr(flow, "_coupled_walk", recording)
+    report = homeomorphism_check(field, pts, replicas, horizon, dt,
+                                 master_seed=7)
+    grid = integrator.BrownianGrid.for_horizon(7, horizon, dt, dim)
+    alone = np.stack([evolve(field, np.tile(p, (replicas, 1)), grid)
+                      .states[:, -1, :] for p in pts])
+    assert np.array_equal(final[0], alone)
+    ratios = [np.min(pdist(alone[:, r]) / pdist(pts)) for r in range(replicas)]
+    assert np.array_equal(report.min_ratio, ratios)
+
+
+def test_homeomorphism_check_refusals(monkeypatch):
+    # refused before any noise is drawn
+    drawn = []
+    monkeypatch.setattr(integrator.BrownianGrid, "normals",
+                        lambda self, lo, hi: drawn.append((lo, hi)))
     field = library_field("free", 1)
-    with pytest.raises(ValidationError):
-        FlowEnsemble.build(field, np.zeros((2, 2)), 1, 0.5, 1.0 / 32)
+    pts = np.array([[0.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(ValidationError, match="duplicate"):
+        homeomorphism_check(field, np.zeros((2, 2)), 1, 0.5, 1.0 / 32)
+    with pytest.raises(ValidationError, match="num_replicas"):
+        homeomorphism_check(field, pts, 0, 0.5, 1.0 / 32)
+    with pytest.raises(ValidationError, match="two points"):
+        homeomorphism_check(field, pts[:1], 1, 0.5, 1.0 / 32)
+    with pytest.raises(ValidationError, match="not a whole number"):
+        homeomorphism_check(field, pts, 1, 0.5, 0.3)
+    assert drawn == []
 
 
-def test_time_index_contract():
-    field = library_field("free", 1)
-    ens = FlowEnsemble.build(field, np.array([[0.0, 0.0]]), 1, 0.5, 1.0 / 32)
-    assert ens.time_index(0.25) == 8
-    with pytest.raises(ValidationError):
-        ens.time_index(0.26)
+@pytest.mark.parametrize("num_points, shape", [(10, (4, 4)), (16, (3, 4))])
+def test_homeomorphism_check_refuses_a_grid_shape_off_the_points(
+        monkeypatch, num_points, shape):
+    # (4, 4) over 10 points would index past them; (3, 4) over 16 would
+    # check only 12 points' lines.  Both are refused before any draw.
+    drawn = []
+    monkeypatch.setattr(integrator.BrownianGrid, "normals",
+                        lambda self, lo, hi: drawn.append((lo, hi)))
+    pts = phase_grid(1.0, 1.0, 4, 4)[0][:num_points]
+    with pytest.raises(ValidationError, match="grid_shape"):
+        homeomorphism_check(library_field("free", 1), pts, 2, 0.5, 1.0 / 32,
+                            grid_shape=shape)
+    assert drawn == []
 
 
 def test_homeomorphism_free_field():
     field = library_field("free", 1)
     pts, shape = phase_grid(1.0, 1.0, 6, 6)
-    ens = FlowEnsemble.build(field, pts, 4, 0.5, 1.0 / 32, master_seed=3,
-                             grid_shape=shape)
-    report = homeomorphism_check(ens)
+    report = homeomorphism_check(field, pts, 4, 0.5, 1.0 / 32, master_seed=3,
+                                 grid_shape=shape)
     assert report.passed
     assert np.all(report.failures == 0)
     # free shear [[1, T], [0, 1]] contracts pair gaps by at most its

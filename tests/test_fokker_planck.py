@@ -213,6 +213,20 @@ def test_monomial_bump_plateau_values():
         monomial_bump(1, 1, r_in=3.0, r_out=2.0)
 
 
+def test_generator_apply_on_the_free_plateau_is_exact():
+    # free field: b = 0 and a = 1/2, and on the plateau (x, v nonzero,
+    # |x|, |v| <= r_in) each bump is its monomial, so L x = v, L v^2 = 1
+    # and L xv = v^2 hold bit for bit
+    field = library_field("free", 1)
+    z = np.random.default_rng(2).uniform(-2.5, 2.5, (500, 2))
+    z = np.vstack([z, [[2.5, -2.5], [-2.5, 2.5], [1e-300, -1e-300]]])
+    v = z[:, 1]
+    for (i, j), expected in (((1, 0), v), ((0, 2), np.ones_like(v)),
+                             ((1, 1), v * v)):
+        got = monomial_bump(i, j).generator_apply(field, 0.0, z)
+        assert np.array_equal(got, expected)
+
+
 # float.hex of the dictionary residuals on hoelder_checkpoints(), recorded
 # from the member-by-member loop that the single checkpoint pass replaced:
 # the integrability gate, a SHA-1 over the hex of every residual and

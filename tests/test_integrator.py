@@ -72,6 +72,20 @@ def test_coarsened_increments_sum_exactly(factor, seed):
     assert np.isclose(coarse.horizon, g.horizon)
 
 
+def test_coarsened_grid_is_a_grid_on_the_fine_horizon():
+    # 3 steps of fl(3 * 0.1) end at 0.9000000000000001, but the coarse
+    # grid must stop where the fine one does
+    g = BrownianGrid(4, 0.1, 9, 2)
+    coarse = g.coarsened(3)
+    assert isinstance(coarse, BrownianGrid)
+    assert (coarse.master_seed, coarse.dt, coarse.num_steps, coarse.dim) == (
+        4, 0.1 * 3, 3, 2)
+    assert coarse.dt * coarse.num_steps != g.horizon
+    assert coarse.horizon == g.horizon == 0.9
+    traj = evolve(library_field("free", 2), np.zeros((2, 4)), coarse)
+    assert np.array_equal(traj.times, np.linspace(0.0, 0.9, 4))
+
+
 def test_coarsened_grid_refuses_exact_scheme_noise():
     g = BrownianGrid(0, 1.0 / 64, 64, 1)
     with pytest.raises(ValidationError):
@@ -144,7 +158,7 @@ def test_uniform_step_accepts_only_uniform_increasing_times():
 
 
 def test_horizon_off_the_step_grid_is_refused_everywhere():
-    from kinetic_flow.flow import (FlowEnsemble, convergence_study,
+    from kinetic_flow.flow import (convergence_study, homeomorphism_check,
                                    two_point_moment, weak_gradient_moment)
     from kinetic_flow.fokker_planck import particle_measure, point_mass
     from kinetic_flow.krylov import (bump_family, krylov_ratio,
@@ -161,8 +175,8 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
     calls = [
         lambda: two_point_moment(free, z, z_v, 1.0, 100, 0.5, 0.3),
         lambda: weak_gradient_moment(free, z, 1e-3, 2.0, 100, 0.5, 0.3),
-        lambda: FlowEnsemble.build(free, [[0.0, 0.0], [0.5, 0.0]], 2, 0.5,
-                                   0.3),
+        lambda: homeomorphism_check(free, [[0.0, 0.0], [0.5, 0.0]], 2, 0.5,
+                                    0.3),
         lambda: convergence_study(free, (4, 8, 16), 2.0, 100, 0.5, 0.3, 7.0),
         lambda: krylov_ratio(free, bump_family(20), 7.0, [(0.0, 0.5)], 100,
                              0.5, 0.3),
@@ -180,7 +194,6 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
     # the grid a restarted krylov window runs on, from t0 = 0.25
     restarted = Trajectory(traj.times + 0.25, traj.states)
     one = lambda z: np.ones(z.shape[:-1])  # noqa: E731
-    ens = FlowEnsemble.build(free, [[0.0, 0.0], [0.5, 0.0]], 1, 0.5, 0.25)
     transform = zvonkin_transform(
         SpaceTimeField.zeros(2, 0.5, 6.0, 8, 1, 0.5), np.eye(1))
     timed = [
@@ -189,7 +202,6 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
         lambda t: krylov_ratio(free, bump_family(20), 7.0, [(t, 0.5)], 100,
                                0.5, 0.25, restart=True),
         lambda t: occupation_functional(restarted, one, t + 0.25, 0.75),
-        lambda t: ens.time_index(t),
         lambda t: transformed_sde_residual(transform, free, z, grid, 4,
                                            checkpoints=(t, 0.5)),
     ]
