@@ -447,11 +447,13 @@ class TestFunction:
     def generator_apply(self, field, t, z):
         """(v . grad_x + b . grad_v + a : hess_v) applied at states z."""
         self._require_closures()
-        pieces = _Pieces(z)
-        z = pieces.z
+        z = np.asarray(z, dtype=float)
+        if self.bump is not None:
+            parts = _member_jet(self, _Pieces(z))[1:]
+        else:
+            parts = (self.grad_x(z), self.grad_v(z), self.hess_v(z))
         return _apply_generator(z[..., field.dim:], field.drift(t, z),
-                                field.generator_a(t, z),
-                                *_member_jet(self, pieces)[1:])
+                                field.generator_a(t, z), *parts)
 
     @classmethod
     def constant(cls, c):

@@ -118,12 +118,26 @@ def test_homeomorphism_check_deterministic_rerun():
     assert a.t == 0.5
 
 
-def test_homeomorphism_check_replica_coupling():
+def test_homeomorphism_check_replica_coupling(monkeypatch):
     # within one replica every initial point consumes the same stream, so
     # two coincident-velocity starts of the free field keep their exact gap
+    # at every step, not only at the horizon
     field = library_field("free", 1)
     pts = np.array([[0.0, 0.5], [1.0, 0.5]])
+    walked = flow._coupled_walk
+    gaps = []
+
+    def recording(*args):
+        for lo, hi, k, state, dW in walked(*args):
+            gaps.append(state[1] - state[0])
+            yield lo, hi, k, state, dW
+
+    monkeypatch.setattr(flow, "_coupled_walk", recording)
     report = homeomorphism_check(field, pts, 2, 0.5, 1.0 / 32, master_seed=1)
+    gaps = np.array(gaps)
+    assert gaps.shape == (17, 2, 2)
+    assert np.abs(gaps[..., 0] - 1.0).max() <= 1e-12
+    assert np.all(gaps[..., 1] == 0.0)
     assert np.abs(report.min_ratio - 1.0).max() <= 1e-12
 
 
