@@ -27,7 +27,7 @@ class ProbeInvalidError(KineticFlowError):
 
 
 class DivergenceError(KineticFlowError):
-    """Too many sample paths left the trusted region."""
+    """A sample path left the trusted region (``integrator.walk``'s rule)."""
 
 
 class DegenerateRatioError(KineticFlowError):

@@ -374,11 +374,11 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     e_n = (E sup_{t<=T} |Z^n_t - Z^{2n}_t|^q)^{1/q} is compared against
     B_n = ||b^n - b^{2n}||_{L^p([0,T] x R^{2d})} + n^{2d/p-1}.
 
-    ``field`` is either a base CoefficientField (family = mollified(field, n))
-    or a callable n -> CoefficientField.  Time-discretization error inside
-    e_n is controlled by evaluating each rung on the requested grid and on
-    its dt/2 refinement of the same noise (summed-increment coupling);
-    dt_ok records per-rung agreement within 10%.
+    ``field`` is the base CoefficientField; level n runs mollified(field, n).
+    Time-discretization error inside e_n is controlled by evaluating each
+    rung on the requested grid and on its dt/2 refinement of the same noise
+    (summed-increment coupling); dt_ok records per-rung agreement within
+    10%.
 
     Each ladder level is built, evolved on both grids and sampled on the
     L^p box exactly once, at t = 0 (the library fields are autonomous), as
@@ -387,26 +387,23 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     from the two cached levels, so the table does not depend on the worker
     count.  The cache holds every level's coupled paths at once.
     """
+    if not isinstance(field, CoefficientField):
+        raise ValidationError("field must be a CoefficientField")
     ladder = [int(n) for n in n_ladder]
-    if isinstance(field, CoefficientField):
-        family = lambda n: mollified(field, n)  # noqa: E731
-        d = field.dim
-    else:
-        family = field
-        # an empty ladder is refused whatever d is
-        d = family(ladder[0]).dim if ladder else 1
+    d = field.dim
     check_convergence_study(d, ladder, num_paths, p)
     z0 = np.zeros(2 * d) if z0 is None else np.asarray(z0, dtype=float)
     steps = BrownianGrid.for_horizon(master_seed, horizon, dt, d).num_steps
     fine = BrownianGrid(master_seed, 0.5 * dt, 2 * steps, d)
     coarse = fine.coarsened(2)
     if lp_box_half_width is None:
-        lp_box_half_width = max(family(n).support_radius for n in ladder) + 0.5
+        lp_box_half_width = max(mollified(field, n).support_radius
+                                for n in ladder) + 0.5
     box = _lp_box(d, lp_box_half_width, lp_points_per_axis)
     starts = np.tile(z0, (num_paths, 1))
 
     def level(n):
-        f = family(n)
+        f = mollified(field, n)
         paths = [evolve(f, starts, grid).states for grid in (coarse, fine)]
         return paths, f.drift(0.0, box.zs)
 

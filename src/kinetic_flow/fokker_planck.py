@@ -2,7 +2,10 @@
 
 The measure-valued solution of the forward (Fokker-Planck) equation is
 represented by its defining pairing mu_t(phi) = E phi(Z_t): N independent
-atoms pushed through the path integrator, uniform weights.  No density
+atoms pushed through the path integrator, uniform weights.  Every atom is
+kept, so mu_t is the law of Z_t itself, the law the superposition
+principle ties to a measure-valued solution; a diverging atom aborts the
+run through ``integrator.walk`` instead of being dropped.  No density
 grid is ever built; with a drift this rough the adjoint operator has no
 stable grid discretization, and the particle form is the object the
 theory actually speaks about.
@@ -32,15 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .errors import (
-    DegenerateRatioError,
-    DivergenceError,
-    ValidationError,
-)
+from .errors import DegenerateRatioError, ValidationError
 from .fields import CoefficientField
 from .integrator import (
-    DIVERGENCE_FRACTION,
-    DIVERGENCE_THRESHOLD,
     BrownianGrid,
     step_index,
     tagged_stream,
@@ -136,29 +133,22 @@ def gaussian_cloud(center, scale):
 class EmpiricalMeasure:
     """Uniformly weighted atoms of the particle measure at one time.
 
-    ``atom_ids`` are the originating path indices, shared across the
-    checkpoints of one run so per-atom quantities can telescope in time.
-    Total mass is exactly 1 by construction.
+    An atom's id is its row: row i of every checkpoint of one run is
+    path i, so per-atom quantities can telescope in time.
     """
 
     t: float
     atoms: np.ndarray
-    atom_ids: np.ndarray
-    total_requested: int
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
-        ids = np.asarray(self.atom_ids, dtype=np.int64)
         if atoms.ndim != 2 or atoms.shape[-1] % 2 != 0:
             raise ValidationError("atoms must have shape (n, 2d)")
         if atoms.shape[0] < 1:
             raise ValidationError("empirical measure needs at least one atom")
-        if ids.shape != (atoms.shape[0],):
-            raise ValidationError("atom_ids must align with atoms")
         if not np.all(np.isfinite(atoms)):
             raise ValidationError("atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "atom_ids", ids)
 
     @property
     def num_atoms(self):
@@ -168,21 +158,15 @@ class EmpiricalMeasure:
     def dim(self):
         return self.atoms.shape[-1] // 2
 
-    @property
-    def mass(self):
-        return 1.0
-
 
 def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
                      scheme="em", master_seed=0):
     """Evolve ``num_atoms`` independent draws of ``law`` and snapshot them.
 
     Returns one EmpiricalMeasure per checkpoint (default: every grid
-    time).  Atoms whose trajectory norm crosses DIVERGENCE_THRESHOLD are
-    dropped from all checkpoints and from ``atom_ids``; more than
-    DIVERGENCE_FRACTION of them raises DivergenceError, as does any
-    non-finite state.  The atoms stream through ``integrator.walk``: only
-    the checkpoint snapshots and a running squared norm per atom are kept,
+    time), each holding every atom, row i for path i.  A diverging atom
+    raises ``integrator.walk``'s DivergenceError; none is dropped.  The
+    atoms stream through ``walk``: only the checkpoint snapshots are kept,
     never the whole path.
     """
     if not isinstance(field, CoefficientField):
@@ -205,29 +189,15 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     atoms0 = law.sample(num_atoms, tagged_stream(master_seed, _INIT_TAG))
     slot = {j: c for c, j in enumerate(check_idx.tolist())}
     snaps = np.empty((check_idx.size,) + atoms0.shape)
-    # sup over time of the squared norm; sqrt is monotone and correctly
-    # rounded, so its root is exactly the sup of the norms
-    sup_sq = np.zeros(len(atoms0))
     for lo, hi, k, state, _ in walk(field, atoms0, grid, scheme=scheme):
-        np.maximum(sup_sq[lo:hi], (state * state).sum(-1), out=sup_sq[lo:hi])
         if k in slot:
             snaps[slot[k], lo:hi] = state
-    keep = np.sqrt(sup_sq) <= DIVERGENCE_THRESHOLD
-    dropped = int(num_atoms - keep.sum())
-    if dropped > DIVERGENCE_FRACTION * num_atoms:
-        raise DivergenceError(
-            f"{dropped}/{num_atoms} atoms diverged "
-            f"(> {DIVERGENCE_FRACTION:.1e} allowed)"
-        )
-    if dropped:
-        snaps = snaps[:, keep]
-    ids = np.flatnonzero(keep)
-    return [EmpiricalMeasure(float(times[j]), snaps[c], ids, num_atoms)
+    return [EmpiricalMeasure(float(times[j]), snaps[c])
             for c, j in enumerate(check_idx)]
 
 
 def checkpoints_to_csv(measures, path):
-    """Atom table across checkpoints: t, atom_id, coordinates.
+    """Atom table across checkpoints: t, atom_id (the row), coordinates.
 
     Each checkpoint is formatted through one ``%.17g`` row template and
     written at once; the bytes are those of a ``csv.writer`` writing the
@@ -243,7 +213,7 @@ def checkpoints_to_csv(measures, path):
         fh.write(",".join(header) + "\n")
         for mu in measures:
             row = f"{mu.t:.17g},%d," + ",".join(["%.17g"] * (2 * d))
-            columns = [mu.atom_ids.tolist()] + mu.atoms.T.tolist()
+            columns = [range(mu.num_atoms)] + mu.atoms.T.tolist()
             fh.write("\n".join([row % fields for fields in zip(*columns)]))
             fh.write("\n")
 
@@ -563,8 +533,9 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
     """Weak-form defect R(t) = mu_t(phi) - mu_0(phi) - sum_s mu_s(L phi) dt.
 
     ``measures`` must be the checkpoints of one particle run on the full
-    uniform time grid (shared atoms); dt is read off that grid.  The
-    generator term uses left-endpoint quadrature, matching the explicit integrator so the
+    uniform time grid, all with the same atom count (row i is atom i at
+    every time); dt is read off that grid.  The generator term uses
+    left-endpoint quadrature, matching the explicit integrator so the
     residual order stays clean.  Standard errors come from the per-atom
     telescoped residuals, which is what makes the Monte Carlo floor
     measurable alongside the bias.
@@ -593,10 +564,8 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
         raise ValidationError("need at least two checkpoints for a residual")
     times = np.array([m.t for m in measures], dtype=float)
     grid_dt = uniform_step(times)
-    ids = measures[0].atom_ids
-    for m in measures[1:]:
-        if not np.array_equal(m.atom_ids, ids):
-            raise ValidationError("checkpoints do not share their atom set")
+    if len({m.num_atoms for m in measures}) != 1:
+        raise ValidationError("checkpoints must hold the same atom count")
     check_atom_count(measures[0].num_atoms)
     if not test_set:
         raise ValidationError("empty test set")
@@ -691,8 +660,7 @@ class GaussianMeasure:
         return self.mean + normals @ self._factor().T
 
     def as_empirical(self, num_atoms, master_seed=0):
-        atoms = self.sample(num_atoms, master_seed)
-        return EmpiricalMeasure(0.0, atoms, np.arange(num_atoms), num_atoms)
+        return EmpiricalMeasure(0.0, self.sample(num_atoms, master_seed))
 
     def marginal(self, direction):
         u = np.asarray(direction, dtype=float)

@@ -205,26 +205,27 @@ def _window_occupation(trajectory, fn, steps, dt):
     return vals @ w
 
 
-def _grid_steps(trajectory, window):
-    """``window_steps`` of a window on the time grid of ``trajectory``."""
-    times = trajectory.times
-    return window_steps(window, times[1] - times[0], times[-1], times[0])
-
-
 def _simulate(field, z0, num_paths, horizon, dt, master_seed, windows,
               trajectory=None):
     """Grid steps of each window, then the ensemble they index.
 
-    The ensemble is ``trajectory`` if given, else num_paths paths started
-    at z0 on the dt grid to horizon.  Every window passes
-    ``window_steps`` on the ensemble's grid before any path is simulated.
+    The ensemble is num_paths paths started at z0 on the dt grid to
+    horizon, or ``trajectory`` if given, which must be num_paths paths on
+    that grid.  Every window passes ``window_steps`` on the grid, and a
+    given ensemble is checked, before any path is simulated or reduced.
     """
-    if trajectory is not None:
-        return trajectory, [_grid_steps(trajectory, w) for w in windows]
     brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
     # evolve's time grid, linspace(0, brownian.horizon, num_steps + 1)
     grid_dt = brownian.horizon / brownian.num_steps
     steps = [window_steps(w, grid_dt, brownian.horizon) for w in windows]
+    if trajectory is not None:
+        on_grid = np.array_equal(step_index(trajectory.times, dt, horizon),
+                                 np.arange(brownian.num_steps + 1))
+        if not on_grid or trajectory.states.shape[:-2] != (num_paths,):
+            raise ValidationError(
+                f"trajectory must be {num_paths} paths on the dt = {dt:g} "
+                f"grid to T = {horizon:g}")
+        return trajectory, steps
     z0 = np.zeros(2 * field.dim) if z0 is None else np.asarray(z0, dtype=float)
     return evolve(field, np.tile(z0, (num_paths, 1)), brownian), steps
 
@@ -237,9 +238,11 @@ def occupation_functional(trajectory, f, t0, t1):
     in path order.
     """
     fn = f.value if hasattr(f, "value") else f
-    return MomentEstimate.from_samples(_window_occupation(
-        trajectory, fn, _grid_steps(trajectory, (t0, t1)),
-        trajectory.times[1] - trajectory.times[0]))
+    times = trajectory.times
+    dt = times[1] - times[0]
+    steps = window_steps((t0, t1), dt, times[-1], times[0])
+    return MomentEstimate.from_samples(
+        _window_occupation(trajectory, fn, steps, dt))
 
 
 @dataclass
@@ -353,7 +356,7 @@ def khasminskii_mgf(field, f, lam, t0, t1, num_paths, horizon, dt, *,
     overflow is reported as a failure carrying the max exponent.  lam may
     be a scalar or a ladder; lam = 0 gives MGF exactly 1.  Pass
     ``trajectory`` to reuse an already simulated ensemble (a corpus sweep
-    shares one).
+    shares one); it must be num_paths paths on the dt grid to horizon.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lam < 0.0):
@@ -401,7 +404,11 @@ class FactorialReport:
 def moment_factorial_check(field, f, m_ladder, t0, t1, num_paths, horizon,
                            dt, *, fitted_c, p, z0=None, master_seed=0,
                            trajectory=None):
-    """m-th moments of int f(Z) ds against the factorial bound."""
+    """m-th moments of int f(Z) ds against the factorial bound.
+
+    A given ``trajectory`` must be num_paths paths on the dt grid to
+    horizon, as in `khasminskii_mgf`.
+    """
     m_ladder = [int(m) for m in m_ladder]
     if not m_ladder or any(m < 1 or m > 6 for m in m_ladder):
         raise ValidationError("m ladder must be a nonempty subset of {1,...,6}")

@@ -269,14 +269,18 @@ def test_convergence_study_samples_each_level_once_on_the_box(monkeypatch):
                 sampled.append(self.n)
             return super().drift(t, z)
 
-    convergence_study(lambda n: Counting(base, n), (2, 4, 8), 2.0, 128, 0.25,
-                      1.0 / 16, 7.0, z0=np.array([0.3, 0.0]), master_seed=5,
+    monkeypatch.setattr(flow, "mollified", Counting)
+    convergence_study(base, (2, 4, 8), 2.0, 128, 0.25, 1.0 / 16, 7.0,
+                      z0=np.array([0.3, 0.0]), master_seed=5,
                       lp_points_per_axis=box_shape[0])
     assert sorted(sampled) == [2, 4, 8]
 
 
 def test_convergence_study_ladder_validation():
     field = library_field("hoelder-drift", 1)
+    with pytest.raises(ValidationError, match="CoefficientField"):
+        convergence_study(lambda n: MollifiedField(field, n), (2, 4, 8), 2,
+                          128, 0.25, 1.0 / 16, 7.0)
     with pytest.raises(ValidationError):
         convergence_study(field, (2, 4), 2, 128, 0.25, 1.0 / 16, 7.0,
                           z0=np.zeros(2), master_seed=2,

@@ -11,6 +11,7 @@ import pytest
 from kinetic_flow import fokker_planck
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
+from kinetic_flow.flow import two_point_moment
 from kinetic_flow.fokker_planck import (
     EmpiricalMeasure,
     GaussianMeasure,
@@ -27,10 +28,10 @@ from kinetic_flow.fokker_planck import (
     weak_residual,
 )
 from kinetic_flow.integrator import (
-    DIVERGENCE_FRACTION,
     DIVERGENCE_THRESHOLD,
     BrownianGrid,
     evolve,
+    walk,
 )
 
 
@@ -75,10 +76,11 @@ def hoelder_checkpoints():
 def test_particle_measure_structure():
     field, measures = hoelder_checkpoints()
     assert len(measures) == 9
-    for mu in measures:
-        assert mu.mass == 1.0
-        assert mu.num_atoms == 200
-        assert np.array_equal(mu.atom_ids, measures[0].atom_ids)
+    # every atom is kept, row i is path i: the same noise drives a plain
+    # evolve of the point mass
+    ref = evolve(field, np.zeros((200, 2)), BrownianGrid(3, 1.0 / 32, 8, 1))
+    for j, mu in enumerate(measures):
+        assert np.array_equal(mu.atoms, ref.states[:, j])
     assert np.allclose([m.t for m in measures], np.linspace(0.0, 0.25, 9),
                        rtol=0.0, atol=1e-15)
     assert np.array_equal(measures[0].atoms, np.zeros((200, 2)))
@@ -106,25 +108,30 @@ def kick_field(level):
         unit_sigma, 1e9, "kick", np.eye(1))
 
 
-def test_particle_measure_drops_and_counts_diverged_atoms():
+def test_finite_kick_past_the_threshold_raises_everywhere():
+    # a few of the 8000 atoms cross v = 3.2 and take a finite 1e8 kick;
+    # no estimator keeps or drops them, every one raises walk's error
     n, dt = 8000, 1.0 / 16
     field = kick_field(3.2)
-    measures = particle_measure(field, point_mass([0.0, 0.0]), n, 1.0, dt,
-                                master_seed=4)
-    # the same noise drives a plain evolve of the point mass
-    ref = evolve(field, np.zeros((n, 2)), BrownianGrid(4, dt, 16, 1))
-    kicked = np.any(ref.states[:, :-1, 1] > 3.2, axis=1)
-    assert 0 < kicked.sum() <= DIVERGENCE_FRACTION * n
-    assert np.all(np.max(np.abs(ref.states[kicked]), axis=(1, 2))
-                  > DIVERGENCE_THRESHOLD)
-    assert np.array_equal(measures[0].atom_ids, np.flatnonzero(~kicked))
-    for mu in measures:
-        assert np.array_equal(mu.atom_ids, measures[0].atom_ids)
-        assert mu.total_requested == n
-        assert np.array_equal(mu.atoms, ref.states[~kicked, round(mu.t / dt)])
-    with pytest.raises(DivergenceError, match="atoms diverged"):
-        particle_measure(kick_field(2.0), point_mass([0.0, 0.0]), n, 1.0, dt,
-                         master_seed=4)
+    calls = [
+        lambda: particle_measure(field, point_mass([0.0, 0.0]), n, 1.0, dt,
+                                 master_seed=4),
+        lambda: two_point_moment(field, [0.0, 0.0], [0.1, 0.0], 1.0, n, 1.0,
+                                 dt, master_seed=4),
+        lambda: evolve(field, np.zeros((n, 2)), BrownianGrid(4, dt, 16, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(DivergenceError, match="diverged past 1e\\+06"):
+            call()
+    # walk yields the kicked state but not the one the kick carries past
+    # the threshold
+    kicked = False
+    with pytest.raises(DivergenceError):
+        for _, _, _, state, _ in walk(field, np.zeros((n, 2)),
+                                      BrownianGrid(4, dt, 16, 1)):
+            assert np.abs(state).max() <= DIVERGENCE_THRESHOLD
+            kicked |= bool(np.any(state[:, 1] > 3.2))
+    assert kicked
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -132,14 +139,13 @@ def test_particle_measure_aborts_on_non_finite_state():
     blowup = CoefficientField(
         1, lambda t, z: 1e3 * np.asarray(z)[..., 1:] ** 3, unit_sigma,
         1e9, "blowup", np.eye(1))
-    with pytest.raises(DivergenceError, match="non-finite"):
+    with pytest.raises(DivergenceError, match="diverged"):
         particle_measure(blowup, point_mass([0.0, 1.0]), 16, 2.0, 0.25)
 
 
 def test_particle_measure_peak_memory_checkpoints_plus_chunk_noise():
     # the atoms stream through integrator.walk: the peak is the kept
-    # checkpoints plus one work chunk's noise, with the divergence test
-    # adding O(N)
+    # checkpoints plus one work chunk's noise
     field = library_field("hoelder-drift", 1)
     tracemalloc.start()
     try:
@@ -155,11 +161,11 @@ def test_particle_measure_peak_memory_checkpoints_plus_chunk_noise():
 
 def test_empirical_measure_validation():
     with pytest.raises(ValidationError):
-        EmpiricalMeasure(0.0, np.zeros((4, 3)), np.arange(4), 4)
+        EmpiricalMeasure(0.0, np.zeros((4, 3)))
     with pytest.raises(ValidationError):
-        EmpiricalMeasure(0.0, np.zeros((4, 2)), np.arange(3), 4)
+        EmpiricalMeasure(0.0, np.zeros((0, 2)))
     with pytest.raises(ValidationError):
-        EmpiricalMeasure(0.0, np.full((4, 2), np.inf), np.arange(4), 4)
+        EmpiricalMeasure(0.0, np.full((4, 2), np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +192,15 @@ def test_weak_residual_validation():
         weak_residual([measures[0], measures[1], measures[3]], field, [phi])
     with pytest.raises(ValidationError, match="empty test set"):
         weak_residual(measures, field, [])
-    reseated = [measures[0],
-                EmpiricalMeasure(measures[1].t, measures[1].atoms,
-                                 measures[1].atom_ids + 1, 200)]
-    with pytest.raises(ValidationError, match="share their atom set"):
-        weak_residual(reseated, field, [phi])
+    # row i is atom i at every checkpoint, so the counts must agree
+    short = [measures[0], EmpiricalMeasure(measures[1].t, measures[1].atoms[1:])]
+    with pytest.raises(ValidationError, match="same atom count"):
+        weak_residual(short, field, [phi])
     bare = TestFunction("raw", value=lambda z: np.zeros(z.shape[:-1]))
     with pytest.raises(ValidationError, match="derivative closures"):
         weak_residual(measures, field, [bare])
     # one atom has no ddof = 1 standard error
-    single = [EmpiricalMeasure(mu.t, mu.atoms[:1], mu.atom_ids[:1], 1)
-              for mu in measures]
+    single = [EmpiricalMeasure(mu.t, mu.atoms[:1]) for mu in measures]
     with pytest.raises(ValidationError, match="at least 2 atoms"):
         weak_residual(single, field, [phi])
 
@@ -528,7 +532,7 @@ def test_gaussian_measure_validation():
 def random_cloud(seed, n=500, scale=1.0, shift=(0.0, 0.0)):
     rng = np.random.default_rng(seed)
     atoms = scale * rng.normal(size=(n, 2)) + np.asarray(shift)
-    return EmpiricalMeasure(0.0, atoms, np.arange(n), n)
+    return EmpiricalMeasure(0.0, atoms)
 
 
 def test_distance_self_is_zero():
@@ -545,8 +549,8 @@ def test_sliced_distance_translation_invariant():
 
 
 def test_sliced_distance_point_pair_bound():
-    a = EmpiricalMeasure(0.0, np.array([[0.2, 0.4]]), np.arange(1), 1)
-    b = EmpiricalMeasure(0.0, np.array([[1.2, -0.3]]), np.arange(1), 1)
+    a = EmpiricalMeasure(0.0, np.array([[0.2, 0.4]]))
+    b = EmpiricalMeasure(0.0, np.array([[1.2, -0.3]]))
     d = measure_distance(a, b)
     # each projection contributes |u . (a - b)| <= |a - b|
     assert 0.0 < d <= np.linalg.norm([1.0, -0.7])
@@ -589,14 +593,15 @@ def test_checkpoint_csv_format(tmp_path):
 
 
 def csv_writer_reference(measures, path):
-    """Row-by-row csv.writer form of the atom table."""
+    """Row-by-row csv.writer form of the atom table; an atom's id is its
+    row."""
     d = measures[0].dim
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "atom_id"] + [f"x{i+1}" for i in range(d)]
                         + [f"v{i+1}" for i in range(d)])
         for mu in measures:
-            for aid, z in zip(mu.atom_ids, mu.atoms):
+            for aid, z in enumerate(mu.atoms):
                 writer.writerow([f"{mu.t:.17g}", str(int(aid))]
                                 + [f"{c:.17g}" for c in z])
 
@@ -609,14 +614,10 @@ def test_checkpoint_csv_matches_csv_writer_bytes(tmp_path):
         9.999999999999998e16, 123456789.0, -2147483648.0, 4294967296.0,
         0.5, -2.5,
     ])
-    one_d = EmpiricalMeasure(0.1, awkward.reshape(-1, 2),
-                             np.array([0, 3, 7, 2 ** 40, 11, 12, 13, 14, 15,
-                                       16, 17, 2 ** 62]), 12)
-    later = EmpiricalMeasure(1e-300, awkward[::-1].reshape(-1, 2),
-                             one_d.atom_ids, 12)
+    one_d = EmpiricalMeasure(0.1, awkward.reshape(-1, 2))
+    later = EmpiricalMeasure(1e-300, awkward[::-1].reshape(-1, 2))
     for measures in ([one_d, later],
-                     [EmpiricalMeasure(2.0 ** 53, awkward.reshape(-1, 4),
-                                       np.arange(6, 0, -1), 6)]):
+                     [EmpiricalMeasure(2.0 ** 53, awkward.reshape(-1, 4))]):
         checkpoints_to_csv(measures, tmp_path / "fast.csv")
         csv_writer_reference(measures, tmp_path / "reference.csv")
         assert ((tmp_path / "fast.csv").read_bytes()

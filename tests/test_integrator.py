@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from kinetic_flow import integrator
 from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
-from kinetic_flow.integrator import (GRID_TOL, WORK_CHUNK, BrownianGrid,
-                                    Trajectory, evolve, step_index,
-                                    uniform_step, walk)
+from kinetic_flow.integrator import (DIVERGENCE_THRESHOLD, GRID_TOL,
+                                    WORK_CHUNK, BrownianGrid, Trajectory,
+                                    evolve, step_index, uniform_step, walk)
 
 
 def zero_noise_field():
@@ -454,11 +454,34 @@ def test_evolve_divergence_policy():
     g = BrownianGrid(1, 0.25, 8, 1)
     with pytest.raises(DivergenceError):
         evolve(blowup_field(), np.tile([0.0, 1.0], (16, 1)), g)
-    # walk stops at the first non-finite state, before yielding it
+    # walk stops at the first state past the threshold, before yielding it
     steps = []
-    with pytest.raises(DivergenceError, match="non-finite"):
+    with pytest.raises(DivergenceError, match="diverged"):
         for _, _, k, state, _ in walk(blowup_field(),
                                       np.tile([0.0, 1.0], (16, 1)), g):
-            assert np.all(np.isfinite(state))
+            assert np.abs(state).max() <= DIVERGENCE_THRESHOLD
             steps.append(k)
     assert steps == list(range(len(steps))) and len(steps) < g.num_steps
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_walk_refuses_blowup_before_it_turns_non_finite(monkeypatch):
+    g = BrownianGrid(1, 0.25, 8, 1)
+    z0 = np.tile([0.0, 1.0], (16, 1))
+
+    def steps_walked():
+        steps = []
+        try:
+            for _, _, k, state, _ in walk(blowup_field(), z0, g):
+                steps.append((k, np.all(np.isfinite(state))))
+        except DivergenceError:
+            pass
+        return steps
+
+    refused = len(steps_walked())
+    # with no threshold the same paths run on until the first NaN
+    monkeypatch.setattr(integrator, "DIVERGENCE_THRESHOLD", np.inf)
+    unguarded = steps_walked()
+    first_non_finite = next(k for k, finite in unguarded if not finite)
+    assert refused < first_non_finite

@@ -259,13 +259,51 @@ def test_off_grid_window_is_refused_before_any_simulation(monkeypatch,
 
 def test_windows_are_checked_on_a_given_trajectory_grid(monkeypatch):
     field, bumps = ratio_inputs()
-    traj = occupation_trajectory()           # dt = 1/64 to T = 1
+    traj = occupation_trajectory()           # 64 paths, dt = 1/64 to T = 1
     calls = off_grid_calls(monkeypatch)
-    # on the trajectory's own grid, not the (dt, horizon) arguments
-    report = khasminskii_mgf(field, bumps[0], 0.0, 0.25, 0.75, 1, 8.0, 0.5,
-                             fitted_c=0.75, p=4.0, trajectory=traj)
+    report = khasminskii_mgf(field, bumps[0], 0.0, 0.25, 0.75, 64, 1.0,
+                             1.0 / 64, fitted_c=0.75, p=4.0, trajectory=traj)
     assert report.all_passed
     with pytest.raises(ValidationError, match="lies outside the grid"):
-        moment_factorial_check(field, bumps[0], (1,), 0.0, 2.0, 1, 8.0, 0.5,
-                               fitted_c=0.75, p=4.0, trajectory=traj)
+        moment_factorial_check(field, bumps[0], (1,), 0.0, 2.0, 64, 1.0,
+                               1.0 / 64, fitted_c=0.75, p=4.0,
+                               trajectory=traj)
     assert calls == []
+
+
+class CountedBump:
+    """A bump that counts its evaluations."""
+
+    def __init__(self, bump):
+        self.bump, self.calls = bump, 0
+
+    def value(self, z):
+        self.calls += 1
+        return self.bump.value(z)
+
+    def spacetime_norm(self, p, t0, t1):
+        return self.bump.spacetime_norm(p, t0, t1)
+
+
+@pytest.mark.parametrize("estimator", ["mgf", "factorial"])
+def test_given_trajectory_must_match_the_grid_and_path_count(estimator):
+    # the trapezoid weights use dt, the bound uses the horizon and the
+    # report counts num_paths, so a given ensemble must be exactly that
+    field, bumps = ratio_inputs()
+    traj = occupation_trajectory()           # 64 paths, dt = 1/64 to T = 1
+    f = CountedBump(bumps[0])
+    run = {
+        "mgf": lambda n, T, dt: khasminskii_mgf(
+            field, f, 1.0, 0.0, 0.5, n, T, dt, fitted_c=0.75, p=4.0,
+            trajectory=traj),
+        "factorial": lambda n, T, dt: moment_factorial_check(
+            field, f, (1, 2), 0.0, 0.5, n, T, dt, fitted_c=0.75, p=4.0,
+            trajectory=traj),
+    }[estimator]
+    for n, T, dt in ((64, 1.0, 1.0 / 32), (64, 1.0, 1.0 / 128),
+                     (64, 2.0, 1.0 / 64), (50, 1.0, 1.0 / 64)):
+        with pytest.raises(ValidationError):
+            run(n, T, dt)
+    assert f.calls == 0
+    run(64, 1.0, 1.0 / 64)
+    assert f.calls == 1

@@ -2,11 +2,12 @@
 home, and the hooks the benchmark's layer tracer patches exist."""
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
 import kinetic_flow
-from kinetic_flow import config, runner
+from kinetic_flow import config, fokker_planck, integrator, runner, zvonkin
 from kinetic_flow.fields import MollifiedField, library_field
 
 PACKAGE_DIR = Path(kinetic_flow.__file__).resolve().parent
@@ -135,27 +136,43 @@ def test_every_exported_name_has_a_caller():
         f"{sorted(UNCALLED_EXPORTS - uncalled)}")
 
 
+def _named(node, name):
+    """Is ``node`` a Name, an Attribute or an import alias of ``name``?"""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name == name)
+
+
+def modules_reading(name):
+    return {module for module, tree in modules().items()
+            if any(_named(node, name) for node in ast.walk(tree))}
+
+
 def test_only_integrator_builds_philox_streams():
     # path streams and tagged non-path streams share one home
-    builders = set()
-    for name, tree in modules().items():
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "Philox"
-                    or isinstance(node, ast.alias) and node.name == "Philox"):
-                builders.add(name)
+    builders = modules_reading("Philox")
     assert builders == {"integrator"}, sorted(builders - {"integrator"})
 
 
 def test_only_integrator_reads_grid_tol():
     # every on-grid decision goes through integrator.step_index and
     # uniform_step, so no other module may fork the tolerance
-    readers = set()
-    for name, tree in modules().items():
+    readers = modules_reading("GRID_TOL")
+    assert readers == {"integrator"}, sorted(readers - {"integrator"})
+
+
+def test_only_integrator_raises_divergence():
+    # integrator.walk is the one place a path can diverge, so no other
+    # module may raise DivergenceError or apply its own threshold
+    raisers = set()
+    for module, tree in modules().items():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Name) and node.id == "GRID_TOL"
-                    or isinstance(node, ast.Attribute) and node.attr == "GRID_TOL"
-                    or isinstance(node, ast.alias) and node.name == "GRID_TOL"):
-                readers.add(name)
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                if _named(getattr(exc, "func", exc), "DivergenceError"):
+                    raisers.add(module)
+    assert raisers == {"integrator"}, sorted(raisers - {"integrator"})
+    readers = modules_reading("DIVERGENCE_THRESHOLD")
     assert readers == {"integrator"}, sorted(readers - {"integrator"})
 
 
@@ -165,6 +182,20 @@ def test_tracer_hooks_resolve():
     # runner must dispatch every experiment the config accepts, and every
     # config key must set a config field or a library-field parameter
     assert {"drift", "sigma"} <= set(MollifiedField.__dict__)
+    # it replaces these methods through the class __dict__, reads these
+    # dataclass fields, constants and call parameters
+    member = fokker_planck.TestFunction
+    assert "generator_apply" in member.__dict__
+    assert ({"value", "grad_x", "grad_v", "hess_v"}
+            <= {f.name for f in fields(member)})
+    assert isinstance(integrator.KEY_CHUNK, int)
+    assert "normals" in integrator.BrownianGrid.__dict__
+    assert ({"z0", "brownian"}
+            <= set(inspect.signature(integrator.evolve).parameters))
+    assert "lam" in inspect.signature(zvonkin.picard_solve).parameters
+    assert "grad_v" in zvonkin.SpaceTimeField.__dict__
+    assert ({"shift", "velocity_gradient"}
+            <= set(zvonkin.ZvonkinTransform.__dict__))
     field = library_field("hoelder-drift", 1)
     wrapper = lambda t, z: None  # noqa: E731
     field.drift = field.sigma = wrapper
