@@ -6,6 +6,18 @@ resolvent PDE behind the velocity-coordinate change of variables,
 verifies occupation and moment estimates, and transports the forward
 measure by particles; `kinetic-flow run/acceptance` drives it from
 configs.
+
+Every run is a fresh process, so import time is paid per run.  At import
+the package loads numpy, ``scipy.fft``, ``scipy.integrate`` and
+``scipy.spatial`` (``flow``'s ``pdist``; ``scipy.integrate`` loads it
+anyway).  ``scipy.stats`` and ``scipy.ndimage``, which most runs never
+use, load at their call sites: ``fokker_planck``'s Gaussian sliced
+distance, ``krylov.bump_family``'s Halton centres and ``zvonkin``'s
+spline prefilter and interpolation.  ``scipy.integrate`` stays at module
+top: ``spaces``' bump normalization calls ``integrate.quad`` in every
+``converge`` run, before ``flow.convergence_study`` forks its level
+tasks, so deferring the import would only move its cost from set-up into
+the run itself.
 """
 
 from . import (

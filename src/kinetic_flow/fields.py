@@ -264,8 +264,11 @@ def _mollifier_rule(phase_dim, order=16):
 
 # bytes of shifted quadrature nodes per MollifiedField convolution chunk;
 # bounds the temporaries of one evaluation whatever the batch size, and
-# every state's sum reads the same node values in the same order
-CONVOLVE_CHUNK_BYTES = 1 << 18
+# every state's sum reads the same node values in the same order; at
+# 1 << 17 a d = 1 chunk (56 states x 144 nodes x 2 doubles, 126 KiB) stays
+# under glibc's default 128 KiB mmap threshold, so its temporaries reuse
+# heap memory instead of faulting in fresh pages on every chunk
+CONVOLVE_CHUNK_BYTES = 1 << 17
 
 # relative slack of MollifiedField's region tests: a state counts as inside
 # the plateau (outside the support) only if every node's computed

@@ -33,7 +33,6 @@ into +0.0.  Both paths give the same bits.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .errors import DegenerateRatioError, ValidationError
 from .fields import CoefficientField
@@ -378,7 +377,15 @@ def _bump_jet(pieces, bump):
 
 
 def _apply_generator(v, drift, a, grad_x, grad_v, hess_v):
-    """v . grad_x + b . grad_v + a : hess_v from precomputed pieces."""
+    """v . grad_x + b . grad_v + a : hess_v from precomputed pieces.
+
+    At d = 1 the products are added directly: the reductions below start
+    from +0.0, and the trailing ``+ 0.0`` turns a -0.0 into +0.0 exactly
+    as they do, so both forms give the same bits.
+    """
+    if v.shape[-1] == 1:
+        return (v[..., 0] * grad_x[..., 0] + drift[..., 0] * grad_v[..., 0]
+                + a[..., 0, 0] * hess_v[..., 0, 0] + 0.0)
     transport = np.sum(v * grad_x, axis=-1)
     forcing = np.sum(drift * grad_v, axis=-1)
     diffusion = np.einsum("...ij,...ij->...", a, hess_v)
@@ -709,6 +716,8 @@ def _quantiles_empirical(values, levels):
 
 
 def _sliced_distance(mu, nu, master_seed):
+    from scipy.stats import norm
+
     dim = mu.atoms.shape[-1]
     dirs = _unit_directions(dim, master_seed)
     if isinstance(nu, GaussianMeasure):
@@ -718,7 +727,7 @@ def _sliced_distance(mu, nu, master_seed):
             proj = np.sort(mu.atoms @ u)
             loc, var = nu.marginal(u)
             if var > 0.0:
-                ref = _norm.ppf(levels, loc=loc, scale=np.sqrt(var))
+                ref = norm.ppf(levels, loc=loc, scale=np.sqrt(var))
             else:
                 ref = np.full_like(levels, loc)
             total += np.mean(np.abs(proj - ref))

@@ -256,10 +256,12 @@ class KernelStep:
     ``workers=parallel.worker_count()``: the resolvent calls them once on
     all of its slices, a batch large enough to split between threads, and
     there scipy's pocketfft gave the same bits as numpy's at every worker
-    count tried (numpy 2.4, scipy 1.17; the run manifest records both).  ``transport`` stays on ``numpy.fft``: the recursion calls it
-    on one slice at a time, too small a batch to split between threads,
-    and there scipy.fft was no faster (a 128^2 x 128 resolvent took
-    0.066 s with it against 0.068 s, one worker, 2-core x86-64 host).
+    count tried (numpy 2.4, scipy 1.17; the run manifest records both).
+
+    ``transport`` stays on ``numpy.fft``: the recursion calls it on one
+    slice at a time, too small a batch to split between threads, and
+    there scipy.fft was no faster (a 128^2 x 128 resolvent took 0.066 s
+    with it against 0.068 s, one worker, 2-core x86-64 host).
     """
 
     def __init__(self, grid, a, gap, method="spectral", tail_tol=1e-6):

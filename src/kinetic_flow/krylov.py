@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ValidationError
 from .fields import smooth_plateau
@@ -162,6 +161,8 @@ def bump_family(num_members=20):
     sequence over the CENTER_BOX rectangle (deterministic), width pairs
     cycling.  Every member has amplitude FAMILY_AMPLITUDE.  d=1.
     """
+    from scipy.stats import qmc
+
     if num_members < 1:
         raise ValidationError("need at least one bump")
     pairs = DEFAULT_WIDTH_PAIRS

@@ -15,7 +15,11 @@ release the interpreter lock for long, so two threads took more CPU and
 more wall time than one.  Forked workers inherit the task function and
 its items, closures included, so only task indices go out and only
 results (and exceptions, which must therefore pickle) come back.  Where
-the platform cannot fork, the map runs serially.
+the platform cannot fork, the map runs serially.  Forked workers also
+inherit the caller's imported modules, so an import that every task
+needs should happen in the caller before the map, as
+``zvonkin.zvonkin_transform``'s prefilter loads ``scipy.ndimage`` before
+the residual's chunk tasks interpolate with it.
 
 Callers, each with what runs in a worker and what comes back by pickle:
 - the ``flow`` experiment: one two-point moment of its delta ladder per

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.fft
-from scipy import ndimage
 
 from .errors import (
     AccuracyError,
@@ -415,6 +414,8 @@ def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
 
 def _prefilter(values, num_grid_axes, first_grid_axis=1):
     """Cubic spline coefficients along the grid axes only (periodic)."""
+    from scipy import ndimage
+
     out = np.ascontiguousarray(values)
     for off in range(num_grid_axes):
         out = ndimage.spline_filter1d(
@@ -444,6 +445,8 @@ class ZvonkinTransform:
         return self.u.dim
 
     def _interp(self, coeffs, i, pts):
+        from scipy import ndimage
+
         pts = np.asarray(pts, dtype=float)
         coords = ((pts + self.u.box_half_width) / self.u.spacing).T
         arr = coeffs[i]

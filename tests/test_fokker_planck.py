@@ -475,6 +475,29 @@ def test_bump_jet_high_powers_keep_the_full_formula():
     assert np.signbit(plateau_gx) and not np.signbit(full_gx)
 
 
+def test_generator_at_d1_matches_the_reduction_form_bitwise():
+    # every combination of signed zeros, infinities, NaN and products that
+    # underflow to a signed zero, in all six factors, plus random rows
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan,
+                        1e-200, -1e-200, 1.5])
+    combos = np.stack(np.meshgrid(*[special] * 6, indexing="ij"),
+                      axis=-1).reshape(-1, 6)
+    rng = np.random.default_rng(3)
+    cols = np.concatenate([combos, rng.standard_normal((1000, 6))])
+    v, b, gx, gv = (cols[:, k:k + 1] for k in range(4))
+    a, hv = cols[:, 4, None, None], cols[:, 5, None, None]
+    for a_rows in (a, np.array([[-0.0]]), np.array([[0.75]])):
+        with np.errstate(invalid="ignore"):
+            want = (np.sum(v * gx, axis=-1) + np.sum(b * gv, axis=-1)
+                    + np.einsum("...ij,...ij->...", a_rows, hv))
+            got = fokker_planck._apply_generator(v, b, a_rows, gx, gv, hv)
+        assert got.shape == want.shape == (len(cols),)
+        nan = np.isnan(want)
+        assert np.array_equal(nan, np.isnan(got))
+        assert np.array_equal(got[~nan].view(np.uint64),
+                              want[~nan].view(np.uint64))
+
+
 @pytest.mark.parametrize("control_variate", [False, True])
 def test_weak_residual_plateau_path_matches_full_formula_bitwise(
         monkeypatch, control_variate):

@@ -1,8 +1,11 @@
-"""Static checks of the package surface: exports resolve, privates stay
-home, and the hooks the benchmark's layer tracer patches exist."""
+"""Checks of the package surface: exports resolve, privates stay home,
+the hooks the benchmark's layer tracer patches exist, and a cold import
+leaves the scipy modules that load at their call sites unloaded."""
 
 import ast
 import inspect
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -206,3 +209,35 @@ def test_tracer_hooks_resolve():
         if target not in names:
             # a field parameter: the library accepts it
             library_field("free", 1, **{target: 1.0})
+
+
+COLD_START = """
+import sys
+sys.path.insert(0, {src!r})
+import kinetic_flow.config, kinetic_flow.runner
+deferred = ("scipy.ndimage", "scipy.stats")
+print(sorted(m for m in deferred if m in sys.modules))
+import numpy as np
+from kinetic_flow import fokker_planck, krylov, zvonkin
+atoms = np.random.default_rng(0).standard_normal((200, 2))
+law = fokker_planck.exact_measure_constant(0.5, [0.0, 0.0], 1.0)
+print(fokker_planck.measure_distance(
+    fokker_planck.EmpiricalMeasure(1.0, atoms), law) > 0.0)
+print(len(krylov.bump_family(20)))
+transform = zvonkin.zvonkin_transform(
+    zvonkin.SpaceTimeField.zeros(2, 0.5, 6.0, 8, 1, 0.5), np.eye(1))
+print(np.array_equal(transform.shift(1, atoms), np.zeros((200, 1))))
+print(sorted(m for m in deferred if m in sys.modules))
+"""
+
+
+def test_cold_import_defers_scipy_stats_and_ndimage():
+    # a fresh `kinetic-flow run` process imports config and runner; the
+    # Gaussian distance, the Halton centres and the spline interpolation
+    # import their scipy modules when they run
+    script = COLD_START.format(src=str(PACKAGE_DIR.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [
+        "[]", "True", "20", "True", "['scipy.ndimage', 'scipy.stats']", ""]
