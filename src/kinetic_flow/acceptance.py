@@ -23,6 +23,7 @@ from .config import parse_config_text
 from .errors import ValidationError
 from .fields import library_field, mollified
 from .flow import (
+    GRONWALL_REFERENCE_C,
     convergence_study,
     gronwall_corpus,
     homeomorphism_check,
@@ -329,7 +330,7 @@ def _homeomorphism(fast):
 @lru_cache(maxsize=None)
 def _krylov_state(fast):
     field = library_field("hoelder-drift", 1)
-    bumps = bump_family(20)
+    bumps = bump_family()
     n_paths = 1024 if fast else 4096
     dt = 1.0 / 128 if fast else 1.0 / 512
     windows = ((0.0, 1.0), (0.0, 0.25), (0.0, 0.0625))
@@ -352,24 +353,21 @@ def _occupation_ratios(fast):
 def _exponential_moments(fast):
     field, bumps, table, n_paths, dt = _krylov_state(fast)
     grid = BrownianGrid.for_horizon(29, 1.0, dt, 1)
-    traj = evolve(field, np.tile(np.zeros(2), (n_paths, 1)), grid,
-                  scheme="em")
+    traj = evolve(field, np.zeros((n_paths, 2)), grid, scheme="em")
     fitted = table.fitted_c
     worst = 0.0
     passed = True
     for f in bumps:
-        mgf = khasminskii_mgf(field, f, (1.0, 2.0, 4.0), 0.0, 1.0, n_paths,
-                              1.0, dt, fitted_c=fitted, p=7.0,
-                              trajectory=traj)
+        mgf = khasminskii_mgf(traj, f, (1.0, 2.0, 4.0), 0.0, 1.0,
+                              fitted_c=fitted, p=7.0)
         passed &= mgf.all_passed
         ok = np.isfinite(mgf.bound)
         if np.any(ok):
             worst = max(worst, float(np.max(mgf.empirical[ok]
                                             / mgf.bound[ok])))
     for f in bumps[:4]:
-        fac = moment_factorial_check(field, f, (1, 2, 3, 4), 0.0, 1.0,
-                                     n_paths, 1.0, dt, fitted_c=fitted,
-                                     p=7.0, trajectory=traj)
+        fac = moment_factorial_check(traj, f, (1, 2, 3, 4), 0.0, 1.0,
+                                     fitted_c=fitted, p=7.0)
         passed &= fac.all_passed
         worst = max(worst, float(np.max(fac.moments / fac.bounds)))
     detail = f"max (empirical / bound) over corpus {worst:.3f}"
@@ -419,7 +417,6 @@ def _gronwall_suite(fast):
                                           else 1000, master_seed=500 + i)
         passed &= check.passed
         worst = max(worst, check.fitted_c)
-    from .flow import GRONWALL_REFERENCE_C
     detail = f"{len(corpus)} instances, one corpus constant"
     return bool(passed), worst, GRONWALL_REFERENCE_C, detail
 

@@ -35,14 +35,16 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # a whole number of dt; "windows", every window of krylov.experiment_windows
 # passes krylov.window_steps on the dt grid of the 2T ensemble; "atoms",
 # N passes fokker_planck.check_atom_count; "memory" (with "steps"), the
-# checkpoint at every grid time, (T/dt + 1) N 2d float64s, fits in the
-# machine's physical memory
+# paths held at once fit in the machine's physical memory: with s = T/dt,
+# fokker-planck's checkpoint at every grid time, (s + 1) N 2d float64s,
+# and krylov's 2T ensemble with its restart from T/2 to 2T,
+# (2s + 1 + 3s/2 + 1) N 2d float64s
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
     "flow": (("T", "dt", "N"), ("paths", "steps")),
     "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "ladder", "d1", "steps")),
     "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
-    "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps", "windows")),
+    "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps", "windows", "memory")),
     "fokker-planck": (("T", "dt", "N"), ("d1", "steps", "atoms", "memory")),
     "spaces": ((), ("d1",)),
 }
@@ -172,11 +174,14 @@ class ExperimentConfig:
                     f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
             if "memory" in rules:
-                need = (steps + 1) * self.num_paths * 2 * self.d * 8
+                rows = steps + 1
+                if self.experiment == "krylov":
+                    rows = (2 * steps + 1) + (3 * steps // 2 + 1)
+                need = rows * self.num_paths * 2 * self.d * 8
                 have = _physical_memory()
                 if have is not None and need > have:
                     raise ValidationError(
-                        f"{self.experiment} keeps a checkpoint at every grid "
+                        f"{self.experiment} keeps its paths at every grid "
                         f"time: {need / 2**30:.1f} GiB exceeds the "
                         f"{have / 2**30:.1f} GiB of physical memory")
         if "atoms" in rules:

@@ -13,8 +13,13 @@ The MGF bound comes from subadditivity over k = T(2 C lam ||f||)^(1/beta)
 subwindows, so it is sharp only when k >= 1; reports carry k so a caller
 can see which regime a configuration probes.
 
-Path functionals use per-path trapezoid quadrature on the trajectory grid
-and reduce in fixed path order.
+`krylov_ratio` is the one function here that simulates: it starts its
+ensemble at the origin, where `bump_family` anchors its first members, and
+needs the field for its restarts.  `occupation_functional`,
+`khasminskii_mgf` and `moment_factorial_check` reduce a given `Trajectory`
+on its own grid: step, horizon and dimension are read from it.  Path
+functionals use per-path trapezoid quadrature and reduce in fixed path
+order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateRatioError, ValidationError
 from .fields import smooth_plateau
 from .flow import MomentEstimate
 from .integrator import BrownianGrid, evolve, step_index
@@ -152,8 +157,9 @@ CENTER_BOX = (1.5, 2.0)
 FAMILY_AMPLITUDE = 3.0
 
 
-def bump_family(num_members=20):
-    """Family of bumps with quasi-random centers and laddered widths.
+def bump_family():
+    """Family of MIN_FAMILY bumps with quasi-random centers and laddered
+    widths.
 
     The first len(DEFAULT_WIDTH_PAIRS) members sit at the origin (one per
     width pair), so the family probes the ensemble's starting point at
@@ -163,21 +169,12 @@ def bump_family(num_members=20):
     """
     from scipy.stats import qmc
 
-    if num_members < 1:
-        raise ValidationError("need at least one bump")
     pairs = DEFAULT_WIDTH_PAIRS
-    sampler = qmc.Halton(d=2, scramble=False)
-    pts = sampler.random(num_members)
     hi = np.array(CENTER_BOX)
-    lo = -hi
-    centers = lo + pts * (hi - lo)
-    bumps = []
-    anchor = np.zeros(2)
-    for i in range(num_members):
-        wx, wv = pairs[i % len(pairs)]
-        where = anchor if i < len(pairs) else centers[i]
-        bumps.append(PhaseBump(tuple(where), wx, wv, FAMILY_AMPLITUDE))
-    return bumps
+    centers = -hi + qmc.Halton(d=2, scramble=False).random(MIN_FAMILY) * (2 * hi)
+    centers[:len(pairs)] = 0.0
+    return [PhaseBump(tuple(c), *pairs[i % len(pairs)], FAMILY_AMPLITUDE)
+            for i, c in enumerate(centers)]
 
 
 def experiment_windows(horizon):
@@ -196,39 +193,17 @@ def window_steps(window, dt, horizon, origin=0.0):
     return i0, i1
 
 
-def _window_occupation(trajectory, fn, steps, dt):
-    """Per-path trapezoid of fn(Z_s) over the grid steps (i0, i1) at step
-    dt."""
-    i0, i1 = steps
+def _window_occupation(trajectory, fn, window):
+    """Per-path trapezoid of fn(Z_s) over a window (t0, t1) of the
+    trajectory's own grid; the window passes ``window_steps`` on that grid
+    before fn is evaluated."""
+    times = trajectory.times
+    dt = times[1] - times[0]
+    i0, i1 = window_steps(window, dt, times[-1], times[0])
     vals = fn(trajectory.states[:, i0:i1 + 1, :])
     w = np.full(i1 - i0 + 1, dt)
     w[0] = w[-1] = 0.5 * dt
     return vals @ w
-
-
-def _simulate(field, z0, num_paths, horizon, dt, master_seed, windows,
-              trajectory=None):
-    """Grid steps of each window, then the ensemble they index.
-
-    The ensemble is num_paths paths started at z0 on the dt grid to
-    horizon, or ``trajectory`` if given, which must be num_paths paths on
-    that grid.  Every window passes ``window_steps`` on the grid, and a
-    given ensemble is checked, before any path is simulated or reduced.
-    """
-    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
-    # evolve's time grid, linspace(0, brownian.horizon, num_steps + 1)
-    grid_dt = brownian.horizon / brownian.num_steps
-    steps = [window_steps(w, grid_dt, brownian.horizon) for w in windows]
-    if trajectory is not None:
-        on_grid = np.array_equal(step_index(trajectory.times, dt, horizon),
-                                 np.arange(brownian.num_steps + 1))
-        if not on_grid or trajectory.states.shape[:-2] != (num_paths,):
-            raise ValidationError(
-                f"trajectory must be {num_paths} paths on the dt = {dt:g} "
-                f"grid to T = {horizon:g}")
-        return trajectory, steps
-    z0 = np.zeros(2 * field.dim) if z0 is None else np.asarray(z0, dtype=float)
-    return evolve(field, np.tile(z0, (num_paths, 1)), brownian), steps
 
 
 def occupation_functional(trajectory, f, t0, t1):
@@ -239,11 +214,8 @@ def occupation_functional(trajectory, f, t0, t1):
     in path order.
     """
     fn = f.value if hasattr(f, "value") else f
-    times = trajectory.times
-    dt = times[1] - times[0]
-    steps = window_steps((t0, t1), dt, times[-1], times[0])
     return MomentEstimate.from_samples(
-        _window_occupation(trajectory, fn, steps, dt))
+        _window_occupation(trajectory, fn, (t0, t1)))
 
 
 @dataclass
@@ -273,23 +245,24 @@ class KrylovTable:
     def window_stability(self):
         consts = list(self.window_constants().values())
         if min(consts) <= 0.0:
-            raise ValidationError("zero fitted constant in a window")
+            raise DegenerateRatioError("zero fitted constant in a window")
         return float(max(consts) / min(consts))
 
 
 def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
-                 z0=None, master_seed=0, restart=False):
+                 master_seed=0, restart=False):
     """Occupation/norm ratios over a bump family and a window ladder.
 
     For each bump f and window [t0, t1] the ratio
 
         E int_{t0}^{t1} f(Z_s) ds / ((t1-t0)^beta ||f||_{L^p([t0,t1]xR^2d)})
 
-    is estimated on one shared ensemble started at z0; the fitted constant
-    is the maximum.  With ``restart=True``, windows with t0 > 0 are also
-    run from the time-t0 empirical states with fresh noise, a one-step
-    stand-in for the conditional form of the estimate; restarted rows get
-    f_id suffixed with '|r'.
+    is estimated on one shared ensemble started at the origin; the fitted
+    constant is the maximum.  Every window passes ``window_steps`` on the
+    ensemble's grid before any path is simulated.  With ``restart=True``,
+    windows with t0 > 0 are also run from the time-t0 empirical states
+    with fresh noise, a one-step stand-in for the conditional form of the
+    estimate; restarted rows get f_id suffixed with '|r'.
     """
     if len(bumps) < MIN_FAMILY:
         raise ValidationError(f"bump family needs >= {MIN_FAMILY} members")
@@ -301,9 +274,11 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
             raise ValidationError(f"bump {i} has zero norm")
     beta = krylov_beta(field.dim, p)
     win_list = [tuple(map(float, w)) for w in windows]
-    traj, win_steps = _simulate(field, z0, num_paths, horizon, dt,
-                                master_seed, win_list)
-    steps = len(traj.times) - 1
+    brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
+    # evolve's time grid, linspace(0, brownian.horizon, num_steps + 1)
+    grid_dt = brownian.horizon / brownian.num_steps
+    starts = [window_steps(w, grid_dt, brownian.horizon)[0] for w in win_list]
+    traj = evolve(field, np.zeros((num_paths, 2 * field.dim)), brownian)
 
     f_ids, rows_w, ests, ses, norms, ratios = [], [], [], [], [], []
 
@@ -321,10 +296,11 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
     for (t0, t1) in win_list:
         add_rows(traj, t0, t1)
     if restart:
-        for (t0, t1), (i0, _) in zip(win_list, win_steps):
+        for (t0, t1), i0 in zip(win_list, starts):
             if t0 <= 0.0:
                 continue
-            sub = BrownianGrid(master_seed + 104729, dt, steps - i0, field.dim)
+            sub = BrownianGrid(master_seed + 104729, dt,
+                               brownian.num_steps - i0, field.dim)
             re_traj = evolve(field, traj.states[:, i0, :], sub)
             re_traj.times = re_traj.times + t0
             add_rows(re_traj, t0, t1, suffix="|r")
@@ -348,26 +324,23 @@ class MgfReport:
         return bool(np.all(self.passed))
 
 
-def khasminskii_mgf(field, f, lam, t0, t1, num_paths, horizon, dt, *,
-                    fitted_c, p, z0=None, master_seed=0, trajectory=None):
+def khasminskii_mgf(trajectory, f, lam, t0, t1, *, fitted_c, p):
     """Monte Carlo MGF of the occupation integral against the 2^k bound.
 
     bound = 2^(T (2 C lam ||f||_{L^p([0,T]x R^2d)})^(1/beta)) with C the
-    fitted constant from `krylov_ratio`.  An empirical exponent that would
-    overflow is reported as a failure carrying the max exponent.  lam may
-    be a scalar or a ladder; lam = 0 gives MGF exactly 1.  Pass
-    ``trajectory`` to reuse an already simulated ensemble (a corpus sweep
-    shares one); it must be num_paths paths on the dt grid to horizon.
+    fitted constant from `krylov_ratio` and T the trajectory's last time.
+    An empirical exponent that would overflow is reported as a failure
+    carrying the max exponent.  lam may be a scalar or a ladder; lam = 0
+    gives MGF exactly 1.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lam < 0.0):
         raise ValidationError("lambda must be nonnegative")
     if fitted_c <= 0.0:
         raise ValidationError("need a positive fitted constant")
-    beta = krylov_beta(field.dim, p)
-    traj, (steps,) = _simulate(field, z0, num_paths, horizon, dt, master_seed,
-                               [(t0, t1)], trajectory)
-    occ = _window_occupation(traj, f.value, steps, dt)
+    beta = krylov_beta(trajectory.states.shape[-1] // 2, p)
+    occ = _window_occupation(trajectory, f.value, (t0, t1))
+    horizon = float(trajectory.times[-1])
     norm_t = f.spacetime_norm(p, 0.0, horizon)
 
     emps, bounds, passes, maxes, ks = [], [], [], [], []
@@ -402,22 +375,16 @@ class FactorialReport:
         return bool(np.all(self.passed))
 
 
-def moment_factorial_check(field, f, m_ladder, t0, t1, num_paths, horizon,
-                           dt, *, fitted_c, p, z0=None, master_seed=0,
-                           trajectory=None):
-    """m-th moments of int f(Z) ds against the factorial bound.
-
-    A given ``trajectory`` must be num_paths paths on the dt grid to
-    horizon, as in `khasminskii_mgf`.
-    """
+def moment_factorial_check(trajectory, f, m_ladder, t0, t1, *, fitted_c, p):
+    """m-th moments of int f(Z) ds against the factorial bound, with the
+    norm of f over [0, T] to the trajectory's last time T."""
     m_ladder = [int(m) for m in m_ladder]
     if not m_ladder or any(m < 1 or m > 6 for m in m_ladder):
         raise ValidationError("m ladder must be a nonempty subset of {1,...,6}")
-    beta = krylov_beta(field.dim, p)
-    traj, (steps,) = _simulate(field, z0, num_paths, horizon, dt, master_seed,
-                               [(t0, t1)], trajectory)
-    occ = _window_occupation(traj, f.value, steps, dt)
-    unit = fitted_c * f.spacetime_norm(p, 0.0, horizon) * (t1 - t0) ** beta
+    beta = krylov_beta(trajectory.states.shape[-1] // 2, p)
+    occ = _window_occupation(trajectory, f.value, (t0, t1))
+    norm_t = f.spacetime_norm(p, 0.0, float(trajectory.times[-1]))
+    unit = fitted_c * norm_t * (t1 - t0) ** beta
     ms, moments, bounds, passes = [], [], [], []
     for m in m_ladder:
         mom = float(np.mean(occ**m))

@@ -23,7 +23,7 @@ from .config import ZVONKIN_SLICES, ExperimentConfig
 from .errors import ValidationError
 from .fields import library_field, mollified
 from .grids import GridFunction
-from .integrator import BrownianGrid
+from .integrator import BrownianGrid, evolve
 from .kernel import kernel_covariance
 from .parallel import parallel_map, worker_count
 
@@ -157,22 +157,23 @@ def _run_zvonkin(cfg, out_dir):
 
 def _run_krylov(cfg, out_dir):
     field = _build_field(cfg)
-    bumps = krylov.bump_family(20)
-    z0 = np.zeros(2 * cfg.d)
+    bumps = krylov.bump_family()
     table = krylov.krylov_ratio(field, bumps, cfg.p,
                                 krylov.experiment_windows(cfg.horizon),
                                 cfg.num_paths, 2.0 * cfg.horizon, cfg.dt,
-                                z0=z0, master_seed=cfg.seed, restart=True)
+                                master_seed=cfg.seed, restart=True)
     write_rows(os.path.join(out_dir, "krylov.csv"),
                ["f_id", "window", "estimate", "se", "norm_lp", "ratio"],
                [(fid, f"{t0:g}:{t1:g}", est, se, nrm, rat)
                 for fid, (t0, t1), est, se, nrm, rat in zip(
                     table.f_ids, table.windows, table.estimates,
                     table.std_errors, table.norms, table.ratios)])
-    mgf = krylov.khasminskii_mgf(
-        field, bumps[0], [1.0, 2.0, 4.0], 0.0, cfg.horizon, cfg.num_paths,
-        cfg.horizon, cfg.dt, fitted_c=table.fitted_c, p=cfg.p, z0=z0,
-        master_seed=cfg.seed + 1)
+    paths = evolve(field, np.zeros((cfg.num_paths, 2 * cfg.d)),
+                   BrownianGrid.for_horizon(cfg.seed + 1, cfg.horizon,
+                                            cfg.dt, cfg.d))
+    mgf = krylov.khasminskii_mgf(paths, bumps[0], [1.0, 2.0, 4.0], 0.0,
+                                 cfg.horizon, fitted_c=table.fitted_c,
+                                 p=cfg.p)
     write_rows(os.path.join(out_dir, "mgf.csv"),
                ["lambda", "empirical_mgf", "bound", "pass"],
                [(lam, emp, bnd, int(ok)) for lam, emp, bnd, ok in zip(

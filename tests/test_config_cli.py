@@ -221,6 +221,30 @@ def test_fokker_planck_checkpoint_store_is_budgeted_at_parse_time(
     parse_config(path)
 
 
+def test_krylov_path_store_is_budgeted_at_parse_time(tmp_path, monkeypatch,
+                                                    capsys):
+    # with s = T/dt, the 2T ensemble (2s + 1 rows) and its restart from T/2
+    # to 2T (3s/2 + 1 rows) are held at once.  Only the parse runs here.
+    from kinetic_flow import config
+    text = "experiment = krylov\nseed = 1\nT = 1\nN = 1000\np = 7\n"
+    # s = 4: (9 + 7) rows of 1000 paths in 2 coordinates, 256,000 bytes
+    small = text + "dt = 0.25\noutput = out\n"
+    monkeypatch.setattr(config, "_physical_memory", lambda: 256_000)
+    parse_config_text(small)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 255_999)
+    with pytest.raises(ValidationError, match="of physical memory"):
+        parse_config_text(small)
+    monkeypatch.undo()
+    # T / dt = 2^20 steps of 10^6 paths: about 54 TiB
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"experiment = krylov\nseed = 1\nT = 1024\n"
+                  f"dt = 0.0009765625\nN = 1000000\np = 7\noutput = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "of physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fokker_planck_budget_reads_the_physical_memory(tmp_path, capsys):
     # T / dt = 2^20 steps of 10^6 atoms: 16 TB, more than any desk machine
     out = tmp_path / "out"

@@ -178,7 +178,7 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
         lambda: homeomorphism_check(free, [[0.0, 0.0], [0.5, 0.0]], 2, 0.5,
                                     0.3),
         lambda: convergence_study(free, (4, 8, 16), 2.0, 100, 0.5, 0.3, 7.0),
-        lambda: krylov_ratio(free, bump_family(20), 7.0, [(0.0, 0.5)], 100,
+        lambda: krylov_ratio(free, bump_family(), 7.0, [(0.0, 0.5)], 100,
                              0.5, 0.3),
         lambda: particle_measure(free, point_mass(z), 100, 0.5, 0.3),
     ]
@@ -199,7 +199,7 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
     timed = [
         lambda t: particle_measure(free, point_mass(z), 4, 0.5, 0.25,
                                    checkpoints=[t, 0.5]),
-        lambda t: krylov_ratio(free, bump_family(20), 7.0, [(t, 0.5)], 100,
+        lambda t: krylov_ratio(free, bump_family(), 7.0, [(t, 0.5)], 100,
                                0.5, 0.25, restart=True),
         lambda t: occupation_functional(restarted, one, t + 0.25, 0.75),
         lambda t: transformed_sde_residual(transform, free, z, grid, 4,

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from kinetic_flow import krylov
-from kinetic_flow.errors import ValidationError
+from kinetic_flow.errors import DegenerateRatioError, ValidationError
 from kinetic_flow.fields import library_field
 from kinetic_flow.integrator import BrownianGrid, evolve
 from kinetic_flow.krylov import (
     DEFAULT_WIDTH_PAIRS,
+    KrylovTable,
     PhaseBump,
     bump_family,
     experiment_windows,
@@ -70,9 +71,9 @@ def test_bump_validation():
 
 
 def test_bump_family_layout():
-    fam = bump_family(20)
+    fam = bump_family()
     assert len(fam) == 20
-    assert fam == bump_family(20)
+    assert fam == bump_family()
     # first members probe the anchor at each width scale
     for i, (wx, wv) in enumerate(DEFAULT_WIDTH_PAIRS):
         assert fam[i].center == (0.0, 0.0)
@@ -80,8 +81,6 @@ def test_bump_family_layout():
     for b in fam[len(DEFAULT_WIDTH_PAIRS):]:
         assert abs(b.center[0]) <= 1.5 and abs(b.center[1]) <= 2.0
         assert b.center != (0.0, 0.0)
-    with pytest.raises(ValidationError):
-        bump_family(0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def test_window_steps_of_the_experiment_windows():
 
 
 def ratio_inputs():
-    return library_field("hoelder-drift", 1), bump_family(20)
+    return library_field("hoelder-drift", 1), bump_family()
 
 
 def test_krylov_ratio_table():
@@ -183,92 +182,78 @@ def test_krylov_ratio_validation():
                      [(0.0, 0.5)], 256, 1.0, 1.0 / 64)
 
 
+def test_zero_window_constant_is_degenerate_not_invalid():
+    # a window no path visits is a numeric outcome, not a config mistake
+    table = KrylovTable(["b00", "b00"], [(0.0, 0.5), (0.5, 1.0)],
+                        np.array([0.2, 0.0]), np.zeros(2), np.ones(2),
+                        np.array([0.7, 0.0]), 4.0, krylov_beta(1, 4.0))
+    with pytest.raises(DegenerateRatioError,
+                       match="zero fitted constant") as caught:
+        table.window_stability()
+    assert not isinstance(caught.value, ValidationError)
+
+
 # ---------------------------------------------------------------------------
 # exponential moments
 
 
-def test_mgf_at_zero_is_unity():
-    field, bumps = ratio_inputs()
-    report = khasminskii_mgf(field, bumps[0], 0.0, 0.0, 0.5, 256, 1.0,
-                             1.0 / 64, fitted_c=0.75, p=4.0, master_seed=3)
+@pytest.fixture(scope="module")
+def seed3_paths():
+    # 256 paths of the hoelder-drift field from the origin, dt = 1/64 to T = 1
+    field = library_field("hoelder-drift", 1)
+    return evolve(field, np.zeros((256, 2)),
+                  BrownianGrid.for_horizon(3, 1.0, 1.0 / 64, 1))
+
+
+def test_mgf_at_zero_is_unity(seed3_paths):
+    report = khasminskii_mgf(seed3_paths, bump_family()[0], 0.0, 0.0, 0.5,
+                             fitted_c=0.75, p=4.0)
     assert np.array_equal(report.empirical, [1.0])
     assert np.array_equal(report.bound, [1.0])
     assert report.passed.dtype == bool and report.all_passed
 
 
-def test_mgf_validation():
-    field, bumps = ratio_inputs()
+def test_mgf_validation(seed3_paths):
+    f = bump_family()[0]
     with pytest.raises(ValidationError):
-        khasminskii_mgf(field, bumps[0], -1.0, 0.0, 0.5, 256, 1.0, 1.0 / 64,
-                        fitted_c=0.75, p=4.0)
+        khasminskii_mgf(seed3_paths, f, -1.0, 0.0, 0.5, fitted_c=0.75, p=4.0)
     with pytest.raises(ValidationError):
-        khasminskii_mgf(field, bumps[0], 1.0, 0.0, 0.5, 256, 1.0, 1.0 / 64,
-                        fitted_c=0.0, p=4.0)
+        khasminskii_mgf(seed3_paths, f, 1.0, 0.0, 0.5, fitted_c=0.0, p=4.0)
 
 
-def test_factorial_ladder():
-    field, bumps = ratio_inputs()
-    report = moment_factorial_check(field, bumps[0], (1, 2), 0.0, 0.5, 256,
-                                    1.0, 1.0 / 64, fitted_c=0.7477, p=4.0,
-                                    master_seed=3)
+def test_factorial_ladder(seed3_paths):
+    report = moment_factorial_check(seed3_paths, bump_family()[0], (1, 2),
+                                    0.0, 0.5, fitted_c=0.7477, p=4.0)
     assert np.array_equal(report.m, [1, 2])
     assert np.all(report.moments > 0.0)
     assert report.all_passed
 
 
-def test_factorial_ladder_validation():
-    field, bumps = ratio_inputs()
+def test_factorial_ladder_validation(seed3_paths):
+    f = bump_family()[0]
     with pytest.raises(ValidationError, match="nonempty subset"):
-        moment_factorial_check(field, bumps[0], (1, 7), 0.0, 0.5, 256, 1.0,
-                               1.0 / 64, fitted_c=0.75, p=4.0)
+        moment_factorial_check(seed3_paths, f, (1, 7), 0.0, 0.5,
+                               fitted_c=0.75, p=4.0)
     with pytest.raises(ValidationError, match="nonempty subset"):
-        moment_factorial_check(field, bumps[0], (), 0.0, 0.5, 256, 1.0,
-                               1.0 / 64, fitted_c=0.75, p=4.0)
+        moment_factorial_check(seed3_paths, f, (), 0.0, 0.5, fitted_c=0.75,
+                               p=4.0)
 
 
-def off_grid_calls(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return evolve(*args, **kwargs)
-
-    monkeypatch.setattr(krylov, "evolve", counted)
-    return calls
-
-
-@pytest.mark.parametrize("estimator", ["ratio", "mgf", "factorial"])
-def test_off_grid_window_is_refused_before_any_simulation(monkeypatch,
-                                                          estimator):
-    field, bumps = ratio_inputs()
-    calls = off_grid_calls(monkeypatch)
-    window = (0.3, 1.0)
-    run = {
-        "ratio": lambda: krylov_ratio(field, bumps, 4.0, [(0.0, 0.5), window],
-                                      20_000, 1.0, 1.0 / 64),
-        "mgf": lambda: khasminskii_mgf(field, bumps[0], 1.0, *window, 20_000,
-                                       1.0, 1.0 / 64, fitted_c=0.75, p=4.0),
-        "factorial": lambda: moment_factorial_check(
-            field, bumps[0], (1, 2), *window, 20_000, 1.0, 1.0 / 64,
-            fitted_c=0.75, p=4.0),
-    }[estimator]
-    with pytest.raises(ValidationError, match="0.3 is not a whole number"):
-        run()
-    assert calls == []
-
-
-def test_windows_are_checked_on_a_given_trajectory_grid(monkeypatch):
-    field, bumps = ratio_inputs()
-    traj = occupation_trajectory()           # 64 paths, dt = 1/64 to T = 1
-    calls = off_grid_calls(monkeypatch)
-    report = khasminskii_mgf(field, bumps[0], 0.0, 0.25, 0.75, 64, 1.0,
-                             1.0 / 64, fitted_c=0.75, p=4.0, trajectory=traj)
-    assert report.all_passed
-    with pytest.raises(ValidationError, match="lies outside the grid"):
-        moment_factorial_check(field, bumps[0], (1,), 0.0, 2.0, 64, 1.0,
-                               1.0 / 64, fitted_c=0.75, p=4.0,
-                               trajectory=traj)
-    assert calls == []
+def test_occupation_checks_read_a_non_dyadic_grid():
+    # 0.3 / 0.05 rounds to 6 steps, but 6 * 0.05 is not 0.3: the step and
+    # the horizon come from the ensemble's own time grid
+    grid = BrownianGrid.for_horizon(3, 0.3, 0.05, 1)
+    traj = evolve(library_field("free", 1), np.zeros((200, 2)), grid)
+    assert grid.dt * grid.num_steps != 0.3
+    f = bump_family()[0]
+    fac = moment_factorial_check(traj, f, (1,), 0.0, 0.3, fitted_c=0.75,
+                                 p=4.0)
+    assert fac.moments[0] == occupation_functional(traj, f, 0.0, 0.3).value
+    mgf = khasminskii_mgf(traj, f, 1.0, 0.0, 0.3, fitted_c=0.75, p=4.0)
+    horizon = traj.times[-1]
+    beta = krylov_beta(1, 4.0)
+    k = horizon * (1.5 * f.spacetime_norm(4.0, 0.0, horizon)) ** (1 / beta)
+    assert mgf.subwindows[0] == k
 
 
 class CountedBump:
@@ -285,25 +270,37 @@ class CountedBump:
         return self.bump.spacetime_norm(p, t0, t1)
 
 
-@pytest.mark.parametrize("estimator", ["mgf", "factorial"])
-def test_given_trajectory_must_match_the_grid_and_path_count(estimator):
-    # the trapezoid weights use dt, the bound uses the horizon and the
-    # report counts num_paths, so a given ensemble must be exactly that
+@pytest.mark.parametrize("estimator", ["ratio", "mgf", "factorial"])
+def test_off_grid_window_is_refused_before_any_simulation(monkeypatch,
+                                                          seed3_paths,
+                                                          estimator):
+    # the ratio table simulates its own ensemble, so an off-grid window is
+    # refused before evolve; the other two are refused before f is evaluated
     field, bumps = ratio_inputs()
-    traj = occupation_trajectory()           # 64 paths, dt = 1/64 to T = 1
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(krylov, "evolve", counted)
     f = CountedBump(bumps[0])
+    window = (0.3, 1.0)
     run = {
-        "mgf": lambda n, T, dt: khasminskii_mgf(
-            field, f, 1.0, 0.0, 0.5, n, T, dt, fitted_c=0.75, p=4.0,
-            trajectory=traj),
-        "factorial": lambda n, T, dt: moment_factorial_check(
-            field, f, (1, 2), 0.0, 0.5, n, T, dt, fitted_c=0.75, p=4.0,
-            trajectory=traj),
+        "ratio": lambda: krylov_ratio(field, bumps, 4.0, [(0.0, 0.5), window],
+                                      20_000, 1.0, 1.0 / 64),
+        "mgf": lambda: khasminskii_mgf(seed3_paths, f, 1.0, *window,
+                                       fitted_c=0.75, p=4.0),
+        "factorial": lambda: moment_factorial_check(
+            seed3_paths, f, (1, 2), *window, fitted_c=0.75, p=4.0),
     }[estimator]
-    for n, T, dt in ((64, 1.0, 1.0 / 32), (64, 1.0, 1.0 / 128),
-                     (64, 2.0, 1.0 / 64), (50, 1.0, 1.0 / 64)):
-        with pytest.raises(ValidationError):
-            run(n, T, dt)
-    assert f.calls == 0
-    run(64, 1.0, 1.0 / 64)
-    assert f.calls == 1
+    with pytest.raises(ValidationError, match="0.3 is not a whole number"):
+        run()
+    assert calls == [] and f.calls == 0
+
+
+def test_windows_are_checked_on_a_given_trajectory_grid():
+    traj = occupation_trajectory()           # 64 paths, dt = 1/64 to T = 1
+    with pytest.raises(ValidationError, match="lies outside the grid"):
+        moment_factorial_check(traj, bump_family()[0], (1,), 0.0, 2.0,
+                               fitted_c=0.75, p=4.0)

@@ -223,7 +223,7 @@ atoms = np.random.default_rng(0).standard_normal((200, 2))
 law = fokker_planck.exact_measure_constant(0.5, [0.0, 0.0], 1.0)
 print(fokker_planck.measure_distance(
     fokker_planck.EmpiricalMeasure(1.0, atoms), law) > 0.0)
-print(len(krylov.bump_family(20)))
+print(len(krylov.bump_family()))
 transform = zvonkin.zvonkin_transform(
     zvonkin.SpaceTimeField.zeros(2, 0.5, 6.0, 8, 1, 0.5), np.eye(1))
 print(np.array_equal(transform.shift(1, atoms), np.zeros((200, 1))))
