@@ -272,14 +272,13 @@ def _two_point_stability(fast):
     field = library_field("hoelder-drift", 1)
     z = np.array([0.3, 0.0])
     n_paths = 2000 if fast else 10_000
-    vals = []
-    for delta in (1e-1, 1e-2, 1e-3, 1e-4):
-        est = two_point_moment(field, z, z + np.array([delta, 0.0]), 1.0,
-                               n_paths, 1.0, 1.0 / 128, master_seed=61)
-        vals.append(est.value)
+    partners = [z + np.array([delta, 0.0])
+                for delta in (1e-1, 1e-2, 1e-3, 1e-4)]
+    vals = [est.value for est in two_point_moment(
+        field, z, partners, 1.0, n_paths, 1.0, 1.0 / 128, master_seed=61)]
     spread = float(max(vals) / min(vals))
-    neg = two_point_moment(field, z, z + np.array([1e-2, 0.0]), -1.0,
-                           n_paths, 1.0, 1.0 / 128, master_seed=61)
+    neg, = two_point_moment(field, z, [z + np.array([1e-2, 0.0])], -1.0,
+                            n_paths, 1.0, 1.0 / 128, master_seed=61)
     passed = spread <= 3.0 and math.isfinite(neg.value)
     detail = f"q=-1 ratio {neg.value:.3f} +- {neg.std_error:.3f}"
     return passed, spread, 3.0, detail

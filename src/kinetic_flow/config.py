@@ -37,12 +37,14 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # N passes fokker_planck.check_atom_count; "memory" (with "steps"), the
 # paths held at once fit in the machine's physical memory: with s = T/dt,
 # fokker-planck's checkpoint at every grid time, (s + 1) N 2d float64s,
-# and krylov's 2T ensemble with its restart from T/2 to 2T,
-# (2s + 1 + 3s/2 + 1) N 2d float64s
+# krylov's 2T ensemble with its restart from T/2 to 2T,
+# (2s + 1 + 3s/2 + 1) N 2d float64s, and converge's L ladder levels on
+# the dt and dt/2 grids, L (s + 1 + 2s + 1) N 2d float64s
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
     "flow": (("T", "dt", "N"), ("paths", "steps")),
-    "converge": (("T", "dt", "N", "p", "n_ladder"), ("p", "ladder", "d1", "steps")),
+    "converge": (("T", "dt", "N", "p", "n_ladder"),
+                 ("p", "ladder", "d1", "steps", "memory")),
     "zvonkin": (("T", "dt", "lambda"), ("d1", "steps")),
     "krylov": (("T", "dt", "N", "p"), ("p", "d1", "steps", "windows", "memory")),
     "fokker-planck": (("T", "dt", "N"), ("d1", "steps", "atoms", "memory")),
@@ -177,6 +179,8 @@ class ExperimentConfig:
                 rows = steps + 1
                 if self.experiment == "krylov":
                     rows = (2 * steps + 1) + (3 * steps // 2 + 1)
+                elif self.experiment == "converge":
+                    rows = len(self.n_ladder) * ((steps + 1) + (2 * steps + 1))
                 need = rows * self.num_paths * 2 * self.d * 8
                 have = _physical_memory()
                 if have is not None and need > have:

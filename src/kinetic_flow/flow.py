@@ -5,13 +5,13 @@ stepped under the *identical* noise, so differences between trajectories
 are differences of the flow map at fixed omega.  One layout does it,
 exactly reproducibly: the starts, each tiled across N rows, go through one
 `walk` as a stack, and row i of every start consumes stream i, so row i
-across the stack is one omega.  Each chunk's noise is drawn once, and no
-path is stored.  The moment estimators stack their 2 to 4d starts and keep
-one running extremum per row; the homeomorphism check stacks a grid of
-points, one row per replica, and keeps each row's state at the horizon.
-
-Estimators reduce in fixed path order, so results are independent of any
-outer parallelism.
+across the stack is one omega.  Each integrator.WORK_CHUNK chunk of rows
+is one `parallel_map` task: its noise is drawn once, no path is stored,
+and only a per-row fold comes back, joined in row order, so no bit
+depends on KF_WORKERS.  The moment estimators stack z with its partners
+or its 4d perturbations and keep running extrema per row; the
+homeomorphism check stacks a grid of points, one row per replica, and
+keeps each row's state at the horizon.
 
 The module also carries the discrete stochastic-Gronwall harness: synthetic
 processes built to satisfy the Ito-inequality hypothesis by construction,
@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
+from . import integrator
 from .integrator import BrownianGrid, evolve, tagged_stream, walk
 from .parallel import parallel_map
 
@@ -81,65 +82,83 @@ def check_path_count(num_paths):
         raise ValidationError("need num_paths >= 100")
 
 
-def _checked_starts(field, q, num_paths, starts):
-    """Refuse a non-finite q, too few paths and starts that are not 2d
-    long, before any noise is drawn; return the starts as flat arrays."""
+def _checked_starts(field, starts, q=0.0):
+    """Refuse a non-finite moment order q, fewer than two starts and starts
+    that are not finite states of 2d entries, before any noise is drawn;
+    return the starts as one (s, 2d) array."""
     if not np.isfinite(q):
         raise ValidationError(f"moment order q must be finite, got {q!r}")
-    check_path_count(num_paths)
     starts = [np.asarray(z, dtype=float).reshape(-1) for z in starts]
     if any(z.shape != (2 * field.dim,) for z in starts):
         raise ValidationError(f"initial states need {2 * field.dim} entries")
+    if len(starts) < 2:
+        raise ValidationError("need at least two points")
+    starts = np.stack(starts)
+    if not np.all(np.isfinite(starts)):
+        raise ValidationError("initial states must be finite")
     return starts
 
 
-def _coupled_walk(field, starts, num_paths, horizon, dt, master_seed):
-    """`walk` of the stack of ``starts``, each tiled over num_paths rows.
-
-    Row i of every start consumes stream i, so per-row differences are
-    flow differences at one omega; each chunk's noise is drawn once.
-    """
-    stack = np.stack(starts)[:, None, :]
-    stack = np.broadcast_to(stack, (len(stack), num_paths, stack.shape[-1]))
+def _coupled_walk(field, starts, num_paths, horizon, dt, master_seed, fold, acc):
+    """``acc = fold(acc, state)`` from the given acc over the (s, rows, 2d)
+    states of a `walk` of the (s, 2d) ``starts`` tiled over num_paths rows,
+    one task per WORK_CHUNK chunk of rows; the folds keep the rows on axis
+    1, where the tasks' accs are joined in row order."""
+    stack = np.broadcast_to(starts[:, None], (len(starts), num_paths,
+                                              starts.shape[1]))
     brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
-    return walk(field, stack, brownian)
+
+    def rows(lo):
+        out = acc
+        for _, _, _, state, _ in walk(field, stack[:, lo:lo + chunk],
+                                      brownian, path_offset=lo):
+            out = fold(out, state)
+        return out
+
+    # read at call time: a task's rows are exactly one walk chunk
+    chunk = integrator.WORK_CHUNK
+    return np.concatenate(parallel_map(rows, range(0, num_paths, chunk)),
+                          axis=1)
 
 
-def two_point_moment(field, z, z_prime, q, num_paths, horizon, dt, *,
+def two_point_moment(field, z, partners, q, num_paths, horizon, dt, *,
                      master_seed=0):
-    """E sup_{t<=T} |Z_t(z) - Z_t(z')|^{2q} / |z - z'|^{2q} under one noise.
+    """E sup_{t<=T} |Z_t(z) - Z_t(z')|^{2q} / |z - z'|^{2q} under one noise,
+    one MomentEstimate per z' of ``partners``, in their order.
 
-    The pair walks as one stack of two starts: each chunk's noise is drawn
-    once, no path is stored, and each row keeps a running extremum of its
-    separation.  For q >= 0 that is the maximum; for q < 0 the power flips
-    the extremum, so the running *minimum* separation is raised to 2q.  q
-    must be finite and lie in [-1, inf): moments far below -1 hinge on the
-    extreme left tail of the minimum separation, which desk-scale Monte
-    Carlo cannot see.  A coupled pair whose minimum separation underflows
-    to exact zero makes a negative moment meaningless and raises
-    DegenerateRatioError.
+    z and its partners walk as one stack; each row keeps a running extremum
+    of its separation from z per partner, the bits of that pair alone.  For
+    q >= 0 that is the maximum; for q < 0 the power flips the extremum, so
+    the running *minimum* separation is raised to 2q.  q must be finite and
+    lie in [-1, inf): moments far below -1 hinge on the extreme left tail
+    of the minimum separation, which desk-scale Monte Carlo cannot see.  A
+    partner at z reads exactly 0 and needs q >= 0.  A coupled pair whose
+    minimum separation underflows to exact zero makes a negative moment
+    meaningless and raises DegenerateRatioError.
     """
-    z, zp = _checked_starts(field, q, num_paths, [z, z_prime])
+    check_path_count(num_paths)
+    starts = _checked_starts(field, [z, *partners], q)
     if q < -1.0:
         raise ValidationError("q < -1 not supported (left-tail dominated)")
-    gap = float(np.linalg.norm(z - zp))
-    if gap == 0.0:
-        if q < 0:
-            raise ValidationError("coincident points need q >= 0")
-        # identical noise, identical drift: paths coincide exactly
-        return MomentEstimate(0.0, 0.0, num_paths)
-    extreme = np.maximum if q >= 0 else np.minimum
-    ext = np.empty(num_paths)
-    for lo, hi, k, state, _ in _coupled_walk(field, [z, zp], num_paths,
-                                             horizon, dt, master_seed):
-        sep = np.linalg.norm(state[0] - state[1], axis=-1)
-        ext[lo:hi] = sep if k == 0 else extreme(ext[lo:hi], sep)
+    gaps = np.linalg.norm(starts[0] - starts[1:], axis=-1)
+    if q < 0 and np.any(gaps == 0.0):
+        raise ValidationError("coincident points need q >= 0")
+    # the first separation replaces the initial extremum exactly
+    extreme, init = (np.maximum, 0.0) if q >= 0 else (np.minimum, np.inf)
+
+    def fold(ext, state):
+        return extreme(ext, np.linalg.norm(state[0] - state[1:], axis=-1))
+
+    ext = _coupled_walk(field, starts, num_paths, horizon, dt, master_seed,
+                        fold, init)
     if q < 0 and np.any(ext == 0.0):
         raise DegenerateRatioError(
             "coupled paths collided to floating-point identity; "
             "negative-moment ratio undefined"
         )
-    return MomentEstimate.from_samples((ext / gap) ** (2.0 * q))
+    return [MomentEstimate.from_samples((e / gap) ** (2.0 * q)) if gap
+            else MomentEstimate(0.0, 0.0, num_paths)
+            for e, gap in zip(ext, gaps)]
 
 
 def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
@@ -156,15 +175,18 @@ def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
     """
     if not (0.0 < delta <= 1e-1):
         raise ValidationError("delta must lie in (0, 1e-1]")
-    z = _checked_starts(field, q, num_paths, [z])[0]
-    starts = [z + sign * e for e in delta * np.eye(z.size) for sign in (1, -1)]
-    sup2 = np.empty(num_paths)
-    for lo, hi, k, state, _ in _coupled_walk(field, starts, num_paths,
-                                             horizon, dt, master_seed):
+    check_path_count(num_paths)
+    starts = _checked_starts(field, [z + s * e for e in delta * np.eye(np.size(z))
+                                     for s in (1, -1)], q)
+
+    def fold(sup2, state):
         cols = (state[0::2] - state[1::2]) / (2.0 * delta)
         # squared column norms, shape (2d, n), added in column order
-        frob2 = np.sum(np.sum(cols * cols, axis=-1), axis=0)
-        sup2[lo:hi] = frob2 if k == 0 else np.maximum(sup2[lo:hi], frob2)
+        frob2 = np.sum(np.sum(cols * cols, axis=-1), axis=0, keepdims=True)
+        return np.maximum(sup2, frob2)
+
+    sup2 = _coupled_walk(field, starts, num_paths, horizon, dt, master_seed,
+                         fold, 0.0)[0]
     return MomentEstimate.from_samples(sup2 ** (0.5 * q))
 
 
@@ -240,30 +262,21 @@ def homeomorphism_check(field, points, num_replicas, horizon, dt, *,
     (nx, nv) from `phase_grid` enables the grid-line diagnostics and must
     hold exactly the points.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     if num_replicas < 1:
         raise ValidationError("need num_replicas >= 1")
-    if points.shape[0] < 2:
-        raise ValidationError("need at least two points")
+    points = _checked_starts(field, points)
     d0 = pdist(points)
     if float(d0.min()) == 0.0:
         raise ValidationError("initial grid contains duplicate points")
     if grid_shape is not None and int(np.prod(grid_shape)) != points.shape[0]:
         raise ValidationError(f"grid_shape {tuple(grid_shape)} does not hold "
                               f"the {points.shape[0]} points")
-    final = np.empty((points.shape[0], num_replicas, points.shape[1]))
-    for lo, hi, _, state, dW in _coupled_walk(field, points, num_replicas,
-                                              horizon, dt, master_seed):
-        if dW is None:
-            final[:, lo:hi] = state
-    min_ratio = np.empty(num_replicas)
-    failures = np.zeros(num_replicas, dtype=int)
+    final = _coupled_walk(field, points, num_replicas, horizon, dt,
+                          master_seed, lambda _, state: state, None)
     lines = _line_indices(grid_shape) if grid_shape is not None else []
-    for r in range(num_replicas):
-        transported = final[:, r, :]
-        min_ratio[r] = float(np.min(pdist(transported) / d0))
-        if lines:
-            failures[r] = _ordering_failures(transported, lines)
+    replicas = final.swapaxes(0, 1)
+    min_ratio = np.array([np.min(pdist(pts) / d0) for pts in replicas])
+    failures = np.array([_ordering_failures(pts, lines) for pts in replicas])
     return HomeomorphismReport(float(horizon), min_ratio, failures, d0.size)
 
 
@@ -389,6 +402,8 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     """
     if not isinstance(field, CoefficientField):
         raise ValidationError("field must be a CoefficientField")
+    if not (np.isfinite(q) and q > 0):
+        raise ValidationError(f"need a finite moment order q > 0, got {q!r}")
     ladder = [int(n) for n in n_ladder]
     d = field.dim
     check_convergence_study(d, ladder, num_paths, p)

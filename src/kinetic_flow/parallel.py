@@ -22,8 +22,8 @@ needs should happen in the caller before the map, as
 the residual's chunk tasks interpolate with it.
 
 Callers, each with what runs in a worker and what comes back by pickle:
-- the ``flow`` experiment: one two-point moment of its delta ladder per
-  task; a CSV row comes back.
+- ``flow``'s coupled estimators (the ``flow`` experiment, criteria 9-11):
+  one WORK_CHUNK chunk of rows per task; its per-row fold comes back.
 - ``flow.convergence_study`` (the ``converge`` experiment and criterion
   8): one level of the mollification ladder per task; its coupled paths
   on both grids and its drift sample on the L^p box come back.

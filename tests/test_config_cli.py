@@ -245,6 +245,34 @@ def test_krylov_path_store_is_budgeted_at_parse_time(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_converge_level_cache_is_budgeted_at_parse_time(tmp_path, monkeypatch,
+                                                      capsys):
+    # with s = T/dt, each of the L ladder levels keeps its coupled paths on
+    # the dt grid (s + 1 rows) and the dt/2 grid (2s + 1 rows) at once.
+    # Only the parse runs here.
+    from kinetic_flow import config
+    text = ("experiment = converge\nseed = 1\nT = 1\nN = 1000\np = 7\n"
+            "n_ladder = 2,4,8\n")
+    # s = 4: 3 levels of (5 + 9) rows of 1000 paths in 2 coordinates,
+    # 672,000 bytes
+    small = text + "dt = 0.25\noutput = out\n"
+    monkeypatch.setattr(config, "_physical_memory", lambda: 672_000)
+    parse_config_text(small)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 671_999)
+    with pytest.raises(ValidationError, match="of physical memory"):
+        parse_config_text(small)
+    monkeypatch.undo()
+    # T / dt = 2^20 steps of 10^6 paths on 3 levels: about 137 TiB
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"experiment = converge\nseed = 1\nT = 1024\n"
+                  f"dt = 0.0009765625\nN = 1000000\np = 7\n"
+                  f"n_ladder = 2,4,8\noutput = {out}\n")
+    assert cli.main(["run", path]) == 2
+    assert "of physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fokker_planck_budget_reads_the_physical_memory(tmp_path, capsys):
     # T / dt = 2^20 steps of 10^6 atoms: 16 TB, more than any desk machine
     out = tmp_path / "out"

@@ -24,11 +24,14 @@ from kinetic_flow.integrator import evolve
 # ---------------------------------------------------------------------------
 # coupled moments
 
+# partners of z = (0.3, 0) at three gaps, two in x and one in v
+LADDER = [[0.31, 0.0], [0.301, 0.0], [0.3, 0.05]]
+
 
 def test_two_point_coincident_is_zero():
     field = library_field("hoelder-drift", 1)
-    est = two_point_moment(field, [0.2, 0.1], [0.2, 0.1], 2, 200, 0.25,
-                           1.0 / 32)
+    est, = two_point_moment(field, [0.2, 0.1], [[0.2, 0.1]], 2, 200, 0.25,
+                            1.0 / 32)
     assert est.value == 0.0
     assert est.std_error == 0.0
 
@@ -36,13 +39,13 @@ def test_two_point_coincident_is_zero():
 def test_two_point_rejects_left_tail_orders():
     field = library_field("hoelder-drift", 1)
     with pytest.raises(ValidationError):
-        two_point_moment(field, [0.0, 0.0], [0.1, 0.0], -1.5, 200, 0.25,
+        two_point_moment(field, [0.0, 0.0], [[0.1, 0.0]], -1.5, 200, 0.25,
                          1.0 / 32)
     with pytest.raises(ValidationError):
-        two_point_moment(field, [0.0, 0.0], [0.0, 0.0], -0.5, 200, 0.25,
+        two_point_moment(field, [0.0, 0.0], [[0.0, 0.0]], -0.5, 200, 0.25,
                          1.0 / 32)
     with pytest.raises(ValidationError):
-        two_point_moment(field, [0.0, 0.0], [0.1, 0.0], 2, 50, 0.25,
+        two_point_moment(field, [0.0, 0.0], [[0.1, 0.0]], 2, 50, 0.25,
                          1.0 / 32)
 
 
@@ -55,13 +58,13 @@ def test_two_point_refuses_starts_of_different_lengths(monkeypatch):
     for z, z_prime in (([0.0, 0.0], [0.1, 0.0, 0.0]),
                        ([0.0, 0.0, 0.0], [0.1, 0.0, 0.0])):
         with pytest.raises(ValidationError, match="initial states need 2"):
-            two_point_moment(field, z, z_prime, 1.0, 200, 0.25, 1.0 / 32)
+            two_point_moment(field, z, [z_prime], 1.0, 200, 0.25, 1.0 / 32)
     assert drawn == []
 
 
 @pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("estimate", [
-    lambda f, q: two_point_moment(f, [0.0, 0.0], [0.1, 0.0], q, 200, 0.25,
+    lambda f, q: two_point_moment(f, [0.0, 0.0], [[0.1, 0.0]], q, 200, 0.25,
                                   1.0 / 32),
     lambda f, q: weak_gradient_moment(f, [0.0, 0.0], 1e-3, q, 200, 0.25,
                                       1.0 / 32),
@@ -72,10 +75,10 @@ def test_moment_estimators_refuse_a_non_finite_order(estimate, q):
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda f, n: two_point_moment(f, [0.3, 0.0], [0.31, 0.0], 1.0, n, 0.25,
+    lambda f, n: two_point_moment(f, [0.3, 0.0], LADDER, 1.0, n, 0.25,
                                   1.0 / 32),
-    lambda f, n: weak_gradient_moment(f, [0.3, 0.0], 1e-2, 2.0, n, 0.25,
-                                      1.0 / 32),
+    lambda f, n: [weak_gradient_moment(f, [0.3, 0.0], 1e-2, 2.0, n, 0.25,
+                                       1.0 / 32)],
 ], ids=["two-point", "weak-gradient"])
 def test_moment_estimators_draw_each_chunk_noise_once(monkeypatch, estimate):
     # every coupled start walks on one draw of each chunk's noise
@@ -89,9 +92,83 @@ def test_moment_estimators_draw_each_chunk_noise_once(monkeypatch, estimate):
 
     monkeypatch.setattr(integrator.BrownianGrid, "normals", counted)
     monkeypatch.setattr(integrator, "WORK_CHUNK", 16)
-    est = estimate(library_field("hoelder-drift", 1), 100)
-    assert est.num_paths == 100 and np.isfinite(est.value)
+    for est in estimate(library_field("hoelder-drift", 1), 100):
+        assert est.num_paths == 100 and np.isfinite(est.value)
     assert calls == [(lo, min(lo + 16, 100)) for lo in range(0, 100, 16)]
+
+
+@pytest.mark.parametrize("q", [1.0, -1.0])
+def test_two_point_ladder_is_its_single_partner_calls(monkeypatch, q):
+    # one walk of the stack [z, *partners] gives each partner the bits of
+    # its own walk with z, over several chunks
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 64)
+    field = library_field("hoelder-drift", 1)
+    z = [0.3, 0.0]
+    ladder = two_point_moment(field, z, LADDER, q, 200, 0.25, 1.0 / 32,
+                              master_seed=3)
+    alone = [two_point_moment(field, z, [zp], q, 200, 0.25, 1.0 / 32,
+                              master_seed=3)[0] for zp in LADDER]
+    assert len(ladder) == 3 and ladder == alone
+
+
+def test_coincident_partner_reads_zero_and_leaves_the_ladder_alone():
+    field = library_field("hoelder-drift", 1)
+    z = [0.3, 0.0]
+    with pytest.raises(ValidationError, match="two points"):
+        two_point_moment(field, z, [], 1.0, 200, 0.25, 1.0 / 32)
+    with pytest.raises(ValidationError, match="coincident points"):
+        two_point_moment(field, z, [LADDER[0], z], -0.5, 200, 0.25, 1.0 / 32)
+    for q in (0.0, 1.0):
+        with_z = two_point_moment(field, z, [LADDER[0], z, LADDER[2]], q, 200,
+                                  0.25, 1.0 / 32, master_seed=2)
+        without = two_point_moment(field, z, [LADDER[0], LADDER[2]], q, 200,
+                                   0.25, 1.0 / 32, master_seed=2)
+        assert with_z[1].value == 0.0 and with_z[1].std_error == 0.0
+        assert with_z[1].num_paths == 200
+        assert [with_z[0], with_z[2]] == without
+
+
+def test_coupled_estimators_are_the_same_bits_for_any_worker_count(
+        monkeypatch):
+    # 100 rows in chunks of 16 are 7 tasks; forked workers inherit the
+    # patched chunk
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 16)
+    field = library_field("hoelder-drift", 1)
+    pts, shape = phase_grid(1.0, 1.0, 3, 3)
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("KF_WORKERS", workers)
+        report = homeomorphism_check(field, pts, 100, 0.25, 1.0 / 32,
+                                     master_seed=4, grid_shape=shape)
+        runs.append((
+            two_point_moment(field, [0.3, 0.0], LADDER, 1.0, 100, 0.25,
+                             1.0 / 32, master_seed=4),
+            weak_gradient_moment(field, [0.3, 0.0], 1e-2, 2.0, 100, 0.25,
+                                 1.0 / 32, master_seed=4),
+            report.min_ratio.tolist(), report.failures.tolist()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("estimate", [
+    lambda f, b: two_point_moment(f, [b, 0.0], [[0.1, 0.0]], 1.0, 200, 0.25,
+                                  1.0 / 32),
+    lambda f, b: two_point_moment(f, [0.0, 0.0], [[0.1, 0.0], [0.0, b]], 1.0,
+                                  200, 0.25, 1.0 / 32),
+    lambda f, b: weak_gradient_moment(f, [0.0, b], 1e-3, 2.0, 200, 0.25,
+                                      1.0 / 32),
+    lambda f, b: homeomorphism_check(f, [[0.0, 0.0], [0.5, b]], 2, 0.5,
+                                     1.0 / 32),
+], ids=["two-point-z", "two-point-partner", "weak-gradient", "homeomorphism"])
+def test_coupled_estimators_refuse_a_non_finite_start(monkeypatch, estimate,
+                                                      bad):
+    # an input error before any noise is drawn, not a divergence at step 0
+    drawn = []
+    monkeypatch.setattr(integrator.BrownianGrid, "normals",
+                        lambda self, lo, hi: drawn.append((lo, hi)))
+    with pytest.raises(ValidationError, match="initial states must be finite"):
+        estimate(library_field("hoelder-drift", 1), bad)
+    assert drawn == []
 
 
 def test_weak_gradient_free_field_closed_form():
@@ -128,9 +205,12 @@ def test_homeomorphism_check_replica_coupling(monkeypatch):
     gaps = []
 
     def recording(*args):
-        for lo, hi, k, state, dW in walked(*args):
+        *head, fold, acc = args
+
+        def spy(acc, state):
             gaps.append(state[1] - state[0])
-            yield lo, hi, k, state, dW
+            return fold(acc, state)
+        return walked(*head, spy, acc)
 
     monkeypatch.setattr(flow, "_coupled_walk", recording)
     report = homeomorphism_check(field, pts, 2, 0.5, 1.0 / 32, master_seed=1)
@@ -151,13 +231,11 @@ def test_homeomorphism_check_replica_is_the_row_stream(monkeypatch, name,
     pts = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 2 * dim))
     replicas, horizon, dt = 5, 0.5, 1.0 / 32
     walked = flow._coupled_walk
-    final = {}
+    final = []
 
     def recording(*args):
-        for lo, hi, k, state, dW in walked(*args):
-            if dW is None:
-                final[lo] = state.copy()
-            yield lo, hi, k, state, dW
+        final.append(walked(*args))
+        return final[-1]
 
     monkeypatch.setattr(flow, "_coupled_walk", recording)
     report = homeomorphism_check(field, pts, replicas, horizon, dt,
@@ -285,6 +363,20 @@ def test_convergence_study_ladder_validation():
         convergence_study(field, (2, 4), 2, 128, 0.25, 1.0 / 16, 7.0,
                           z0=np.zeros(2), master_seed=2,
                           lp_box_half_width=4.0)
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, float("nan"), float("inf")])
+def test_convergence_study_refuses_a_bad_order_before_any_level(monkeypatch,
+                                                                q):
+    # q = 0 would divide by zero in the 1/q root and nan would fill the
+    # table, each only after the whole ladder ran
+    def no_levels(fn, items):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(flow, "parallel_map", no_levels)
+    with pytest.raises(ValidationError, match="moment order q"):
+        convergence_study(library_field("hoelder-drift", 1), (2, 4, 8), q,
+                          128, 0.25, 1.0 / 16, 7.0)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_finite_kick_past_the_threshold_raises_everywhere():
     calls = [
         lambda: particle_measure(field, point_mass([0.0, 0.0]), n, 1.0, dt,
                                  master_seed=4),
-        lambda: two_point_moment(field, [0.0, 0.0], [0.1, 0.0], 1.0, n, 1.0,
+        lambda: two_point_moment(field, [0.0, 0.0], [[0.1, 0.0]], 1.0, n, 1.0,
                                  dt, master_seed=4),
         lambda: evolve(field, np.zeros((n, 2)), BrownianGrid(4, dt, 16, 1)),
     ]

@@ -169,11 +169,11 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
     free = library_field("free", 1)
     z, z_v = np.zeros(2), np.array([0.0, 1e-3])
     # velocity split of the free flow: |dZ_t|^2 / |dz|^2 = 1 + t^2
-    est = two_point_moment(free, z, z_v, 1.0, 100, 0.6, 0.3)
+    est, = two_point_moment(free, z, [z_v], 1.0, 100, 0.6, 0.3)
     assert abs(est.value - 1.36) <= 1e-9
     # rounding T = 0.5 to 2 steps of 0.3 would report the t = 0.6 value
     calls = [
-        lambda: two_point_moment(free, z, z_v, 1.0, 100, 0.5, 0.3),
+        lambda: two_point_moment(free, z, [z_v], 1.0, 100, 0.5, 0.3),
         lambda: weak_gradient_moment(free, z, 1e-3, 2.0, 100, 0.5, 0.3),
         lambda: homeomorphism_check(free, [[0.0, 0.0], [0.5, 0.0]], 2, 0.5,
                                     0.3),

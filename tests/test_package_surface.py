@@ -179,6 +179,17 @@ def test_only_integrator_raises_divergence():
     assert readers == {"integrator"}, sorted(readers - {"integrator"})
 
 
+def test_only_flow_and_zvonkin_call_parallel_map():
+    # the estimators map their own chunks and the convergence ladder and
+    # the lambda search their own tasks, so no caller of theirs may wrap
+    # them in a second map
+    callers = {module for module, tree in modules().items()
+               if any(isinstance(node, ast.Call)
+                      and _named(node.func, "parallel_map")
+                      for node in ast.walk(tree))}
+    assert callers == {"flow", "zvonkin"}, sorted(callers)
+
+
 def test_tracer_hooks_resolve():
     # the benchmark's layer tracer replaces the mollified field's drift
     # and sigma on the class and a library field's on the instance; the
