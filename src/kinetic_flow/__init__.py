@@ -8,16 +8,16 @@ measure by particles; `kinetic-flow run/acceptance` drives it from
 configs.
 
 Every run is a fresh process, so import time is paid per run.  At import
-the package loads numpy, ``scipy.fft``, ``scipy.integrate`` and
-``scipy.spatial`` (``flow``'s ``pdist``; ``scipy.integrate`` loads it
-anyway).  ``scipy.stats`` and ``scipy.ndimage``, which most runs never
-use, load at their call sites: ``fokker_planck``'s Gaussian sliced
-distance, ``krylov.bump_family``'s Halton centres and ``zvonkin``'s
-spline prefilter and interpolation.  ``scipy.integrate`` stays at module
-top: ``spaces``' bump normalization calls ``integrate.quad`` in every
-``converge`` run, before ``flow.convergence_study`` forks its level
-tasks, so deferring the import would only move its cost from set-up into
-the run itself.
+the package loads numpy, ``numpy.random`` included (``integrator``'s
+noise), and no scipy subpackage.  Each scipy subpackage loads at its
+call site, the first time that code runs: ``scipy.fft`` in the Zvonkin
+resolvent and spectral derivatives, ``scipy.ndimage`` in their spline
+prefilter and interpolation, ``scipy.stats`` in ``fokker_planck``'s
+Gaussian sliced distance and ``krylov.bump_family``'s Halton centres,
+``scipy.spatial`` in ``flow.homeomorphism_check``, and
+``scipy.integrate`` in ``spaces``' bump normalization, for a phase
+dimension its table does not hold.  Where forked workers need a module,
+it loads before the map (see ``parallel``).
 """
 
 from . import (

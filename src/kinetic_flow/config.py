@@ -20,7 +20,8 @@ from .fields import library_field
 from .flow import check_convergence_study, check_path_count
 from .fokker_planck import check_atom_count
 from .integrator import BrownianGrid
-from .krylov import check_integrability, experiment_windows, window_steps
+from .krylov import (BUMP_TEMPORARIES, check_integrability,
+                     experiment_windows, window_steps)
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text"]
 
@@ -38,8 +39,10 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # paths held at once fit in the machine's physical memory: with s = T/dt,
 # fokker-planck's checkpoint at every grid time, (s + 1) N 2d float64s,
 # krylov's 2T ensemble with its restart from T/2 to 2T,
-# (2s + 1 + 3s/2 + 1) N 2d float64s, and converge's L ladder levels on
-# the dt and dt/2 grids, L (s + 1 + 2s + 1) N 2d float64s
+# (2s + 1 + 3s/2 + 1) N 2d float64s plus the krylov.BUMP_TEMPORARIES
+# (N, 2s + 1) float64s of the bump values over the (0, 2T) window, and
+# converge's L ladder levels on the dt and dt/2 grids,
+# L (s + 1 + 2s + 1) N 2d float64s
 _EXPERIMENTS = {
     "kernel": (("T",), ()),
     "flow": (("T", "dt", "N"), ("paths", "steps")),
@@ -176,12 +179,13 @@ class ExperimentConfig:
                     f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
             if "memory" in rules:
-                rows = steps + 1
+                rows, temps = steps + 1, 0
                 if self.experiment == "krylov":
                     rows = (2 * steps + 1) + (3 * steps // 2 + 1)
+                    temps = BUMP_TEMPORARIES * (2 * steps + 1)
                 elif self.experiment == "converge":
                     rows = len(self.n_ladder) * ((steps + 1) + (2 * steps + 1))
-                need = rows * self.num_paths * 2 * self.d * 8
+                need = (rows * 2 * self.d + temps) * self.num_paths * 8
                 have = _physical_memory()
                 if have is not None and need > have:
                     raise ValidationError(

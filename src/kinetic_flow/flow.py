@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import (
     DegenerateRatioError,
@@ -82,12 +81,13 @@ def check_path_count(num_paths):
         raise ValidationError("need num_paths >= 100")
 
 
-def _checked_starts(field, starts, q=0.0):
-    """Refuse a non-finite moment order q, fewer than two starts and starts
-    that are not finite states of 2d entries, before any noise is drawn;
-    return the starts as one (s, 2d) array."""
-    if not np.isfinite(q):
-        raise ValidationError(f"moment order q must be finite, got {q!r}")
+def _checked_starts(field, starts, orders=()):
+    """Refuse a non-finite moment order q of ``orders``, fewer than two
+    starts and starts that are not finite states of 2d entries, before any
+    noise is drawn; return the starts as one (s, 2d) array."""
+    for q in orders:
+        if not np.isfinite(q):
+            raise ValidationError(f"moment order q must be finite, got {q!r}")
     starts = [np.asarray(z, dtype=float).reshape(-1) for z in starts]
     if any(z.shape != (2 * field.dim,) for z in starts):
         raise ValidationError(f"initial states need {2 * field.dim} entries")
@@ -137,7 +137,7 @@ def two_point_moment(field, z, partners, q, num_paths, horizon, dt, *,
     meaningless and raises DegenerateRatioError.
     """
     check_path_count(num_paths)
-    starts = _checked_starts(field, [z, *partners], q)
+    starts = _checked_starts(field, [z, *partners], [q])
     if q < -1.0:
         raise ValidationError("q < -1 not supported (left-tail dominated)")
     gaps = np.linalg.norm(starts[0] - starts[1:], axis=-1)
@@ -161,23 +161,28 @@ def two_point_moment(field, z, partners, q, num_paths, horizon, dt, *,
             for e, gap in zip(ext, gaps)]
 
 
-def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
+def weak_gradient_moment(field, z, delta, orders, num_paths, horizon, dt, *,
                          master_seed=0):
-    """E sup_{t<=T} ||grad_z Z_t||_F^q by central differences of the flow.
+    """E sup_{t<=T} ||grad_z Z_t||_F^q by central differences of the flow,
+    one MomentEstimate per q of ``orders``, in their order.
 
     The Jacobian is estimated one column at a time from coupled
     perturbations z +/- delta e_j.  All 4d starts walk as one stack: each
     chunk's noise is drawn once, no path is stored, and each row keeps the
-    running maximum of ||grad_z Z_t||_F^2.  q must be finite.  A finite
-    difference rather than a variational equation is deliberate:
+    running maximum of ||grad_z Z_t||_F^2, which every order raises to its
+    own power.  Each q must be finite, and an empty ``orders`` is refused.
+    A finite difference rather than a variational equation is deliberate:
     the drift need not be differentiable, and the object of interest is
     exactly the weak derivative that survives for rough b.
     """
     if not (0.0 < delta <= 1e-1):
         raise ValidationError("delta must lie in (0, 1e-1]")
+    orders = list(orders)
+    if not orders:
+        raise ValidationError("need at least one moment order")
     check_path_count(num_paths)
     starts = _checked_starts(field, [z + s * e for e in delta * np.eye(np.size(z))
-                                     for s in (1, -1)], q)
+                                     for s in (1, -1)], orders)
 
     def fold(sup2, state):
         cols = (state[0::2] - state[1::2]) / (2.0 * delta)
@@ -187,7 +192,7 @@ def weak_gradient_moment(field, z, delta, q, num_paths, horizon, dt, *,
 
     sup2 = _coupled_walk(field, starts, num_paths, horizon, dt, master_seed,
                          fold, 0.0)[0]
-    return MomentEstimate.from_samples(sup2 ** (0.5 * q))
+    return [MomentEstimate.from_samples(sup2 ** (0.5 * q)) for q in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +267,8 @@ def homeomorphism_check(field, points, num_replicas, horizon, dt, *,
     (nx, nv) from `phase_grid` enables the grid-line diagnostics and must
     hold exactly the points.
     """
+    from scipy.spatial.distance import pdist
+
     if num_replicas < 1:
         raise ValidationError("need num_replicas >= 1")
     points = _checked_starts(field, points)

@@ -33,6 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# loaded with the package, not at the first draw: the draws run in
+# parallel_map's forked workers, and each would import numpy.random again
+from numpy.random import Generator, Philox
 
 from .errors import DivergenceError, ValidationError
 
@@ -99,7 +102,7 @@ def uniform_step(times):
 def tagged_stream(master_seed, tag):
     """Philox generator keyed by [master_seed, tag], for non-path draws."""
     key = np.array([int(master_seed) % (1 << 64), tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def _philox_key(master_seed, block_index):
@@ -153,7 +156,7 @@ class BrownianGrid:
         row = path_lo
         while row < path_hi:
             blk = row // KEY_CHUNK
-            rng = np.random.Generator(np.random.Philox(key=_philox_key(self.master_seed, blk)))
+            rng = Generator(Philox(key=_philox_key(self.master_seed, blk)))
             # standard_normal fills in C order, so the first rows of a block
             # are the same whether or not the rest is drawn
             end = min((blk + 1) * KEY_CHUNK, path_hi)

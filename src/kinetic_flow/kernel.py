@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import AccuracyError, DegenerateKernelError, ProbeInvalidError, ValidationError
 from .parallel import worker_count
@@ -252,11 +251,12 @@ class KernelStep:
     checks one slice against the periodic seam.  Calling the step on one
     slice runs guard, to_mixed, transport and from_mixed.
 
-    ``to_mixed`` and ``from_mixed`` run on ``scipy.fft`` with
-    ``workers=parallel.worker_count()``: the resolvent calls them once on
-    all of its slices, a batch large enough to split between threads, and
-    there scipy's pocketfft gave the same bits as numpy's at every worker
-    count tried (numpy 2.4, scipy 1.17; the run manifest records both).
+    ``to_mixed`` and ``from_mixed`` run on ``scipy.fft``, which loads at
+    their first call, with ``workers=parallel.worker_count()``: the
+    resolvent calls them once on all of its slices, a batch large enough
+    to split between threads, and there scipy's pocketfft gave the same
+    bits as numpy's at every worker count tried (numpy 2.4, scipy 1.17;
+    the run manifest records both).
 
     ``transport`` stays on ``numpy.fft``: the recursion calls it on one
     slice at a time, too small a batch to split between threads, and
@@ -327,6 +327,8 @@ class KernelStep:
 
     def to_mixed(self, values):
         """Real values -> mixed layout (rfft along the x axes)."""
+        import scipy.fft
+
         return scipy.fft.rfftn(values, axes=self.x_axes, workers=worker_count())
 
     def transport(self, mixed):
@@ -339,6 +341,8 @@ class KernelStep:
 
     def from_mixed(self, mixed):
         """Mixed layout -> real values (irfft along the x axes)."""
+        import scipy.fft
+
         return scipy.fft.irfftn(mixed, s=(self.n,) * len(self.x_axes),
                                 axes=self.x_axes, workers=worker_count())
 

@@ -53,6 +53,10 @@ __all__ = [
 # truncation radius of the bumps, in width units; the cut band contributes
 # less than e^{-4.5 p} of the L^p norm, invisible for p >= 3
 TRUNCATION_RADII = (3.0, 4.0)
+# float64 arrays of a path slice's shape less its last axis that
+# PhaseBump.value holds at once at d = 1: 7.4 read by tracemalloc, rounded
+# up; the config's memory rule counts them
+BUMP_TEMPORARIES = 8
 # smallest bump family krylov_ratio fits its constant over
 MIN_FAMILY = 20
 

@@ -19,7 +19,10 @@ the platform cannot fork, the map runs serially.  Forked workers also
 inherit the caller's imported modules, so an import that every task
 needs should happen in the caller before the map, as
 ``zvonkin.zvonkin_transform``'s prefilter loads ``scipy.ndimage`` before
-the residual's chunk tasks interpolate with it.
+the residual's chunk tasks interpolate with it, and as
+``zvonkin.search_lambda`` loads ``scipy.fft`` before its lam tasks
+transform with it; ``integrator`` loads ``numpy.random`` at import for
+the same reason, since every path task draws its noise in a worker.
 
 Callers, each with what runs in a worker and what comes back by pickle:
 - ``flow``'s coupled estimators (the ``flow`` experiment, criteria 9-11):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
 from .grids import fourier_multiply
@@ -33,10 +32,26 @@ __all__ = [
 # mollifier
 
 
+# _quad_normalization's results for the phase dimensions 2d of d = 1 and
+# d = 2, so that a run loads no scipy.integrate; a test recomputes both
+_NORMALIZATION_TABLE = {
+    2: float.fromhex("0x1.12605d03ed1f9p+1"),
+    4: float.fromhex("0x1.4e39970d09b82p+1"),
+}
+
+
 @lru_cache(maxsize=None)
 def _bump_normalization(dim):
+    if dim in _NORMALIZATION_TABLE:
+        return _NORMALIZATION_TABLE[dim]
+    return _quad_normalization(dim)
+
+
+def _quad_normalization(dim):
     # c such that the smooth bump c*exp(-1/(1-|z|^2)) on the unit ball of R^dim
     # has unit mass.  Radial reduction: mass = c * S_{dim-1} * int_0^1 e^{-1/(1-r^2)} r^{dim-1} dr.
+    from scipy import integrate
+
     radial, err = integrate.quad(
         lambda r: math.exp(-1.0 / (1.0 - r * r)) * r ** (dim - 1), 0.0, 1.0,
         epsabs=1e-14, epsrel=1e-12,

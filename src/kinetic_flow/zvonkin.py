@@ -21,7 +21,6 @@ contracts and the velocity gradient of u is provably small.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     AccuracyError,
@@ -62,9 +61,12 @@ def _axis_derivative(vals, axis, spacing, order=1):
 
     irfft drops the imaginary part of the Nyquist bin, which is what the
     real part of a full complex transform does there.  The transforms run
-    on scipy.fft with KF_WORKERS threads, batched over every other axis
-    (all time slices at once for grad_v and pde_defect).
+    on scipy.fft, which loads at first use, with KF_WORKERS threads,
+    batched over every other axis (all time slices at once for grad_v and
+    pde_defect).
     """
+    import scipy.fft
+
     n = vals.shape[axis]
     shape = [1] * vals.ndim
     shape[axis] = n // 2 + 1
@@ -389,6 +391,10 @@ def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
         except Exception as exc:
             # raised by the caller only if the serial loop would reach lam
             return "error", exc
+
+    # every attempt transforms with scipy.fft: load it once here, so that
+    # the forked workers inherit it
+    import scipy.fft  # noqa: F401
 
     ladder = [float(lam_init) * 2.0 ** k for k in range(max_doublings)]
     batch = worker_count()

@@ -93,3 +93,20 @@ def test_criterion_index_validation():
         run_criterion(0)
     with pytest.raises(ValidationError):
         run_criterion(18)
+
+
+def test_weak_gradient_criterion_walks_each_delta_once(monkeypatch):
+    # both moment orders of #10 come from one walk per stack: the free
+    # field's and each of the three deltas'
+    from kinetic_flow import acceptance, flow
+
+    stacks = []
+    coupled_walk = flow._coupled_walk
+
+    def counted(field, starts, *args):
+        stacks.append(starts.tobytes())
+        return coupled_walk(field, starts, *args)
+
+    monkeypatch.setattr(flow, "_coupled_walk", counted)
+    acceptance._weak_gradient_moments(True)
+    assert len(stacks) == len(set(stacks)) == 4

@@ -224,18 +224,21 @@ def test_fokker_planck_checkpoint_store_is_budgeted_at_parse_time(
 def test_krylov_path_store_is_budgeted_at_parse_time(tmp_path, monkeypatch,
                                                     capsys):
     # with s = T/dt, the 2T ensemble (2s + 1 rows) and its restart from T/2
-    # to 2T (3s/2 + 1 rows) are held at once.  Only the parse runs here.
+    # to 2T (3s/2 + 1 rows) are held at once, and the bump values over the
+    # (0, 2T) window add 8 float64 temporaries of 2s + 1 rows.  Only the
+    # parse runs here.
     from kinetic_flow import config
     text = "experiment = krylov\nseed = 1\nT = 1\nN = 1000\np = 7\n"
-    # s = 4: (9 + 7) rows of 1000 paths in 2 coordinates, 256,000 bytes
+    # s = 4: (9 + 7) rows of 1000 paths in 2 coordinates and 8 x 9 rows of
+    # 1000 temporaries, (32 + 72) x 8,000 = 832,000 bytes
     small = text + "dt = 0.25\noutput = out\n"
-    monkeypatch.setattr(config, "_physical_memory", lambda: 256_000)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 832_000)
     parse_config_text(small)
-    monkeypatch.setattr(config, "_physical_memory", lambda: 255_999)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 831_999)
     with pytest.raises(ValidationError, match="of physical memory"):
         parse_config_text(small)
     monkeypatch.undo()
-    # T / dt = 2^20 steps of 10^6 paths: about 54 TiB
+    # T / dt = 2^20 steps of 10^6 paths: about 175 TiB
     out = tmp_path / "out"
     path = write_config(
         tmp_path, f"experiment = krylov\nseed = 1\nT = 1024\n"
@@ -243,6 +246,30 @@ def test_krylov_path_store_is_budgeted_at_parse_time(tmp_path, monkeypatch,
     assert cli.main(["run", path]) == 2
     assert "of physical memory" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_krylov_memory_rule_covers_the_measured_peak(tmp_path, monkeypatch):
+    # the counted need bounds the run's traced peak from above, within 1.5x
+    import tracemalloc
+
+    from kinetic_flow import config, krylov
+    monkeypatch.setenv("KF_WORKERS", "1")
+    text = (f"experiment = krylov\nseed = 3\nT = 1\ndt = 0.015625\n"
+            f"N = 2000\np = 7\nfield.name = hoelder-drift\n"
+            f"output = {tmp_path / 'out'}\n")
+    cfg = parse_config_text(text)
+    krylov.bump_family()    # its scipy import is not the run's memory
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(config, "_physical_memory", lambda: int(1.5 * peak))
+    parse_config_text(text)
+    monkeypatch.setattr(config, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(ValidationError, match="of physical memory"):
+        parse_config_text(text)
 
 
 def test_converge_level_cache_is_budgeted_at_parse_time(tmp_path, monkeypatch,

@@ -66,7 +66,7 @@ def test_two_point_refuses_starts_of_different_lengths(monkeypatch):
 @pytest.mark.parametrize("estimate", [
     lambda f, q: two_point_moment(f, [0.0, 0.0], [[0.1, 0.0]], q, 200, 0.25,
                                   1.0 / 32),
-    lambda f, q: weak_gradient_moment(f, [0.0, 0.0], 1e-3, q, 200, 0.25,
+    lambda f, q: weak_gradient_moment(f, [0.0, 0.0], 1e-3, [q], 200, 0.25,
                                       1.0 / 32),
 ], ids=["two-point", "weak-gradient"])
 def test_moment_estimators_refuse_a_non_finite_order(estimate, q):
@@ -77,8 +77,8 @@ def test_moment_estimators_refuse_a_non_finite_order(estimate, q):
 @pytest.mark.parametrize("estimate", [
     lambda f, n: two_point_moment(f, [0.3, 0.0], LADDER, 1.0, n, 0.25,
                                   1.0 / 32),
-    lambda f, n: [weak_gradient_moment(f, [0.3, 0.0], 1e-2, 2.0, n, 0.25,
-                                       1.0 / 32)],
+    lambda f, n: weak_gradient_moment(f, [0.3, 0.0], 1e-2, [2.0], n, 0.25,
+                                      1.0 / 32),
 ], ids=["two-point", "weak-gradient"])
 def test_moment_estimators_draw_each_chunk_noise_once(monkeypatch, estimate):
     # every coupled start walks on one draw of each chunk's noise
@@ -109,6 +109,21 @@ def test_two_point_ladder_is_its_single_partner_calls(monkeypatch, q):
     alone = [two_point_moment(field, z, [zp], q, 200, 0.25, 1.0 / 32,
                               master_seed=3)[0] for zp in LADDER]
     assert len(ladder) == 3 and ladder == alone
+
+
+def test_weak_gradient_orders_are_their_single_order_calls(monkeypatch):
+    # one walk's running sup of ||grad Z||_F^2 gives each order the bits of
+    # its own walk, over several chunks
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 64)
+    field = library_field("hoelder-drift", 1)
+    z = [0.3, 0.0]
+    both = weak_gradient_moment(field, z, 1e-2, [2.0, 8.0], 200, 0.25,
+                                1.0 / 32, master_seed=3)
+    alone = [weak_gradient_moment(field, z, 1e-2, [q], 200, 0.25, 1.0 / 32,
+                                  master_seed=3)[0] for q in (2.0, 8.0)]
+    assert len(both) == 2 and both == alone
+    with pytest.raises(ValidationError, match="at least one moment order"):
+        weak_gradient_moment(field, z, 1e-2, [], 200, 0.25, 1.0 / 32)
 
 
 def test_coincident_partner_reads_zero_and_leaves_the_ladder_alone():
@@ -143,7 +158,7 @@ def test_coupled_estimators_are_the_same_bits_for_any_worker_count(
         runs.append((
             two_point_moment(field, [0.3, 0.0], LADDER, 1.0, 100, 0.25,
                              1.0 / 32, master_seed=4),
-            weak_gradient_moment(field, [0.3, 0.0], 1e-2, 2.0, 100, 0.25,
+            weak_gradient_moment(field, [0.3, 0.0], 1e-2, [2.0], 100, 0.25,
                                  1.0 / 32, master_seed=4),
             report.min_ratio.tolist(), report.failures.tolist()))
     assert runs[0] == runs[1]
@@ -155,7 +170,7 @@ def test_coupled_estimators_are_the_same_bits_for_any_worker_count(
                                   1.0 / 32),
     lambda f, b: two_point_moment(f, [0.0, 0.0], [[0.1, 0.0], [0.0, b]], 1.0,
                                   200, 0.25, 1.0 / 32),
-    lambda f, b: weak_gradient_moment(f, [0.0, b], 1e-3, 2.0, 200, 0.25,
+    lambda f, b: weak_gradient_moment(f, [0.0, b], 1e-3, [2.0], 200, 0.25,
                                       1.0 / 32),
     lambda f, b: homeomorphism_check(f, [[0.0, 0.0], [0.5, b]], 2, 0.5,
                                      1.0 / 32),
@@ -174,8 +189,8 @@ def test_coupled_estimators_refuse_a_non_finite_start(monkeypatch, estimate,
 def test_weak_gradient_free_field_closed_form():
     # free flow has Jacobian [[1, t], [0, 1]]: sup ||J||_F^2 = 2 + T^2
     field = library_field("free", 1)
-    est = weak_gradient_moment(field, [0.1, -0.3], 1e-3, 2, 300, 0.5,
-                               1.0 / 32, master_seed=9)
+    est, = weak_gradient_moment(field, [0.1, -0.3], 1e-3, [2], 300, 0.5,
+                                1.0 / 32, master_seed=9)
     assert abs(est.value - 2.25) <= 1e-12
     assert est.std_error <= 1e-12
 

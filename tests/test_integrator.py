@@ -174,7 +174,7 @@ def test_horizon_off_the_step_grid_is_refused_everywhere():
     # rounding T = 0.5 to 2 steps of 0.3 would report the t = 0.6 value
     calls = [
         lambda: two_point_moment(free, z, [z_v], 1.0, 100, 0.5, 0.3),
-        lambda: weak_gradient_moment(free, z, 1e-3, 2.0, 100, 0.5, 0.3),
+        lambda: weak_gradient_moment(free, z, 1e-3, [2.0], 100, 0.5, 0.3),
         lambda: homeomorphism_check(free, [[0.0, 0.0], [0.5, 0.0]], 2, 0.5,
                                     0.3),
         lambda: convergence_study(free, (4, 8, 16), 2.0, 100, 0.5, 0.3, 7.0),

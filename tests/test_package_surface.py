@@ -1,6 +1,7 @@
 """Checks of the package surface: exports resolve, privates stay home,
-the hooks the benchmark's layer tracer patches exist, and a cold import
-leaves the scipy modules that load at their call sites unloaded."""
+the hooks the benchmark's layer tracer patches exist, no module imports a
+scipy subpackage at module top, and a cold start leaves the scipy modules
+that load at their call sites unloaded."""
 
 import ast
 import inspect
@@ -252,3 +253,71 @@ def test_cold_import_defers_scipy_stats_and_ndimage():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n") == [
         "[]", "True", "20", "True", "['scipy.ndimage', 'scipy.stats']", ""]
+
+
+def module_top_imports(tree):
+    """Import statements that run when the module is imported: outside
+    every function body, class bodies included."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_a_scipy_subpackage_at_module_top():
+    # every scipy subpackage loads at its call site; only runner's bare
+    # `import scipy`, for the manifest's version line, loads at import
+    found = set()
+    for module, tree in modules().items():
+        for node in module_top_imports(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif node.level == 0 and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.update((module, name) for name in names
+                         if name.split(".")[0] == "scipy")
+    assert found == {("runner", "scipy")}, sorted(found)
+
+
+# scipy's own bootstrap, which a bare `import scipy` loads
+SCIPY_BOOTSTRAP = ("_lib", "_cyutility", "_distributor_init", "__config__",
+                   "version")
+
+NUMPY_ONLY_RUNS = r"""
+import os, sys, tempfile
+src, bootstrap = sys.argv[1], sys.argv[2:]
+sys.path.insert(0, src)
+os.environ["KF_WORKERS"] = "2"
+from kinetic_flow.config import parse_config_text
+from kinetic_flow.runner import run_experiment
+print("numpy.random" in sys.modules)
+texts = [
+    "experiment = converge\nT = 0.25\ndt = 0.0625\nN = 128\np = 7\n"
+    "n_ladder = 2,4,8\n",
+    "experiment = flow\nT = 0.25\ndt = 0.0625\nN = 128\n",
+    "experiment = fokker-planck\nT = 0.25\ndt = 0.0625\nN = 1000\n",
+]
+with tempfile.TemporaryDirectory() as tmp:
+    for i, text in enumerate(texts):
+        run_experiment(parse_config_text(
+            text + f"seed = 3\nfield.name = hoelder-drift\noutput = {tmp}/{i}\n"))
+print(sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+             - set(bootstrap)))
+"""
+
+
+def test_converge_flow_and_fokker_planck_runs_load_no_scipy_subpackage():
+    # a fresh `kinetic-flow run` process of the mollification ladder, the
+    # coupled flow or the particle measure needs numpy only; numpy.random
+    # loads with the package, so forked workers do not import it each
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_RUNS, str(PACKAGE_DIR.parent),
+         *SCIPY_BOOTSTRAP], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n[]\n"

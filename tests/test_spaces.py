@@ -76,6 +76,32 @@ def test_mollifier_scaling_mass(eps):
     assert abs(mass - 1.0) <= 1e-7
 
 
+def test_mollifier_normalization_table_is_quads_own_result(monkeypatch):
+    # phase dimensions 2 and 4 read a table that quad recomputes bit for
+    # bit; any other dimension runs quad, with the bits it had before the
+    # table
+    from kinetic_flow import spaces
+
+    assert sorted(spaces._NORMALIZATION_TABLE) == [2, 4]
+    for dim in (2, 4):
+        assert (spaces._NORMALIZATION_TABLE[dim].hex()
+                == spaces._quad_normalization(dim).hex())
+    quad_dims = []
+    quad = spaces._quad_normalization
+
+    def counted(dim):
+        quad_dims.append(dim)
+        return quad(dim)
+
+    monkeypatch.setattr(spaces, "_quad_normalization", counted)
+    bump = spaces._bump_normalization.__wrapped__
+    assert bump(2).hex() == "0x1.12605d03ed1f9p+1"
+    assert bump(4).hex() == "0x1.4e39970d09b82p+1"
+    assert bump(1).hex() == "0x1.204ad466d96d0p+1"
+    assert bump(3).hex() == "0x1.2230e19e6a7c1p+1"
+    assert quad_dims == [1, 3]
+
+
 # ---------------------------------------------------------------------------
 # spectral identities
 
