@@ -39,8 +39,8 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # paths held at once fit in the machine's physical memory: with s = T/dt,
 # fokker-planck's checkpoint at every grid time, (s + 1) N 2d float64s,
 # krylov's 2T ensemble with its restart from T/2 to 2T,
-# (2s + 1 + 3s/2 + 1) N 2d float64s plus the krylov.BUMP_TEMPORARIES
-# (N, 2s + 1) float64s of the bump values over the (0, 2T) window, and
+# (2s + 1 + 3s/2 + 1) N 2d float64s, plus krylov.BUMP_TEMPORARIES arrays
+# of (N, 2s + 1) float64s for the bump values over the (0, 2T) window, and
 # converge's L ladder levels on the dt and dt/2 grids,
 # L (s + 1 + 2s + 1) N 2d float64s
 _EXPERIMENTS = {
