@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from .errors import ValidationError
 from .fields import library_field
 from .flow import check_convergence_study, check_path_count
-from .fokker_planck import check_atom_count
+from .fokker_planck import RESIDUAL_TEMPORARIES, check_atom_count
 from .integrator import BrownianGrid
 from .krylov import (BUMP_TEMPORARIES, check_integrability,
                      experiment_windows, window_steps)
@@ -38,6 +38,8 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # N passes fokker_planck.check_atom_count; "memory" (with "steps"), the
 # paths held at once fit in the machine's physical memory: with s = T/dt,
 # fokker-planck's checkpoint at every grid time, (s + 1) N 2d float64s,
+# plus fokker_planck.RESIDUAL_TEMPORARIES arrays of N float64s for the
+# weak residual's running sums and row temporaries,
 # krylov's 2T ensemble with its restart from T/2 to 2T,
 # (2s + 1 + 3s/2 + 1) N 2d float64s, plus krylov.BUMP_TEMPORARIES arrays
 # of (N, 2s + 1) float64s for the bump values over the (0, 2T) window, and
@@ -180,7 +182,9 @@ class ExperimentConfig:
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
             if "memory" in rules:
                 rows, temps = steps + 1, 0
-                if self.experiment == "krylov":
+                if self.experiment == "fokker-planck":
+                    temps = RESIDUAL_TEMPORARIES
+                elif self.experiment == "krylov":
                     rows = (2 * steps + 1) + (3 * steps // 2 + 1)
                     temps = BUMP_TEMPORARIES * (2 * steps + 1)
                 elif self.experiment == "converge":

@@ -28,6 +28,11 @@ exactly (1.0, +0.0, +0.0) there, and every other row (ramp, outside,
 exact zero, NaN) takes the full formula; exact zeros are left out of
 the plateau because the full formula turns a -0.0 derivative monomial
 into +0.0.  Both paths give the same bits.
+
+``weak_residual`` (by groups of members) and ``checkpoints_to_csv`` (by
+checkpoint) run on `parallel_map`'s forked workers, which inherit the
+checkpoints at fork; only rows and text come back, and they are placed in
+a fixed order, so every output is the same bits for any KF_WORKERS.
 """
 
 from dataclasses import dataclass
@@ -44,6 +49,7 @@ from .integrator import (
     walk,
 )
 from .kernel import kernel_covariance
+from .parallel import parallel_map, worker_count
 
 __all__ = [
     "InitialLaw",
@@ -71,6 +77,12 @@ _GAUSS_TAG = 0x6AC1      # GaussianMeasure.sample
 _SLICE_TAG = 0xD120      # sliced-distance directions
 # projection directions of the sliced distance
 _SLICE_DIRECTIONS = 32
+# float64 arrays of the atom count that weak_residual holds at once with
+# the 12-member test_dictionary at d = 1, the checkpoints aside: each
+# member's running sums and the checkpoint's drift, memo and jets.
+# tracemalloc at N = 20,000 read 83.3 (88.7 with the control variate),
+# rounded up; the config's memory rule counts them
+RESIDUAL_TEMPORARIES = 90
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +210,12 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
 def checkpoints_to_csv(measures, path):
     """Atom table across checkpoints: t, atom_id (the row), coordinates.
 
-    Each checkpoint is formatted through one ``%.17g`` row template and
-    written at once; the bytes are those of a ``csv.writer`` writing the
-    same fields row by row (no field ever needs quoting).
+    Each checkpoint is formatted through one ``%.17g`` row template; the
+    bytes are those of a ``csv.writer`` writing the same fields row by row
+    (no field ever needs quoting).  The checkpoints are formatted on
+    `parallel_map`'s workers, one task per checkpoint, which inherit the
+    atoms at fork; each task's text comes back and the caller writes the
+    blocks in checkpoint order, so the bytes do not depend on KF_WORKERS.
     """
     if not measures:
         raise ValidationError("no checkpoints to write")
@@ -208,12 +223,17 @@ def checkpoints_to_csv(measures, path):
     header = (["t", "atom_id"]
               + [f"x{i+1}" for i in range(d)]
               + [f"v{i+1}" for i in range(d)])
+
+    def rows(mu):
+        row = f"{mu.t:.17g},%d," + ",".join(["%.17g"] * (2 * d))
+        columns = [range(mu.num_atoms)] + mu.atoms.T.tolist()
+        return "\n".join([row % fields for fields in zip(*columns)])
+
+    blocks = parallel_map(rows, measures)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for mu in measures:
-            row = f"{mu.t:.17g},%d," + ",".join(["%.17g"] * (2 * d))
-            columns = [range(mu.num_atoms)] + mu.atoms.T.tolist()
-            fh.write("\n".join([row % fields for fields in zip(*columns)]))
+        for block in blocks:
+            fh.write(block)
             fh.write("\n")
 
 
@@ -555,17 +575,18 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
     this to see the bias at fine steps.  Off by default: the reported
     residual is then literally the pairing defect above.
 
-    One pass over the checkpoints: at each one the field's drift and
-    ``a`` are evaluated once and shared by every member, and monomial
-    bumps share one ``_Pieces`` memo of cutoffs, powers and plateau
-    splits.  A checkpoint's rows are classed once per inner radius:
-    inside rows (plateau square, x and v nonzero) take the exact plateau
-    path of ``_bump_jet``; ramp, outside, exact-zero and NaN rows take the
-    full cutoff formula, exact zeros because its m' + m * (+0.0) turns a
-    -0.0 derivative into +0.0.  Each member carries O(N) running state
-    (its values at t_0, the running sum of L phi and of the martingale),
-    and each checkpoint's row of means and standard errors is written as
-    the pass reaches it, so no (checkpoints x N) array is built.
+    The members are split into ``min(worker_count(), len(test_set))``
+    strided groups (member i in group i mod the count), one
+    `parallel_map` task per group.  Strided groups share the default
+    dictionary's costly members out: its two cubes (a libm ``pow`` per
+    checkpoint) and its two extra radii sit at its end, where contiguous
+    halves would put all four in one group.  The workers inherit the
+    checkpoints at fork; each returns its members' rows of means and
+    standard errors, the last group (never larger than another) also the
+    integrability gate, and the caller puts the rows back in member
+    order.  A member's arithmetic does not depend on which members share
+    its group, so no output depends on KF_WORKERS; one group is a serial
+    pass in the caller.  See ``_residual_pass`` for the pass itself.
     """
     if len(measures) < 2:
         raise ValidationError("need at least two checkpoints for a residual")
@@ -580,26 +601,70 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
         if phi.bump is None:
             phi._require_closures()
 
+    count = min(worker_count(), len(test_set))
+    groups = [list(range(g, len(test_set), count)) for g in range(count)]
+
+    def task(g):
+        return _residual_pass(measures, field,
+                              [test_set[i] for i in groups[g]], grid_dt,
+                              control_variate, gate=g == count - 1)
+
+    residuals = np.empty((len(test_set), len(measures) - 1))
+    std_errors = np.empty_like(residuals)
+    parts = parallel_map(task, range(count))
+    for group, (res, se, _) in zip(groups, parts):
+        residuals[group], std_errors[group] = res, se
+    return ResidualTable(
+        phi_names=[phi.name for phi in test_set],
+        times=times[1:],
+        residuals=residuals,
+        std_errors=std_errors,
+        integrability=float(grid_dt * parts[-1][2]),
+        num_atoms=measures[0].num_atoms,
+    )
+
+
+def _residual_pass(measures, field, members, grid_dt, control_variate, gate):
+    """One pass over the checkpoints for ``members``: their (members x
+    checkpoints - 1) residual and standard-error rows, and the sum of the
+    integrability gate's rows when ``gate`` is set (else None).
+
+    At each checkpoint but the last (whose drift no term reads) the
+    field's drift and ``a`` are evaluated once and shared by every member,
+    and monomial bumps share one ``_Pieces`` memo of cutoffs, powers and
+    plateau splits.  A checkpoint's rows are classed once per inner
+    radius: inside rows (plateau square, x and v nonzero) take the exact
+    plateau path of ``_bump_jet``; ramp, outside, exact-zero and NaN rows
+    take the full cutoff formula, exact zeros because its m' + m * (+0.0)
+    turns a -0.0 derivative into +0.0.  Each member carries O(N) running
+    state (its values at t_0, the running sum of L phi and of the
+    martingale), and each checkpoint's row of means and standard errors
+    is written as the pass reaches it, so no (checkpoints x N) array is
+    built.
+    """
     n_check, n_atoms = len(measures), measures[0].num_atoms
     d = field.dim
-    residuals = np.empty((len(test_set), n_check - 1))
+    residuals = np.empty((len(members), n_check - 1))
     std_errors = np.empty_like(residuals)
-    runs = [_RunningMember() for _ in test_set]
+    runs = [_RunningMember() for _ in members]
     gate_rows = []
     for k, mu in enumerate(measures):
         z = mu.atoms
         v = z[..., d:]
-        drift = np.asarray(field.drift(mu.t, z), dtype=float).reshape(n_atoms, d)
-        a = field.generator_a(mu.t, z)
         last = k == n_check - 1
-        if not last:
-            gate_rows.append(np.mean(np.linalg.norm(v, axis=-1)
-                                     + np.linalg.norm(drift, axis=-1)))
         if control_variate and k > 0:
             # sigma dW_{k-1}, read back off the velocity update
             noise = v - prev_v - grid_dt * prev_drift
+        if not last:
+            drift = np.asarray(field.drift(mu.t, z),
+                               dtype=float).reshape(n_atoms, d)
+            a = field.generator_a(mu.t, z)
+            if gate:
+                gate_rows.append(np.mean(np.linalg.norm(v, axis=-1)
+                                         + np.linalg.norm(drift, axis=-1)))
+            prev_v, prev_drift = v, drift
         pieces = _Pieces(z)
-        for row, (phi, run) in enumerate(zip(test_set, runs)):
+        for row, (phi, run) in enumerate(zip(members, runs)):
             value, gx, gv, hv = _member_jet(phi, pieces)
             if k == 0:
                 run.value0 = value
@@ -617,15 +682,8 @@ def weak_residual(measures, field, test_set, *, control_variate=False):
                 gen = _apply_generator(v, drift, a, gx, gv, hv)
                 run.gen_sum = gen if k == 0 else run.gen_sum + gen
                 run.grad_v = gv
-        prev_v, prev_drift = v, drift
-    return ResidualTable(
-        phi_names=[phi.name for phi in test_set],
-        times=times[1:],
-        residuals=residuals,
-        std_errors=std_errors,
-        integrability=float(grid_dt * np.array(gate_rows).sum()),
-        num_atoms=n_atoms,
-    )
+    return residuals, std_errors, (np.array(gate_rows).sum() if gate
+                                   else None)
 
 
 # ---------------------------------------------------------------------------

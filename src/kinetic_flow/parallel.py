@@ -38,6 +38,15 @@ Callers, each with what runs in a worker and what comes back by pickle:
   criterion 7): one WORK_CHUNK chunk of paths per task, on its own Philox
   streams; per-checkpoint partial sums and counts come back and are added
   in chunk order.
+- ``fokker_planck.weak_residual`` (the ``fokker-planck`` experiment and
+  criterion 14): one strided group of test-function members per task,
+  with the checkpoints inherited at fork; each group evaluates the drift
+  and ``a`` itself and makes the checkpoint pass for its members, and its
+  rows of residuals and standard errors (the last group's also the
+  integrability gate) come back and are placed in member order.
+- ``fokker_planck.checkpoints_to_csv`` (the ``fokker-planck`` experiment's
+  ``atoms.csv``): one checkpoint per task, formatted through the ``%.17g``
+  row template; its text comes back and is written in checkpoint order.
 Each task's result is the same bits in any process, and each caller
 combines results in a fixed order, so no output depends on the count.
 

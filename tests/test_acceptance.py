@@ -95,7 +95,7 @@ def test_criterion_index_validation():
         run_criterion(18)
 
 
-def test_weak_gradient_criterion_walks_each_delta_once(monkeypatch):
+def test_weak_gradient_criterion_walks_each_delta_once(monkeypatch, serial):
     # both moment orders of #10 come from one walk per stack: the free
     # field's and each of the three deltas'
     from kinetic_flow import acceptance, flow

@@ -80,9 +80,9 @@ def test_moment_estimators_refuse_a_non_finite_order(estimate, q):
     lambda f, n: weak_gradient_moment(f, [0.3, 0.0], 1e-2, [2.0], n, 0.25,
                                       1.0 / 32),
 ], ids=["two-point", "weak-gradient"])
-def test_moment_estimators_draw_each_chunk_noise_once(monkeypatch, estimate):
+def test_moment_estimators_draw_each_chunk_noise_once(monkeypatch, serial,
+                                                     estimate):
     # every coupled start walks on one draw of each chunk's noise
-    monkeypatch.setenv("KF_WORKERS", "1")
     calls = []
     normals = integrator.BrownianGrid.normals
 
@@ -210,7 +210,7 @@ def test_homeomorphism_check_deterministic_rerun():
     assert a.t == 0.5
 
 
-def test_homeomorphism_check_replica_coupling(monkeypatch):
+def test_homeomorphism_check_replica_coupling(monkeypatch, serial):
     # within one replica every initial point consumes the same stream, so
     # two coincident-velocity starts of the free field keep their exact gap
     # at every step, not only at the horizon
@@ -238,8 +238,8 @@ def test_homeomorphism_check_replica_coupling(monkeypatch):
 
 @pytest.mark.parametrize("name, dim", [("hoelder-drift", 1),
                                        ("anisotropic-sigma", 2)])
-def test_homeomorphism_check_replica_is_the_row_stream(monkeypatch, name,
-                                                       dim):
+def test_homeomorphism_check_replica_is_the_row_stream(monkeypatch, serial,
+                                                       name, dim):
     # replica r of point p at T is row r of a walk of point p tiled over
     # the replicas, bit for bit
     field = library_field(name, dim)
@@ -347,11 +347,10 @@ def test_convergence_study_levels_independent_of_workers(monkeypatch):
         "0.659286195361074", "0.3858834138883508"]
 
 
-def test_convergence_study_samples_each_level_once_on_the_box(monkeypatch):
+def test_convergence_study_samples_each_level_once_on_the_box(monkeypatch,
+                                                              serial):
     # the library fields are autonomous, so each level's drift is sampled
-    # on the L^p box once, not once per time node; serial, so the counts
-    # are made in this process whatever KF_WORKERS says
-    monkeypatch.setenv("KF_WORKERS", "1")
+    # on the L^p box once, not once per time node
     base = library_field("hoelder-drift", 1)
     box_shape = (33, 33, 2)
     sampled = []

@@ -1,8 +1,10 @@
 """Particle measures, weak-form residuals, and measure metrics."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -143,7 +145,7 @@ def test_particle_measure_aborts_on_non_finite_state():
         particle_measure(blowup, point_mass([0.0, 1.0]), 16, 2.0, 0.25)
 
 
-def test_particle_measure_peak_memory_checkpoints_plus_chunk_noise():
+def test_particle_measure_peak_memory_checkpoints_plus_chunk_noise(serial):
     # the atoms stream through integrator.walk: the peak is the kept
     # checkpoints plus one work chunk's noise
     field = library_field("hoelder-drift", 1)
@@ -298,19 +300,21 @@ def counting_field(field, calls):
 
 
 @pytest.mark.parametrize("control_variate", [False, True])
-def test_weak_residual_evaluates_field_once_per_checkpoint(control_variate):
+def test_weak_residual_evaluates_field_once_per_checkpoint(serial,
+                                                           control_variate):
     field, measures = hoelder_checkpoints()
     calls = {"drift": 0, "sigma": 0}
     counted = counting_field(field, calls)
     table = weak_residual(measures, counted, default_dictionary(),
                           control_variate=control_variate)
-    assert calls == {"drift": len(measures), "sigma": len(measures)}
+    # the last checkpoint's drift and a are read by no term
+    assert calls == {"drift": len(measures) - 1, "sigma": len(measures) - 1}
     plain = weak_residual(measures, field, default_dictionary(),
                           control_variate=control_variate)
     assert np.array_equal(table.residuals, plain.residuals)
 
 
-def test_weak_residual_peak_memory_below_one_state_stack():
+def test_weak_residual_peak_memory_below_one_state_stack(serial):
     field = library_field("hoelder-drift", 1)
     measures = particle_measure(field, point_mass([0.0, 0.0]), 2000, 1.0,
                                 1.0 / 256, master_seed=3)
@@ -364,6 +368,45 @@ def test_mixed_test_set_rows_match_members_alone(control_variate):
     with pytest.raises(ValidationError, match="derivative closures"):
         weak_residual(measures, field, [bump, bare],
                       control_variate=control_variate)
+
+
+def bits(table):
+    return (table.residuals.view(np.uint64).tolist(),
+            table.std_errors.view(np.uint64).tolist(),
+            float.hex(table.integrability))
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_weak_residual_is_the_same_bits_for_any_worker_count(
+        monkeypatch, control_variate):
+    # the members are split into min(KF_WORKERS, members) forked groups;
+    # 16 workers on the 12-member dictionary give one member per group
+    field, measures = hoelder_checkpoints()
+    mixed = [TestFunction.constant(2.0), gaussian_member(), monomial_bump(2, 1)]
+    for test_set in (default_dictionary(), mixed):
+        runs = []
+        for workers in ("1", "2", "5", "16"):
+            monkeypatch.setenv("KF_WORKERS", workers)
+            calls = {"drift": 0, "sigma": 0}
+            table = weak_residual(measures, counting_field(field, calls),
+                                  test_set, control_variate=control_variate)
+            assert multiprocessing.active_children() == []
+            # past one worker every group runs in a forked process
+            assert (calls["drift"] == 0) == (workers != "1")
+            runs.append(bits(table))
+        assert runs[1:] == runs[:-1]
+
+
+def test_weak_residual_refuses_a_bare_member_before_any_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setenv("KF_WORKERS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    field, measures = hoelder_checkpoints()
+    bare = TestFunction("raw", value=lambda z: np.zeros(z.shape[:-1]))
+    with pytest.raises(ValidationError, match="derivative closures"):
+        weak_residual(measures, field, default_dictionary() + [bare])
 
 
 def test_dictionary_closures_pinned_bits():
@@ -425,7 +468,8 @@ def plateau_mask(z, r_in):
     return (np.abs(x) <= r_in) & (np.abs(v) <= r_in) & (x != 0.0) & (v != 0.0)
 
 
-def test_bump_jet_plateau_path_matches_full_formula_bitwise(monkeypatch):
+def test_bump_jet_plateau_path_matches_full_formula_bitwise(monkeypatch,
+                                                            serial):
     z = jet_states()
     seen = []
     cut_pieces = fokker_planck._cut_pieces
@@ -627,6 +671,20 @@ def csv_writer_reference(measures, path):
             for aid, z in enumerate(mu.atoms):
                 writer.writerow([f"{mu.t:.17g}", str(int(aid))]
                                 + [f"{c:.17g}" for c in z])
+
+
+def test_checkpoint_csv_is_the_same_bytes_for_any_worker_count(tmp_path,
+                                                                monkeypatch):
+    # one forked task per checkpoint, written back in checkpoint order
+    _, measures = hoelder_checkpoints()
+    written = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("KF_WORKERS", workers)
+        checkpoints_to_csv(measures, tmp_path / f"atoms-{workers}.csv")
+        assert multiprocessing.active_children() == []
+        written.append((tmp_path / f"atoms-{workers}.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + 9 * 200
 
 
 def test_checkpoint_csv_matches_csv_writer_bytes(tmp_path):

@@ -424,7 +424,7 @@ def test_walk_refuses_a_wrong_last_axis_or_more_than_three_axes():
 
 
 @pytest.mark.parametrize("scheme, bound", [("em", 2.0), ("kinetic-exact", 3.0)])
-def test_evolve_peak_memory_within_one_chunk(scheme, bound):
+def test_evolve_peak_memory_within_one_chunk(serial, scheme, bound):
     # at most one chunk: the path beside its noise (normals, 2d per step)
     # and the increments cut from them (d per step), but no block copies
     field = library_field("hoelder-drift", 1)

@@ -271,7 +271,7 @@ class CountedBump:
 
 
 @pytest.mark.parametrize("estimator", ["ratio", "mgf", "factorial"])
-def test_off_grid_window_is_refused_before_any_simulation(monkeypatch,
+def test_off_grid_window_is_refused_before_any_simulation(monkeypatch, serial,
                                                           seed3_paths,
                                                           estimator):
     # the ratio table simulates its own ensemble, so an off-grid window is

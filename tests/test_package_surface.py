@@ -180,15 +180,16 @@ def test_only_integrator_raises_divergence():
     assert readers == {"integrator"}, sorted(readers - {"integrator"})
 
 
-def test_only_flow_and_zvonkin_call_parallel_map():
-    # the estimators map their own chunks and the convergence ladder and
-    # the lambda search their own tasks, so no caller of theirs may wrap
-    # them in a second map
+def test_only_flow_zvonkin_and_fokker_planck_call_parallel_map():
+    # the estimators map their own chunks, the convergence ladder and the
+    # lambda search their own tasks, and the weak residual and the atom
+    # table their member groups and checkpoints, so no caller of theirs
+    # may wrap them in a second map
     callers = {module for module, tree in modules().items()
                if any(isinstance(node, ast.Call)
                       and _named(node.func, "parallel_map")
                       for node in ast.walk(tree))}
-    assert callers == {"flow", "zvonkin"}, sorted(callers)
+    assert callers == {"flow", "zvonkin", "fokker_planck"}, sorted(callers)
 
 
 def test_tracer_hooks_resolve():

@@ -76,7 +76,8 @@ def test_mollifier_scaling_mass(eps):
     assert abs(mass - 1.0) <= 1e-7
 
 
-def test_mollifier_normalization_table_is_quads_own_result(monkeypatch):
+def test_mollifier_normalization_table_is_quads_own_result(monkeypatch,
+                                                           serial):
     # phase dimensions 2 and 4 read a table that quad recomputes bit for
     # bit; any other dimension runs quad, with the bits it had before the
     # table

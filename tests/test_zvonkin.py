@@ -173,7 +173,7 @@ def test_picard_constant_drift_closed_form():
     assert res.ratios.size == 0 or max(res.ratios) <= 1e-12
 
 
-def test_picard_solve_peak_memory():
+def test_picard_solve_peak_memory(serial):
     # a sweep holds u, its velocity gradient, the source, the resolvent's
     # mixed-layout spectrum and the new u (about 6 copies of u at 128
     # slices of 128^2, lam = 2); 7.5 copies leave room for one more
@@ -408,9 +408,7 @@ def test_residual_pinned_values(case, workers, monkeypatch):
     assert rep.num_excluded.tolist() == excluded
 
 
-def test_residual_draws_each_chunk_noise_once(monkeypatch):
-    # serial, so the draws are made in this process whatever KF_WORKERS says
-    monkeypatch.setenv("KF_WORKERS", "1")
+def test_residual_draws_each_chunk_noise_once(monkeypatch, serial):
     field, _, transform = searched_state()
     calls = []
     normals = BrownianGrid.normals
