@@ -457,7 +457,8 @@ def _maximal_corpus(fast):
 # 17: artifact determinism
 #
 # kernel, spaces and krylov do no worker-dependent work, and flow's paths
-# fit in one WORK_CHUNK task, so their two runs take the same serial path.
+# fit in one integrator.map_walk chunk, so their two runs take the same
+# serial path.
 # converge and fokker-planck take a real worker path at 8 workers: one
 # ladder level per task, and fokker-planck's weak residual runs its
 # members in forked groups and formats atoms.csv one checkpoint per task.

@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .fields import library_field
 from .flow import check_convergence_study, check_path_count
 from .fokker_planck import RESIDUAL_TEMPORARIES, check_atom_count
-from .integrator import BrownianGrid
+from .integrator import BrownianGrid, walk_noise_floats
 from .krylov import (BUMP_TEMPORARIES, check_integrability,
                      experiment_windows, window_steps)
 
@@ -39,7 +39,8 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "parse_config", "parse_config_text
 # paths held at once fit in the machine's physical memory: with s = T/dt,
 # fokker-planck's checkpoint at every grid time, (s + 1) N 2d float64s,
 # plus fokker_planck.RESIDUAL_TEMPORARIES arrays of N float64s for the
-# weak residual's running sums and row temporaries,
+# weak residual's running sums and row temporaries, plus the
+# integrator.walk_noise_floats float64s of the walk's chunk noise,
 # krylov's 2T ensemble with its restart from T/2 to 2T,
 # (2s + 1 + 3s/2 + 1) N 2d float64s, plus krylov.BUMP_TEMPORARIES arrays
 # of (N, 2s + 1) float64s for the bump values over the (0, 2T) window, and
@@ -181,15 +182,17 @@ class ExperimentConfig:
                     f"zvonkin runs on a fixed {ZVONKIN_SLICES}-slice time "
                     f"grid: need T/dt = {ZVONKIN_SLICES}, got {steps}")
             if "memory" in rules:
-                rows, temps = steps + 1, 0
+                rows, temps, noise = steps + 1, 0, 0
                 if self.experiment == "fokker-planck":
                     temps = RESIDUAL_TEMPORARIES
+                    noise = walk_noise_floats(self.num_paths, steps, self.d)
                 elif self.experiment == "krylov":
                     rows = (2 * steps + 1) + (3 * steps // 2 + 1)
                     temps = BUMP_TEMPORARIES * (2 * steps + 1)
                 elif self.experiment == "converge":
                     rows = len(self.n_ladder) * ((steps + 1) + (2 * steps + 1))
-                need = (rows * 2 * self.d + temps) * self.num_paths * 8
+                need = ((rows * 2 * self.d + temps) * self.num_paths
+                        + noise) * 8
                 have = _physical_memory()
                 if have is not None and need > have:
                     raise ValidationError(

@@ -4,14 +4,13 @@ Everything here rides on synchronous coupling: several initial points are
 stepped under the *identical* noise, so differences between trajectories
 are differences of the flow map at fixed omega.  One layout does it,
 exactly reproducibly: the starts, each tiled across N rows, go through one
-`walk` as a stack, and row i of every start consumes stream i, so row i
-across the stack is one omega.  Each integrator.WORK_CHUNK chunk of rows
-is one `parallel_map` task: its noise is drawn once, no path is stored,
-and only a per-row fold comes back, joined in row order, so no bit
-depends on KF_WORKERS.  The moment estimators stack z with its partners
-or its 4d perturbations and keep running extrema per row; the
-homeomorphism check stacks a grid of points, one row per replica, and
-keeps each row's state at the horizon.
+``integrator.map_walk`` as a stack, and row i of every start consumes
+stream i, so row i across the stack is one omega.  No path is stored, and
+only a per-row fold comes back, joined in row order, so no bit depends on
+KF_WORKERS.  The moment estimators stack z with its partners or its 4d
+perturbations and keep running extrema per row; the homeomorphism check
+stacks a grid of points, one row per replica, and keeps each row's state
+at the horizon.
 
 The module also carries the discrete stochastic-Gronwall harness: synthetic
 processes built to satisfy the Ito-inequality hypothesis by construction,
@@ -33,8 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
-from . import integrator
-from .integrator import BrownianGrid, evolve, tagged_stream, walk
+from .integrator import BrownianGrid, evolve, map_walk, tagged_stream
 from .parallel import parallel_map
 
 __all__ = [
@@ -102,23 +100,19 @@ def _checked_starts(field, starts, orders=()):
 def _coupled_walk(field, starts, num_paths, horizon, dt, master_seed, fold, acc):
     """``acc = fold(acc, state)`` from the given acc over the (s, rows, 2d)
     states of a `walk` of the (s, 2d) ``starts`` tiled over num_paths rows,
-    one task per WORK_CHUNK chunk of rows; the folds keep the rows on axis
-    1, where the tasks' accs are joined in row order."""
+    a fold per `map_walk` chunk; the folds keep the rows on axis 1, where
+    the chunks' accs are joined in row order."""
     stack = np.broadcast_to(starts[:, None], (len(starts), num_paths,
                                               starts.shape[1]))
     brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
 
-    def rows(lo):
+    def rows(steps):
         out = acc
-        for _, _, _, state, _ in walk(field, stack[:, lo:lo + chunk],
-                                      brownian, path_offset=lo):
+        for _, _, _, state, _ in steps:
             out = fold(out, state)
         return out
 
-    # read at call time: a task's rows are exactly one walk chunk
-    chunk = integrator.WORK_CHUNK
-    return np.concatenate(parallel_map(rows, range(0, num_paths, chunk)),
-                          axis=1)
+    return np.concatenate(map_walk(field, stack, brownian, rows), axis=1)
 
 
 def two_point_moment(field, z, partners, q, num_paths, horizon, dt, *,

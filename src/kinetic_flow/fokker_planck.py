@@ -178,7 +178,9 @@ def particle_measure(field, law, num_atoms, horizon, dt, checkpoints=None, *,
     time), each holding every atom, row i for path i.  A diverging atom
     raises ``integrator.walk``'s DivergenceError; none is dropped.  The
     atoms stream through ``walk``: only the checkpoint snapshots are kept,
-    never the whole path.
+    never the whole path.  Checkpoint times come from the given T, not
+    from the noise grid's ``times`` (whose end is dt times the step
+    count), because they are ``atoms.csv``'s t column.
     """
     if not isinstance(field, CoefficientField):
         raise ValidationError("field must be a CoefficientField")

@@ -17,6 +17,13 @@ DivergenceError before it is yielded, so every estimator sees only
 states that pass, and none conditions its law on not diverging.
 A stack of starts (s, n, 2d) walks on one draw of each chunk's noise, row
 i of every start on stream path_offset + i: synchronous coupling by row.
+``map_walk`` is how path chunks reach `parallel_map`'s workers: one task
+per WORK_CHUNK chunk of rows, on streams lo .. hi - 1, whose reduction
+comes back by pickle in row order (the coupled estimators of ``flow`` and
+the Zvonkin residual).  ``particle_measure`` walks in the caller, since
+its snapshots would come back by pickle at more memory and time than
+they save; ``evolve`` returns whole paths, and the convergence ladder
+maps its levels, not chunks.
 
 The PDE slices, path steps, particle checkpoints and occupation windows
 must share one time grid for the Ito identity of H(Z), so one rule decides
@@ -38,15 +45,18 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DivergenceError, ValidationError
+from .parallel import parallel_map
 
 __all__ = [
     "BrownianGrid",
     "Trajectory",
     "evolve",
+    "map_walk",
     "step_index",
     "tagged_stream",
     "uniform_step",
     "walk",
+    "walk_noise_floats",
     "DIVERGENCE_THRESHOLD",
     "WORK_CHUNK",
 ]
@@ -146,6 +156,11 @@ class BrownianGrid:
     @property
     def horizon(self):
         return self.dt * self.num_steps
+
+    @property
+    def times(self):
+        """The grid the paths step on; times[1] is horizon / num_steps."""
+        return np.linspace(0.0, self.horizon, self.num_steps + 1)
 
     def normals(self, path_lo, path_hi):
         """Standard normals, shape (path_hi - path_lo, num_steps, 2*dim)."""
@@ -257,8 +272,7 @@ def walk(field, z0, brownian, scheme="em", path_offset=0):
     d = field.dim
     if z0.shape[-1] != 2 * d or z0.ndim > 3:
         raise ValidationError(f"initial state must be ([s,] [n,] {2 * d})")
-    steps, dt = brownian.num_steps, brownian.dt
-    times = np.linspace(0.0, brownian.horizon, steps + 1)
+    steps, dt, times = brownian.num_steps, brownian.dt, brownian.times
     n = z0.shape[-2]
     for lo in range(0, n, WORK_CHUNK):
         hi = min(lo + WORK_CHUNK, n)
@@ -281,12 +295,32 @@ def walk(field, z0, brownian, scheme="em", path_offset=0):
                 state = _step_batch(field, scheme, times, state, d, k, dt, dW, extra)
 
 
-def evolve(field, z0, brownian, scheme="em", path_offset=0):
-    """Record every state ``walk`` yields (same arguments) in a Trajectory."""
+def walk_noise_floats(num_paths, num_steps, dim):
+    """float64s of noise ``walk`` holds at once: a chunk's normals and the
+    increments cut from them, 3 dim per step for min(num_paths, WORK_CHUNK)
+    paths."""
+    return 3 * dim * num_steps * min(num_paths, WORK_CHUNK)
+
+
+def map_walk(field, z0, brownian, reduce, scheme="em"):
+    """``reduce(steps)`` per WORK_CHUNK chunk [lo, hi) of z0's rows, in row
+    order, one `parallel_map` task each: ``steps`` walks the chunk from
+    ``path_offset=lo``, on streams lo .. hi - 1 in any process."""
+    z0 = np.atleast_2d(np.asarray(z0, dtype=float))
+
+    def task(lo):
+        return reduce(walk(field, z0[..., lo:lo + WORK_CHUNK, :], brownian,
+                           scheme, path_offset=lo))
+
+    return parallel_map(task, range(0, z0.shape[-2], WORK_CHUNK))
+
+
+def evolve(field, z0, brownian, scheme="em"):
+    """Record every state ``walk`` yields from stream 0 in a Trajectory."""
     lead = np.atleast_2d(np.asarray(z0)).shape[:-1]
-    times = np.linspace(0.0, brownian.horizon, brownian.num_steps + 1)
+    times = brownian.times
     out = np.empty((0, times.size, 2 * field.dim))
-    for lo, hi, k, state, _ in walk(field, z0, brownian, scheme, path_offset):
+    for lo, hi, k, state, _ in walk(field, z0, brownian, scheme):
         if lo == k == 0:
             # allocated once the first chunk's noise has freed its temporaries
             out = np.empty(lead + (times.size, 2 * field.dim))

@@ -279,9 +279,8 @@ def krylov_ratio(field, bumps, p, windows, num_paths, horizon, dt, *,
     beta = krylov_beta(field.dim, p)
     win_list = [tuple(map(float, w)) for w in windows]
     brownian = BrownianGrid.for_horizon(master_seed, horizon, dt, field.dim)
-    # evolve's time grid, linspace(0, brownian.horizon, num_steps + 1)
-    grid_dt = brownian.horizon / brownian.num_steps
-    starts = [window_steps(w, grid_dt, brownian.horizon)[0] for w in win_list]
+    starts = [window_steps(w, brownian.times[1], brownian.horizon)[0]
+              for w in win_list]
     traj = evolve(field, np.zeros((num_paths, 2 * field.dim)), brownian)
 
     f_ids, rows_w, ests, ses, norms, ratios = [], [], [], [], [], []

@@ -25,8 +25,12 @@ transform with it; ``integrator`` loads ``numpy.random`` at import for
 the same reason, since every path task draws its noise in a worker.
 
 Callers, each with what runs in a worker and what comes back by pickle:
-- ``flow``'s coupled estimators (the ``flow`` experiment, criteria 9-11):
-  one WORK_CHUNK chunk of rows per task; its per-row fold comes back.
+- ``integrator.map_walk``: one WORK_CHUNK chunk of paths per task, on
+  its own Philox streams; the chunk's reduction comes back, a per-row
+  fold for ``flow``'s coupled estimators (the ``flow`` experiment,
+  criteria 9-11), joined in row order, and per-checkpoint partial sums
+  and counts for ``zvonkin.transformed_sde_residual`` (the ``zvonkin``
+  experiment and criterion 7), added in chunk order.
 - ``flow.convergence_study`` (the ``converge`` experiment and criterion
   8): one level of the mollification ladder per task; its coupled paths
   on both grids and its drift sample on the L^p box come back.
@@ -34,10 +38,6 @@ Callers, each with what runs in a worker and what comes back by pickle:
   one damping rate of the lam ladder per task, in batches of the worker
   count; the Picard fixed point, the rejection reason or the exception
   raised comes back, and the caller reads them in ladder order.
-- ``zvonkin.transformed_sde_residual`` (the ``zvonkin`` experiment and
-  criterion 7): one WORK_CHUNK chunk of paths per task, on its own Philox
-  streams; per-checkpoint partial sums and counts come back and are added
-  in chunk order.
 - ``fokker_planck.weak_residual`` (the ``fokker-planck`` experiment and
   criterion 14): one strided group of test-function members per task,
   with the checkpoints inherited at fork; each group evaluates the drift

@@ -29,8 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridFunction, grid_mesh
-from . import integrator
-from .integrator import step_index, uniform_step, walk
+from .integrator import map_walk, step_index, uniform_step
 from .kernel import KernelStep, apply_semigroup, diffusion_matrix
 from .parallel import parallel_map, worker_count
 
@@ -567,7 +566,7 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
                              checkpoints=None, scheme="em"):
     """Statistics of R_t = H_t(Z_t) - H_0(Z_0) - lam int u ds - int Theta dW.
 
-    Z streams through ``integrator.walk`` with the given scheme on the
+    Z streams through ``integrator.map_walk`` with the given scheme on the
     field and noise grid the transform was built for; the stochastic
     integral uses left endpoints with the step's own Brownian increments
     (anything else would not be the Ito integral), while the time integral
@@ -577,14 +576,10 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
     that checkpoint onward and counted.  Returns mean and standard error
     of R across surviving paths at each checkpoint.
 
-    Each chunk [lo, lo + integrator.WORK_CHUNK) of paths is one task of
-    `parallel_map`: a worker process walks ``z0[lo:hi]`` with
-    ``path_offset=lo``, so its noise is the counter-based Philox stream of
-    paths lo .. hi - 1 whatever process draws it, and sends back by pickle
-    only its per-checkpoint partial sums, sums of squares, survivor and
-    exclusion counts.  The caller adds the partials to zeros in chunk
-    order, the order the serial loop used, so every bit of the report is
-    the same for any KF_WORKERS.
+    Each chunk of paths sends back only its per-checkpoint partial sums,
+    sums of squares, survivor and exclusion counts, and the caller adds
+    them to zeros in chunk order, so every bit of the report is the same
+    for any KF_WORKERS.
     """
     u = transform.u
     d = u.dim
@@ -620,12 +615,10 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
     lamv = u.lam
     last = cp_idx[-1]
 
-    def chunk_sums(lo):
-        hi = min(lo + chunk, num_paths)
+    def chunk_sums(steps):
         sums, sumsq = np.zeros((2, nc, d))
         counts, excluded = np.zeros((2, nc), dtype=int)
-        for _, _, i, pts, dw in walk(field, z0[lo:hi], brownian, scheme=scheme,
-                                     path_offset=lo):
+        for lo, hi, i, pts, dw in steps:
             if i > last:
                 continue
             u_i = transform.shift(i, pts)
@@ -651,11 +644,9 @@ def transformed_sde_residual(transform, field, z0, brownian, num_paths, *,
                 mart += np.einsum("ncj,nj->nc", transform.theta(i, pts), dw)
         return sums, sumsq, counts, excluded
 
-    # read at call time: the chunk is the integrator's work unit
-    chunk = integrator.WORK_CHUNK
     sums, sumsq = np.zeros((2, nc, d))
     counts, excluded = np.zeros((2, nc), dtype=int)
-    for part in parallel_map(chunk_sums, range(0, num_paths, chunk)):
+    for part in map_walk(field, z0, brownian, chunk_sums, scheme):
         for total, partial in zip((sums, sumsq, counts, excluded), part):
             total += partial
 

@@ -198,25 +198,27 @@ def test_cli_refuses_bad_values_before_the_output_exists(
 def test_fokker_planck_checkpoint_store_is_budgeted_at_parse_time(
         tmp_path, monkeypatch, capsys):
     # every grid time is kept: (T/dt + 1) N 2d float64s, beside the weak
-    # residual's RESIDUAL_TEMPORARIES arrays of N float64s.  Only the parse
-    # runs here, so nothing of that size is ever allocated.
+    # residual's RESIDUAL_TEMPORARIES arrays of N float64s and the walk's
+    # chunk noise, 3 float64s per step for min(N, WORK_CHUNK) atoms.  Only
+    # the parse runs here, so nothing of that size is ever allocated.
     from kinetic_flow import config
     text = "experiment = fokker-planck\nseed = 1\nT = 1\n"
     # 5 checkpoints of 1000 atoms in 2 coordinates and 90 residual arrays
-    # of 1000 atoms: (10 + 90) x 8,000 = 800,000 bytes
+    # of 1000 atoms, (10 + 90) x 8,000 = 800,000 bytes, and 4 steps of
+    # noise for 1000 atoms, 12 x 8,000 = 96,000 bytes
     small = text + "dt = 0.25\nN = 1000\noutput = out\n"
-    monkeypatch.setattr(config, "_physical_memory", lambda: 800_000)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 896_000)
     parse_config_text(small)
-    monkeypatch.setattr(config, "_physical_memory", lambda: 799_999)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 895_999)
     with pytest.raises(ValidationError, match="of physical memory"):
         parse_config_text(small)
-    # N = 10^6 at dt = 2^-10 needs 17.1 GB, over a 7.8 GiB box
+    # N = 10^6 at dt = 2^-10 needs 17.2 GB, over a 7.8 GiB box
     monkeypatch.setattr(config, "_physical_memory", lambda: 7.8 * 2**30)
     out = tmp_path / "out"
     path = write_config(tmp_path, text + f"dt = 0.0009765625\nN = 1000000\n"
                                          f"output = {out}\n")
     assert cli.main(["run", path]) == 2
-    assert "15.9 GiB exceeds the 7.8 GiB" in capsys.readouterr().err
+    assert "16.0 GiB exceeds the 7.8 GiB" in capsys.readouterr().err
     assert not out.exists()
     # a budget os.sysconf cannot tell is not checked
     monkeypatch.setattr(config, "_physical_memory", lambda: None)
@@ -277,26 +279,28 @@ def test_krylov_memory_rule_covers_the_measured_peak(tmp_path, monkeypatch,
 def test_fokker_planck_memory_rule_covers_the_measured_peak(tmp_path,
                                                           monkeypatch, serial):
     # the counted need bounds the run's traced peak from above, within
-    # 1.5x; past WORK_CHUNK atoms the weak residual, not the walk's chunk
-    # noise, sets the peak beside the checkpoints
+    # 1.5x: past WORK_CHUNK atoms the weak residual sets the peak beside
+    # the checkpoints, and below it with many steps the walk's chunk noise
     import tracemalloc
 
     from kinetic_flow import config
-    text = (f"experiment = fokker-planck\nseed = 3\nT = 1\ndt = 0.015625\n"
-            f"N = 20000\nfield.name = hoelder-drift\n"
-            f"output = {tmp_path / 'out'}\n")
-    cfg = parse_config_text(text)
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(config, "_physical_memory", lambda: int(1.5 * peak))
-    parse_config_text(text)
-    monkeypatch.setattr(config, "_physical_memory", lambda: peak - 1)
-    with pytest.raises(ValidationError, match="of physical memory"):
+    texts = [f"experiment = fokker-planck\nseed = 3\nT = 1\ndt = {dt}\n"
+             f"N = {n}\nfield.name = hoelder-drift\n"
+             f"output = {tmp_path / str(n) / 'out'}\n"
+             for n, dt in ((20000, "0.015625"), (2000, "0.00390625"))]
+    for text, cfg in [(text, parse_config_text(text)) for text in texts]:
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(config, "_physical_memory",
+                            lambda: int(1.5 * peak))
         parse_config_text(text)
+        monkeypatch.setattr(config, "_physical_memory", lambda: peak - 1)
+        with pytest.raises(ValidationError, match="of physical memory"):
+            parse_config_text(text)
 
 
 def test_converge_level_cache_is_budgeted_at_parse_time(tmp_path, monkeypatch,

@@ -11,7 +11,8 @@ from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
 from kinetic_flow.integrator import (DIVERGENCE_THRESHOLD, GRID_TOL,
                                     WORK_CHUNK, BrownianGrid, Trajectory,
-                                    evolve, step_index, uniform_step, walk)
+                                    evolve, map_walk, step_index,
+                                    uniform_step, walk)
 
 
 def zero_noise_field():
@@ -355,7 +356,7 @@ def test_walk_yields_what_evolve_records():
                                             ("em", 2)])
 def test_walk_of_one_chunk_at_its_offset_matches_the_whole_walk(scheme, coarsen):
     # a chunk walked on its own with path_offset = lo is chunk [lo, hi) of
-    # the whole walk, bit for bit: what a worker task of the residual runs
+    # the whole walk, bit for bit: what a map_walk task runs
     n = WORK_CHUNK + 5
     field = library_field("hoelder-drift", 1)
     g = BrownianGrid(6, 1.0 / 8, 8, 1)
@@ -408,10 +409,48 @@ def test_walk_of_a_start_stack_matches_each_start_alone(monkeypatch, scheme,
     assert seen == [(lo, min(lo + 16, n), k) for lo in (0, 16, 32)
                     for k in range(g.num_steps + 1)]
     # evolve records a stack with its start axis in front
-    stacked = evolve(field, z0, g, scheme=scheme, path_offset=offset).states
+    stacked = evolve(field, z0, g, scheme=scheme).states
     assert stacked.shape == (3, n, g.num_steps + 1, 4)
-    assert np.array_equal(stacked[1], evolve(field, z0[1], g, scheme=scheme,
-                                             path_offset=offset).states)
+    assert np.array_equal(stacked[1],
+                          evolve(field, z0[1], g, scheme=scheme).states)
+
+
+def steps_seen(steps):
+    """Every (lo, hi, k, state, dW) of a walk, as bytes."""
+    return [(lo, hi, k, state.tobytes(), None if dW is None else dW.tobytes())
+            for lo, hi, k, state, dW in steps]
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_map_walk_folds_each_chunk_walked_at_its_offset(monkeypatch, workers):
+    # 37 rows in chunks of 16 are 3 tasks; each folds the walk of its rows
+    # on streams lo .. hi - 1, and the folds come back in row order
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 16)
+    monkeypatch.setenv("KF_WORKERS", workers)
+    field = library_field("hoelder-drift", 1)
+    g = BrownianGrid(5, 1.0 / 8, 8, 1)
+    z0 = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 37, 2))
+    folds = map_walk(field, z0, g, steps_seen, scheme="kinetic-exact")
+    assert folds == [steps_seen(walk(field, z0[:, lo:lo + 16], g,
+                                     scheme="kinetic-exact", path_offset=lo))
+                     for lo in (0, 16, 32)]
+    assert [fold[0][:2] for fold in folds] == [(0, 16), (0, 16), (0, 5)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_map_walk_returns_a_chunk_divergence_and_leaves_no_worker(
+        monkeypatch, workers):
+    import multiprocessing
+
+    monkeypatch.setattr(integrator, "WORK_CHUNK", 16)
+    monkeypatch.setenv("KF_WORKERS", workers)
+    z0 = np.zeros((37, 2))
+    z0[20] = np.nan
+    with pytest.raises(DivergenceError,
+                       match=r"^state diverged past 1e\+06 at step 0$"):
+        map_walk(library_field("free", 1), z0, BrownianGrid(1, 0.25, 4, 1),
+                 steps_seen)
+    assert multiprocessing.active_children() == []
 
 
 def test_walk_refuses_a_wrong_last_axis_or_more_than_three_axes():

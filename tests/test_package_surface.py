@@ -141,10 +141,12 @@ def test_every_exported_name_has_a_caller():
 
 
 def _named(node, name):
-    """Is ``node`` a Name, an Attribute or an import alias of ``name``?"""
+    """Is ``node`` a Name, an Attribute, an import alias, a keyword
+    argument or a parameter of ``name``?"""
     return (isinstance(node, ast.Name) and node.id == name
             or isinstance(node, ast.Attribute) and node.attr == name
-            or isinstance(node, ast.alias) and node.name == name)
+            or isinstance(node, ast.alias) and node.name == name
+            or isinstance(node, (ast.keyword, ast.arg)) and node.arg == name)
 
 
 def modules_reading(name):
@@ -165,6 +167,14 @@ def test_only_integrator_reads_grid_tol():
     assert readers == {"integrator"}, sorted(readers - {"integrator"})
 
 
+def test_only_integrator_reads_work_chunk_or_passes_path_offset():
+    # a path task is one WORK_CHUNK chunk on streams lo .. hi - 1, and
+    # integrator.map_walk is the one place that lays chunks out
+    for name in ("WORK_CHUNK", "path_offset"):
+        readers = modules_reading(name)
+        assert readers == {"integrator"}, (name, sorted(readers))
+
+
 def test_only_integrator_raises_divergence():
     # integrator.walk is the one place a path can diverge, so no other
     # module may raise DivergenceError or apply its own threshold
@@ -180,16 +190,17 @@ def test_only_integrator_raises_divergence():
     assert readers == {"integrator"}, sorted(readers - {"integrator"})
 
 
-def test_only_flow_zvonkin_and_fokker_planck_call_parallel_map():
-    # the estimators map their own chunks, the convergence ladder and the
-    # lambda search their own tasks, and the weak residual and the atom
+def test_only_integrator_flow_zvonkin_and_fokker_planck_call_parallel_map():
+    # map_walk maps the estimators' path chunks, the convergence ladder and
+    # the lambda search their own tasks, and the weak residual and the atom
     # table their member groups and checkpoints, so no caller of theirs
     # may wrap them in a second map
     callers = {module for module, tree in modules().items()
                if any(isinstance(node, ast.Call)
                       and _named(node.func, "parallel_map")
                       for node in ast.walk(tree))}
-    assert callers == {"flow", "zvonkin", "fokker_planck"}, sorted(callers)
+    assert callers == {"integrator", "flow", "zvonkin", "fokker_planck"}, (
+        sorted(callers))
 
 
 def test_tracer_hooks_resolve():
