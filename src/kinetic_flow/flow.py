@@ -79,17 +79,17 @@ def check_path_count(num_paths):
         raise ValidationError("need num_paths >= 100")
 
 
-def _checked_starts(field, starts, orders=()):
-    """Refuse a non-finite moment order q of ``orders``, fewer than two
-    starts and starts that are not finite states of 2d entries, before any
-    noise is drawn; return the starts as one (s, 2d) array."""
+def _checked_starts(field, starts, orders=(), fewest=2):
+    """Refuse a non-finite moment order q of ``orders``, fewer than
+    ``fewest`` starts and starts that are not finite states of 2d entries,
+    before any noise is drawn; return the starts as one (s, 2d) array."""
     for q in orders:
         if not np.isfinite(q):
             raise ValidationError(f"moment order q must be finite, got {q!r}")
     starts = [np.asarray(z, dtype=float).reshape(-1) for z in starts]
     if any(z.shape != (2 * field.dim,) for z in starts):
         raise ValidationError(f"initial states need {2 * field.dim} entries")
-    if len(starts) < 2:
+    if len(starts) < fewest:
         raise ValidationError("need at least two points")
     starts = np.stack(starts)
     if not np.all(np.isfinite(starts)):
@@ -408,7 +408,8 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     ladder = [int(n) for n in n_ladder]
     d = field.dim
     check_convergence_study(d, ladder, num_paths, p)
-    z0 = np.zeros(2 * d) if z0 is None else np.asarray(z0, dtype=float)
+    z0 = _checked_starts(field, [np.zeros(2 * d) if z0 is None else z0],
+                         fewest=1)[0]
     steps = BrownianGrid.for_horizon(master_seed, horizon, dt, d).num_steps
     fine = BrownianGrid(master_seed, 0.5 * dt, 2 * steps, d)
     coarse = fine.coarsened(2)

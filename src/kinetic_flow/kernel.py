@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DegenerateKernelError, ProbeInvalidError, ValidationError
-from .parallel import worker_count
 
 __all__ = [
     "KernelCovariance",
@@ -252,16 +251,14 @@ class KernelStep:
     slice runs guard, to_mixed, transport and from_mixed.
 
     ``to_mixed`` and ``from_mixed`` run on ``scipy.fft``, which loads at
-    their first call, with ``workers=parallel.worker_count()``: the
-    resolvent calls them once on all of its slices, a batch large enough
-    to split between threads, and there scipy's pocketfft gave the same
-    bits as numpy's at every worker count tried (numpy 2.4, scipy 1.17;
-    the run manifest records both).
-
-    ``transport`` stays on ``numpy.fft``: the recursion calls it on one
-    slice at a time, too small a batch to split between threads, and
-    there scipy.fft was no faster (a 128^2 x 128 resolvent took 0.066 s
-    with it against 0.068 s, one worker, 2-core x86-64 host).
+    their first call, and ``transport`` on ``numpy.fft``.  All run on one
+    thread: under KF_WORKERS > 1 the resolvent already runs inside a
+    forked lam task, one task per core.  Which module runs which pass
+    does not pay either way: over 15 interleaved 128^2 x 128
+    `duhamel_resolvent` calls, this split took a median 0.047 s, numpy.fft
+    throughout 0.048 s and scipy.fft throughout 0.047 s, with the same
+    bits (KF_WORKERS=1, 2-core x86-64 host, numpy 2.4, scipy 1.17; the
+    run manifest records both versions).
     """
 
     def __init__(self, grid, a, gap, method="spectral", tail_tol=1e-6):
@@ -329,7 +326,7 @@ class KernelStep:
         """Real values -> mixed layout (rfft along the x axes)."""
         import scipy.fft
 
-        return scipy.fft.rfftn(values, axes=self.x_axes, workers=worker_count())
+        return scipy.fft.rfftn(values, axes=self.x_axes)
 
     def transport(self, mixed):
         """One transition on mixed-layout data: blur along v, then shear."""
@@ -344,7 +341,7 @@ class KernelStep:
         import scipy.fft
 
         return scipy.fft.irfftn(mixed, s=(self.n,) * len(self.x_axes),
-                                axes=self.x_axes, workers=worker_count())
+                                axes=self.x_axes)
 
     def __call__(self, values):
         self.guard(values)

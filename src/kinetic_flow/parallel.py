@@ -50,12 +50,9 @@ Callers, each with what runs in a worker and what comes back by pickle:
 Each task's result is the same bits in any process, and each caller
 combines results in a fixed order, so no output depends on the count.
 
-The same count is the thread count of the Zvonkin resolvent's
-slice-batched FFTs (``KernelStep.to_mixed``/``from_mixed`` and the
-spectral velocity derivative), which pass it to ``scipy.fft`` as
-``workers``.  Those threads split a batch of one-axis transforms between
-them, and each transform is the same arithmetic on any thread, so the
-bits do not depend on the count either.
+The count means forked worker processes and nothing else: the Zvonkin
+resolvent's FFTs run on one thread inside the lam tasks, one task per
+core, and no caller passes a count of its own to `parallel_map`.
 """
 
 import os
@@ -100,23 +97,20 @@ def _run(index):
     return fn(items[index])
 
 
-def parallel_map(fn, items, workers=None):
+def parallel_map(fn, items):
     """Order-preserving map of ``fn`` over ``items`` in forked processes.
 
-    Uses ``min(workers, len(items))`` worker processes (``workers``
-    defaults to `worker_count`).  ``fn`` and ``items`` reach the workers
-    by fork, not by pickling; each task returns ``fn(items[i])`` by
-    pickle, and an exception raised by ``fn`` is re-raised here.  A worker
-    that dies raises ``BrokenProcessPool``.  Every worker has exited when
-    the call returns or raises.  One worker, one item, or a platform
-    without ``fork`` maps serially in the caller.
+    Uses ``min(worker_count(), len(items))`` worker processes.  ``fn``
+    and ``items`` reach the workers by fork, not by pickling; each task
+    returns ``fn(items[i])`` by pickle, and an exception raised by ``fn``
+    is re-raised here.  A worker that dies raises ``BrokenProcessPool``.
+    Every worker has exited when the call returns or raises.  One worker,
+    one item, or a platform without ``fork`` maps serially in the caller.
     """
     import multiprocessing
 
     items = list(items)
-    if workers is None:
-        workers = worker_count()
-    workers = min(workers, len(items))
+    workers = min(worker_count(), len(items))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor

@@ -233,7 +233,6 @@ def maximal_function(f):
 @dataclass
 class LipschitzReport:
     fitted_constant: float
-    violations: int
     num_pairs: int
 
 
@@ -242,15 +241,14 @@ class LipschitzReport:
 LIPSCHITZ_MAX_POINTS = 1024
 
 
-def lipschitz_via_maximal_check(f, constant=None):
+def lipschitz_via_maximal_check(f):
     """Check |f(a)-f(b)| <= C |a-b| (Mg(a) + Mg(b)) with g = |grad f|.
 
     Scans grid-point pairs (exhaustively up to LIPSCHITZ_MAX_POINTS sample
-    points, strided beyond) and returns the smallest constant that works on the
-    scanned pairs plus the violation count for a supplied ``constant``.
-    Pairs with zero right-hand side and zero increment are skipped; a zero
-    right-hand side with a nonzero increment yields an infinite fitted
-    constant.
+    points, strided beyond) and returns the smallest constant that works on
+    the scanned pairs.  Pairs with zero right-hand side and zero increment
+    are skipped; a zero right-hand side with a nonzero increment yields an
+    infinite fitted constant.
     """
     if not f.is_scalar:
         raise ValidationError("lipschitz check expects a scalar GridFunction")
@@ -276,12 +274,8 @@ def lipschitz_via_maximal_check(f, constant=None):
     diff, rhs = diff[iu], rhs[iu]
 
     live = rhs > 0.0
-    dead_bad = np.sum(~live & (diff > 0.0))
     ratios = diff[live] / rhs[live]
     fitted = float(np.max(ratios)) if ratios.size else 0.0
-    if dead_bad:
+    if np.any(~live & (diff > 0.0)):
         fitted = math.inf
-    violations = 0
-    if constant is not None:
-        violations = int(np.sum(ratios > constant)) + int(dead_bad)
-    return LipschitzReport(fitted, violations, int(diff.size))
+    return LipschitzReport(fitted, int(diff.size))

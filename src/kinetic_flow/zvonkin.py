@@ -60,9 +60,8 @@ def _axis_derivative(vals, axis, spacing, order=1):
 
     irfft drops the imaginary part of the Nyquist bin, which is what the
     real part of a full complex transform does there.  The transforms run
-    on scipy.fft, which loads at first use, with KF_WORKERS threads,
-    batched over every other axis (all time slices at once for grad_v and
-    pde_defect).
+    on scipy.fft, which loads at first use, batched over every other axis
+    (all time slices at once for grad_v and pde_defect).
     """
     import scipy.fft
 
@@ -71,9 +70,8 @@ def _axis_derivative(vals, axis, spacing, order=1):
     shape[axis] = n // 2 + 1
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
     mult = (1j * k.reshape(shape)) ** order
-    workers = worker_count()
-    spec = scipy.fft.rfft(vals, axis=axis, workers=workers)
-    return scipy.fft.irfft(spec * mult, n=n, axis=axis, workers=workers)
+    spec = scipy.fft.rfft(vals, axis=axis)
+    return scipy.fft.irfft(spec * mult, n=n, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +216,10 @@ def duhamel_resolvent(source, lam, *, method="recursive", tail_tol=1e-6):
     exactly, so this equals the direct sum up to rounding).  The source
     goes to the step's mixed layout in one batched rfft, the recursion
     runs there, and one batched irfft brings u back; the two batched
-    transforms run on scipy.fft threaded by KF_WORKERS, while the
-    per-slice transport of the recursion stays on numpy.fft, since one
-    slice is too small to thread (see KernelStep).  The seam guard then
-    checks each carried slice u_{i+1} + (step/2) f_{i+1}, one at a time,
-    so a rejected lam fails after its whole sweep.  'direct' performs the
+    transforms run on scipy.fft and the per-slice transport of the
+    recursion on numpy.fft (see KernelStep).  The seam guard then checks
+    each carried slice u_{i+1} + (step/2) f_{i+1}, one at a time, so a
+    rejected lam fails after its whole sweep.  'direct' performs the
     O(slices^2) sum through apply_semigroup and exists to cross-check the
     recursion.  Both run the guard on every slice they transport, at
     tail_tol.

@@ -363,11 +363,12 @@ def test_worker_count_env_contract():
             worker_count({"KF_WORKERS": bad})
 
 
-def test_parallel_map_preserves_order():
+def test_parallel_map_preserves_order(monkeypatch):
     items = list(range(40))
     serial = [i * i - 3 for i in items]
-    assert parallel_map(lambda i: i * i - 3, items, workers=1) == serial
-    assert parallel_map(lambda i: i * i - 3, items, workers=4) == serial
+    for workers in ("1", "4"):
+        monkeypatch.setenv("KF_WORKERS", workers)
+        assert parallel_map(lambda i: i * i - 3, items) == serial
 
 
 def _fail_at_three(i):
@@ -377,33 +378,37 @@ def _fail_at_three(i):
     return i
 
 
-def test_parallel_map_reraises_a_worker_error_and_joins_its_workers():
+def test_parallel_map_reraises_a_worker_error_and_joins_its_workers(
+        monkeypatch):
+    monkeypatch.setenv("KF_WORKERS", "2")
     with pytest.raises(LambdaTooSmallError) as info:
-        parallel_map(_fail_at_three, range(6), workers=2)
+        parallel_map(_fail_at_three, range(6))
     assert type(info.value) is LambdaTooSmallError
     assert str(info.value) == "no contraction at task 3"
     assert info.value.observed_ratio == 0.875
     assert multiprocessing.active_children() == []
 
 
-def test_parallel_map_runs_in_at_most_one_forked_worker_per_task():
+def test_parallel_map_runs_in_at_most_one_forked_worker_per_task(
+        monkeypatch):
     for workers, count in ((3, 7), (4, 2)):
-        pids = parallel_map(lambda i: os.getpid(), range(count),
-                            workers=workers)
+        monkeypatch.setenv("KF_WORKERS", str(workers))
+        pids = parallel_map(lambda i: os.getpid(), range(count))
         assert len(pids) == count
         assert 1 <= len(set(pids)) <= min(workers, count)
         assert os.getpid() not in pids
         assert multiprocessing.active_children() == []
 
 
-def test_parallel_map_reports_a_dead_worker():
+def test_parallel_map_reports_a_dead_worker(monkeypatch):
     def die(i):
         if i == 1:
             os._exit(3)
         return i
 
+    monkeypatch.setenv("KF_WORKERS", "2")
     with pytest.raises(BrokenProcessPool):
-        parallel_map(die, range(4), workers=2)
+        parallel_map(die, range(4))
     assert multiprocessing.active_children() == []
 
 
@@ -414,7 +419,8 @@ def test_parallel_map_without_fork_maps_serially(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    pids = parallel_map(lambda i: (i, os.getpid()), range(5), workers=4)
+    monkeypatch.setenv("KF_WORKERS", "4")
+    pids = parallel_map(lambda i: (i, os.getpid()), range(5))
     assert pids == [(i, os.getpid()) for i in range(5)]
 
 

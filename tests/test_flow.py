@@ -393,6 +393,24 @@ def test_convergence_study_refuses_a_bad_order_before_any_level(monkeypatch,
                           128, 0.25, 1.0 / 16, 7.0)
 
 
+@pytest.mark.parametrize("z0, message", [
+    ([float("nan"), 0.0], "initial states must be finite"),
+    ([float("inf"), 0.0], "initial states must be finite"),
+    ([0.0, 0.0, 0.0], "initial states need 2"),
+], ids=["nan", "inf", "shape"])
+def test_convergence_study_refuses_a_bad_start_before_any_level(monkeypatch,
+                                                                z0, message):
+    # the same start check as the coupled estimators, not a divergence at
+    # step 0 or walk's shape error inside the level tasks
+    def no_levels(fn, items):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(flow, "parallel_map", no_levels)
+    with pytest.raises(ValidationError, match=message):
+        convergence_study(library_field("hoelder-drift", 1), (2, 4, 8), 2.0,
+                          128, 0.25, 1.0 / 16, 7.0, z0=z0)
+
+
 # ---------------------------------------------------------------------------
 # stochastic Gronwall
 

@@ -203,6 +203,20 @@ def test_only_integrator_flow_zvonkin_and_fokker_planck_call_parallel_map():
         sorted(callers))
 
 
+def test_kf_workers_is_the_one_worker_count():
+    # the count means forked workers only: parallel_map reads it, the
+    # lambda batches, the residual's member groups and the manifest read it
+    # too, and no call in the package passes a count of its own
+    readers = modules_reading("worker_count")
+    assert readers == {"parallel", "zvonkin", "fokker_planck", "runner"}, (
+        sorted(readers))
+    passing = {module for module, tree in modules().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and any(kw.arg == "workers" for kw in node.keywords)}
+    assert passing == set(), sorted(passing)
+
+
 def test_tracer_hooks_resolve():
     # the benchmark's layer tracer replaces the mollified field's drift
     # and sigma on the class and a library field's on the instance; the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kinetic_flow import spaces
 from kinetic_flow.errors import ValidationError
 from kinetic_flow.grids import GridFunction
 from kinetic_flow.spaces import (
@@ -173,5 +174,13 @@ def test_maximal_rejects_vector_fields():
 def test_lipschitz_via_maximal():
     f = band_limited(23)
     report = lipschitz_via_maximal_check(f)
-    assert report.violations == 0
     assert 0.0 < report.fitted_constant <= 1.2
+
+
+def test_lipschitz_via_maximal_dead_pair_fits_infinity(monkeypatch):
+    # a pair with zero right-hand side and a nonzero increment admits no
+    # finite constant
+    f = band_limited(23, n=16)
+    monkeypatch.setattr(spaces, "maximal_function",
+                        lambda g: g.with_values(np.zeros_like(g.values)))
+    assert lipschitz_via_maximal_check(f).fitted_constant == np.inf

@@ -103,9 +103,9 @@ def test_duhamel_pinned_values():
 
 
 def test_resolvent_and_grad_v_independent_of_workers(monkeypatch):
-    # KF_WORKERS threads the slice-batched transforms; each transform
-    # along one axis is the same arithmetic on any thread, so the bits
-    # do not depend on the count
+    # KF_WORKERS counts forked workers only: the resolvent and its
+    # velocity gradient run in the calling process, and their bits must
+    # not depend on the count
     results = []
     for workers in ("1", "2"):
         monkeypatch.setenv("KF_WORKERS", workers)
