@@ -87,8 +87,10 @@ class CoefficientField:
 
     drift : callable (t, z) -> array (..., d) for z of shape (..., 2d)
     sigma : callable (t, z) -> array (..., d, d)
-    constant_sigma : the (d, d) matrix when sigma does not depend on (t, z),
-        else None.  Constant-sigma fields unlock the closed-form kernel.
+    constant_sigma : the finite (d, d) matrix when sigma does not depend on
+        (t, z), else None.  It must equal ``sigma(t, z)`` everywhere: the
+        path step, the kinetic-exact x-noise, the closed-form kernel and
+        the Zvonkin residual read it in place of ``sigma``.
     plateau : where the drift is a library profile with its cut exactly 1
         or exactly 0, else None (custom fields).
     """
@@ -107,7 +109,12 @@ class CoefficientField:
         if not 0 < self.support_radius < np.inf:
             raise ValidationError("support radius must be positive and finite")
         if self.constant_sigma is not None:
-            self.constant_sigma = np.asarray(self.constant_sigma, dtype=float)
+            sig = np.asarray(self.constant_sigma, dtype=float)
+            if sig.shape != (self.dim, self.dim) or not np.all(np.isfinite(sig)):
+                raise ValidationError(
+                    f"constant_sigma must be a finite ({self.dim}, {self.dim}) "
+                    f"matrix, got shape {sig.shape}")
+            self.constant_sigma = sig
 
     @property
     def phase_dim(self):

@@ -32,7 +32,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import CoefficientField, mollified
-from .integrator import BrownianGrid, evolve, map_walk, tagged_stream
+from .integrator import (BrownianGrid, evolve, map_walk, row_norm,
+                         tagged_stream)
 from .parallel import parallel_map
 
 __all__ = [
@@ -121,12 +122,13 @@ def two_point_moment(field, z, partners, q, num_paths, horizon, dt, *,
     one MomentEstimate per z' of ``partners``, in their order.
 
     z and its partners walk as one stack; each row keeps a running extremum
-    of its separation from z per partner, the bits of that pair alone.  For
-    q >= 0 that is the maximum; for q < 0 the power flips the extremum, so
-    the running *minimum* separation is raised to 2q.  q must be finite and
-    lie in [-1, inf): moments far below -1 hinge on the extreme left tail
-    of the minimum separation, which desk-scale Monte Carlo cannot see.  A
-    partner at z reads exactly 0 and needs q >= 0.  A coupled pair whose
+    of its separation from z per partner, the bits of that pair alone,
+    taken by `integrator.row_norm`.  For q >= 0 that is the maximum; for
+    q < 0 the power flips the extremum, so the running *minimum*
+    separation is raised to 2q.  q must be finite and lie in [-1, inf):
+    moments far below -1 hinge on the extreme left tail of the minimum
+    separation, which desk-scale Monte Carlo cannot see.  A partner at z
+    reads exactly 0 and needs q >= 0.  A coupled pair whose
     minimum separation underflows to exact zero makes a negative moment
     meaningless and raises DegenerateRatioError.
     """
@@ -134,14 +136,14 @@ def two_point_moment(field, z, partners, q, num_paths, horizon, dt, *,
     starts = _checked_starts(field, [z, *partners], [q])
     if q < -1.0:
         raise ValidationError("q < -1 not supported (left-tail dominated)")
-    gaps = np.linalg.norm(starts[0] - starts[1:], axis=-1)
+    gaps = row_norm(starts[0] - starts[1:])
     if q < 0 and np.any(gaps == 0.0):
         raise ValidationError("coincident points need q >= 0")
     # the first separation replaces the initial extremum exactly
     extreme, init = (np.maximum, 0.0) if q >= 0 else (np.minimum, np.inf)
 
     def fold(ext, state):
-        return extreme(ext, np.linalg.norm(state[0] - state[1:], axis=-1))
+        return extreme(ext, row_norm(state[0] - state[1:]))
 
     ext = _coupled_walk(field, starts, num_paths, horizon, dt, master_seed,
                         fold, init)
@@ -163,8 +165,10 @@ def weak_gradient_moment(field, z, delta, orders, num_paths, horizon, dt, *,
     The Jacobian is estimated one column at a time from coupled
     perturbations z +/- delta e_j.  All 4d starts walk as one stack: each
     chunk's noise is drawn once, no path is stored, and each row keeps the
-    running maximum of ||grad_z Z_t||_F^2, which every order raises to its
-    own power.  Each q must be finite, and an empty ``orders`` is refused.
+    running maximum of ||grad_z Z_t||_F^2, the squared column norms of
+    `integrator.row_norm` added in column order, which every order raises
+    to its own power.  Each q must be finite, and an empty ``orders`` is
+    refused.
     A finite difference rather than a variational equation is deliberate:
     the drift need not be differentiable, and the object of interest is
     exactly the weak derivative that survives for rough b.
@@ -181,7 +185,7 @@ def weak_gradient_moment(field, z, delta, orders, num_paths, horizon, dt, *,
     def fold(sup2, state):
         cols = (state[0::2] - state[1::2]) / (2.0 * delta)
         # squared column norms, shape (2d, n), added in column order
-        frob2 = np.sum(np.sum(cols * cols, axis=-1), axis=0, keepdims=True)
+        frob2 = np.sum(row_norm(cols, squared=True), axis=0, keepdims=True)
         return np.maximum(sup2, frob2)
 
     sup2 = _coupled_walk(field, starts, num_paths, horizon, dt, master_seed,
@@ -239,7 +243,7 @@ def _ordering_failures(transported, lines):
     for line in lines:
         pts = transported[line]            # (L, 2d)
         diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        dist = row_norm(diff)
         np.fill_diagonal(dist, np.inf)
         nearest = np.argmin(dist, axis=1)
         idx = np.arange(len(line))
@@ -321,8 +325,7 @@ def _drift_lp_gap(drift_a, drift_b, box, p, horizon):
     T times the space integral.  The box must cover both supports;
     outside it the integrand vanishes.
     """
-    gap = drift_a - drift_b
-    mag = np.sqrt(np.sum(gap * gap, axis=-1))
+    mag = row_norm(drift_a - drift_b)
     norm_p = np.sum(box.weight * mag**p) * box.cell
     return float((horizon * norm_p) ** (1.0 / p))
 
@@ -430,7 +433,7 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
             ladder[:-1], levels[:-1], levels[1:]):
         gaps = []
         for sa, sb in zip(paths_a, paths_b):
-            sep = np.linalg.norm(sa - sb, axis=-1)
+            sep = row_norm(sa - sb)
             sup = sep.max(axis=1)
             gaps.append(float(np.mean(sup**q) ** (1.0 / q)))
         lp = _drift_lp_gap(drift_a, drift_b, box, p, horizon)

@@ -43,6 +43,7 @@ from .errors import DegenerateRatioError, ValidationError
 from .fields import CoefficientField
 from .integrator import (
     BrownianGrid,
+    row_norm,
     step_index,
     tagged_stream,
     uniform_step,
@@ -662,8 +663,7 @@ def _residual_pass(measures, field, members, grid_dt, control_variate, gate):
                                dtype=float).reshape(n_atoms, d)
             a = field.generator_a(mu.t, z)
             if gate:
-                gate_rows.append(np.mean(np.linalg.norm(v, axis=-1)
-                                         + np.linalg.norm(drift, axis=-1)))
+                gate_rows.append(np.mean(row_norm(v) + row_norm(drift)))
             prev_v, prev_drift = v, drift
         pieces = _Pieces(z)
         for row, (phi, run) in enumerate(zip(members, runs)):

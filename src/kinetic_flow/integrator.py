@@ -8,6 +8,8 @@ Two schemes: plain Euler ('em') and 'kinetic-exact', which replaces the
 free-flight part of the step with an exact draw from the two-block
 Gaussian transition (drift still Euler).  Both consume the same velocity
 normals, so the schemes are synchronously coupled under a shared grid.
+A constant sigma is applied once per chunk-step, never per state: sigma dW
+is one (n, d) product that every start of a stack shares.
 ``walk`` is the one stepping loop: it yields each chunk's state at every
 step with the increment that drives it on, so an estimator keeps only
 what it needs; ``evolve`` is the recorder over it that returns whole paths.
@@ -52,6 +54,7 @@ __all__ = [
     "Trajectory",
     "evolve",
     "map_walk",
+    "row_norm",
     "step_index",
     "tagged_stream",
     "uniform_step",
@@ -107,6 +110,25 @@ def uniform_step(times):
             np.abs(times - grid) <= GRID_TOL * max(1.0, times[-1]))):
         raise ValidationError("times must increase on a uniform time grid")
     return float(times[1] - times[0])
+
+
+def row_norm(x, squared=False):
+    """Euclidean norm over the last axis of ``x``, bit for bit
+    ``np.linalg.norm(x, axis=-1)``; with ``squared`` the sum of squares,
+    bit for bit ``np.sum(x * x, axis=-1)``.
+
+    numpy adds up to 7 terms of a row left to right, which is what the
+    column loop here does without a reduction over an axis this narrow;
+    wider rows, which numpy adds through 8 accumulators, go through
+    ``np.sum``.
+    """
+    if not 0 < x.shape[-1] <= 7:
+        sq = np.sum(x * x, axis=-1)
+    else:
+        sq = x[..., 0] * x[..., 0]
+        for j in range(1, x.shape[-1]):
+            sq += x[..., j] * x[..., j]
+    return sq if squared else np.sqrt(sq)
 
 
 def tagged_stream(master_seed, tag):
@@ -238,12 +260,22 @@ def _exact_noise_factors(field, dt):
 
 
 def _step_batch(field, scheme, times, states, d, k, dt, dW, extra_normals):
+    """One step of the ([s,] n, 2d) states on the (n, d) increments dW.
+
+    A constant sigma multiplies dW once per chunk-step, never per state:
+    sigma dW is the same for every start of a stack, so the (n, d) product
+    broadcasts over it.  Only a field without constant_sigma evaluates
+    ``field.sigma`` at the states.  Both give the same bits, since einsum
+    adds each row's d products in the same order.
+    """
     t = times[k]
     z = states
     v = z[..., d:]
     b = field.drift(t, z)
-    sig = field.sigma(t, z)
-    dV = np.einsum("...ij,...j->...i", sig, dW)
+    if field.constant_sigma is not None:
+        dV = np.einsum("ij,...j->...i", field.constant_sigma, dW)
+    else:
+        dV = np.einsum("...ij,...j->...i", field.sigma(t, z), dW)
     if scheme == "em":
         dx = v * dt
     else:

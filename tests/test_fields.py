@@ -169,6 +169,22 @@ def test_coefficient_field_validation():
         f.generator_a()        # non-constant sigma needs a state
 
 
+@pytest.mark.parametrize("bad", [1.0, np.ones(1), np.eye(2), np.ones((1, 2)),
+                                 np.ones((1, 1, 1)), [[np.nan]], [[np.inf]]])
+def test_constant_sigma_must_be_a_finite_dim_by_dim_matrix(bad):
+    # the step, the kinetic-exact x-noise, the kernel and the Zvonkin
+    # residual read constant_sigma: a wrong shape or a non-finite entry
+    # is refused up front
+    zero = lambda t, z: np.zeros(np.asarray(z).shape[:-1] + (1,))
+    sig = lambda t, z: np.broadcast_to(np.eye(1),
+                                       np.asarray(z).shape[:-1] + (1, 1))
+    with pytest.raises(ValidationError, match="constant_sigma"):
+        CoefficientField(1, zero, sig, 1.0, constant_sigma=bad)
+    field = CoefficientField(1, zero, sig, 1.0, constant_sigma=[[2.0]])
+    assert field.constant_sigma.dtype == float
+    assert np.array_equal(field.constant_sigma, [[2.0]])
+
+
 # ---------------------------------------------------------------------------
 # mollification
 

@@ -1,6 +1,7 @@
 """Path integrator: noise lattice, schemes, coupling, chunking, divergence."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from kinetic_flow.errors import DivergenceError, ValidationError
 from kinetic_flow.fields import CoefficientField, library_field
 from kinetic_flow.integrator import (DIVERGENCE_THRESHOLD, GRID_TOL,
                                     WORK_CHUNK, BrownianGrid, Trajectory,
-                                    evolve, map_walk, step_index,
+                                    evolve, map_walk, row_norm, step_index,
                                     uniform_step, walk)
 
 
@@ -419,6 +420,59 @@ def steps_seen(steps):
     """Every (lo, hi, k, state, dW) of a walk, as bytes."""
     return [(lo, hi, k, state.tobytes(), None if dW is None else dW.tobytes())
             for lo, hi, k, state, dW in steps]
+
+
+def constant_sigma_field(dim, sig):
+    """``library_field("hoelder-drift", dim)`` with the constant noise
+    matrix ``sig``."""
+    def sigma(t, z):
+        return np.broadcast_to(sig, np.asarray(z).shape[:-1] + sig.shape).copy()
+
+    return replace(library_field("hoelder-drift", dim), sigma=sigma,
+                   constant_sigma=sig)
+
+
+@pytest.mark.parametrize("dim,sig", [
+    (1, None), (2, None), (2, np.array([[1.3, 0.4], [0.4, 0.7]])),
+    (2, np.array([[1.2, 0.0], [0.5, 0.8]]))])
+def test_constant_sigma_step_matches_the_per_state_sigma_step(dim, sig):
+    # the step multiplies dW by constant_sigma once per chunk-step; the
+    # same field without constant_sigma evaluates sigma at every state of
+    # the stack: identical states and increments at every step, for the
+    # identity, an SPD and a lower-triangular sigma
+    field = (library_field("hoelder-drift", dim) if sig is None
+             else constant_sigma_field(dim, sig))
+    per_state = replace(field, constant_sigma=None)
+    g = BrownianGrid(12, 1.0 / 16, 16, dim)
+    z0 = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 50, 2 * dim))
+    const = steps_seen(walk(field, z0, g))
+    assert const == steps_seen(walk(per_state, z0, g))
+    assert len(const) == g.num_steps + 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("width", range(1, 10))
+def test_row_norm_is_bit_for_bit_linalg_norm(width):
+    # random rows of every magnitude plus rows of zeros, subnormals,
+    # +-inf and NaN; numpy adds up to 7 terms left to right, wider rows
+    # take the np.sum path
+    rng = np.random.default_rng(width)
+    x = (rng.standard_normal((5, 700, width))
+         * np.exp(rng.uniform(-40.0, 40.0, (5, 700, width))))
+    special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e300]
+    x[:, :64] = rng.choice(special, size=(5, 64, width))
+    x[0, 64] = 0.0
+    x[0, 65] = 5e-324
+    norm = row_norm(x)
+    assert norm.tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+    squared = row_norm(x, squared=True)
+    assert squared.tobytes() == np.sum(x * x, axis=-1).tobytes()
+    # a single row and a slice that is not contiguous
+    assert (row_norm(x[1, 3]).tobytes()
+            == np.linalg.norm(x[1, 3], axis=-1).tobytes())
+    assert (row_norm(x[:, ::3]).tobytes()
+            == np.linalg.norm(x[:, ::3], axis=-1).tobytes())
+    assert np.isnan(norm[0, :64]).any() and np.isinf(norm[0, :64]).any()
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])

@@ -442,3 +442,20 @@ def test_pde_defect_of_constant_solution():
     defect = pde_defect(res.u, source)
     assert np.all(np.isfinite(defect))
     assert np.abs(defect).max() <= 10.0 * lam**2 * 0.7 / slices**2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_in_domain_ands_every_axis_test(dim):
+    # the per-axis tests ANDed give np.all's answer, on the margin, NaN and
+    # inf rows included
+    u = SpaceTimeField.zeros(2, 0.5, 6.0, 8, dim, 0.5 * np.eye(dim))
+    transform = zvonkin_transform(u, np.eye(dim))
+    lim = u.box_half_width - zvonkin.SEAM_MARGIN_CELLS * u.spacing
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-1.2 * lim, 1.2 * lim, size=(3, 400, 2 * dim))
+    pts[0, :40] = rng.choice([lim, -lim, np.nextafter(lim, np.inf), 0.0,
+                              np.nan, np.inf, -np.inf], size=(40, 2 * dim))
+    inside = transform.in_domain(pts)
+    assert inside.dtype == bool and inside.shape == (3, 400)
+    assert np.array_equal(inside, np.all(np.abs(pts) <= lim, axis=-1))
+    assert inside.any() and not inside.all()
