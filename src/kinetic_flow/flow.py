@@ -302,13 +302,17 @@ class _LpBox:
     cell: float
 
 
-def _lp_box(dim, box_half_width, points_per_axis=129):
+# points per axis of the tensor-trapezoid box of the L^p gap
+LP_POINTS_PER_AXIS = 129
+
+
+def _lp_box(dim, box_half_width):
     pd = 2 * dim
-    axes = [np.linspace(-box_half_width, box_half_width, points_per_axis)
+    axes = [np.linspace(-box_half_width, box_half_width, LP_POINTS_PER_AXIS)
             for _ in range(pd)]
     mesh = np.meshgrid(*axes, indexing="ij")
     h = axes[0][1] - axes[0][0]
-    w = np.ones(points_per_axis)
+    w = np.ones(LP_POINTS_PER_AXIS)
     w[0] = w[-1] = 0.5
     weight = w
     for _ in range(pd - 1):
@@ -367,8 +371,8 @@ class ConvergenceTable:
 
 def check_convergence_study(d, n_ladder, num_paths, p):
     """Refuse what `convergence_study` cannot honour: a ladder that is not
-    dyadic with at least 3 entries, p <= 2(2d+1) and fewer than 100 paths
-    (check_path_count).
+    dyadic with at least 3 entries, a p that is not finite and above
+    2(2d+1), and fewer than 100 paths (check_path_count).
     The experiment config calls this too, before any output exists."""
     ladder = [int(n) for n in n_ladder]
     if len(ladder) < 3:
@@ -376,14 +380,14 @@ def check_convergence_study(d, n_ladder, num_paths, p):
     for a, b in zip(ladder[:-1], ladder[1:]):
         if b != 2 * a:
             raise ValidationError("ladder must be dyadic: each entry twice the last")
-    if p <= 2 * (2 * d + 1):
-        raise ValidationError(f"need p > {2 * (2 * d + 1)} for the envelope exponent")
+    if not (np.isfinite(p) and p > 2 * (2 * d + 1)):
+        raise ValidationError(
+            f"need p > {2 * (2 * d + 1)}, finite, for the envelope exponent")
     check_path_count(num_paths)
 
 
 def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
-                      z0=None, master_seed=0, lp_box_half_width=None,
-                      lp_points_per_axis=129):
+                      z0=None, master_seed=0):
     """Coupled strong-convergence ladder across mollification levels.
 
     For consecutive ladder entries (n, 2n) the two mollified fields are run
@@ -396,6 +400,10 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     rung on the requested grid and on its dt/2 refinement of the same noise
     (summed-increment coupling); dt_ok records per-rung agreement within
     10%.
+
+    The L^p norm is a tensor trapezoid over LP_POINTS_PER_AXIS points per
+    axis of the box [-R, R]^{2d}, where R is the largest support radius
+    of the ladder's fields plus 0.5.
 
     Each ladder level is built, evolved on both grids and sampled on the
     L^p box exactly once, at t = 0 (the library fields are autonomous), as
@@ -416,10 +424,8 @@ def convergence_study(field, n_ladder, q, num_paths, horizon, dt, p, *,
     steps = BrownianGrid.for_horizon(master_seed, horizon, dt, d).num_steps
     fine = BrownianGrid(master_seed, 0.5 * dt, 2 * steps, d)
     coarse = fine.coarsened(2)
-    if lp_box_half_width is None:
-        lp_box_half_width = max(mollified(field, n).support_radius
-                                for n in ladder) + 0.5
-    box = _lp_box(d, lp_box_half_width, lp_points_per_axis)
+    box = _lp_box(d, max(mollified(field, n).support_radius
+                         for n in ladder) + 0.5)
     starts = np.tile(z0, (num_paths, 1))
 
     def level(n):

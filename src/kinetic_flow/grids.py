@@ -22,8 +22,8 @@ def grid_axis(box_half_width, points_per_axis):
     """Return the 1-d coordinate array for one axis of the periodic box."""
     L = float(box_half_width)
     n = int(points_per_axis)
-    if L <= 0:
-        raise ValidationError(f"box_half_width must be positive, got {L}")
+    if not (np.isfinite(L) and L > 0):
+        raise ValidationError(f"box_half_width must be finite and positive, got {L}")
     if n < 2:
         raise ValidationError(f"points_per_axis must be >= 2, got {n}")
     return -L + (2.0 * L / n) * np.arange(n)
@@ -86,9 +86,9 @@ class GridFunction:
             )
         if n < 2:
             raise ValidationError("points_per_axis must be >= 2")
-        if float(self.box_half_width) <= 0:
-            raise ValidationError("box_half_width must be positive")
         self.box_half_width = float(self.box_half_width)
+        if not (np.isfinite(self.box_half_width) and self.box_half_width > 0):
+            raise ValidationError("box_half_width must be finite and positive")
 
     # -- geometry ---------------------------------------------------------
 

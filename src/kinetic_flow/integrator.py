@@ -161,8 +161,10 @@ class BrownianGrid:
     dim: int
 
     def __post_init__(self):
-        if self.dt <= 0 or self.num_steps < 1 or self.dim < 1:
-            raise ValidationError("BrownianGrid needs dt > 0, num_steps >= 1, dim >= 1")
+        if not (np.isfinite(self.dt) and self.dt > 0
+                and self.num_steps >= 1 and self.dim >= 1):
+            raise ValidationError(
+                "BrownianGrid needs a finite dt > 0, num_steps >= 1, dim >= 1")
 
     @classmethod
     def for_horizon(cls, master_seed, horizon, dt, dim):

@@ -50,11 +50,15 @@ __all__ = [
     "gradient_scaling_probe",
     "anisotropic_smoothing_probe",
     "MIN_TIME_GAP",
+    "SEAM_TAIL_TOL",
 ]
 
 # Below this gap the x-block scale h^3/3 is too close to rounding for a stable
 # factorization of the joint covariance.
 MIN_TIME_GAP = (1000.0 * np.finfo(float).eps) ** (1.0 / 3.0)
+# the seam guard rejects a slice whose mass within kernel reach of the
+# periodic boundary exceeds this share of its total
+SEAM_TAIL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,8 @@ def kernel_covariance(a, t, s):
     2a h.
     """
     h = float(s) - float(t)
+    if not np.isfinite(h):
+        raise ValidationError(f"time gap must be finite, got {h}")
     if h < MIN_TIME_GAP:
         raise DegenerateKernelError(
             f"time gap {h:.3e} below stable factorization floor {MIN_TIME_GAP:.3e}"
@@ -247,21 +253,26 @@ class KernelStep:
 
     ``to_mixed``, ``transport`` and ``from_mixed`` accept leading batch
     axes before the layout's grid axes and trailing components; ``guard``
-    checks one slice against the periodic seam.  Calling the step on one
-    slice runs guard, to_mixed, transport and from_mixed.
+    checks one slice against the periodic seam at SEAM_TAIL_TOL, read
+    when it runs.  Calling the step on one slice runs guard, to_mixed,
+    transport and from_mixed.
 
     ``to_mixed`` and ``from_mixed`` run on ``scipy.fft``, which loads at
     their first call, and ``transport`` on ``numpy.fft``.  All run on one
     thread: under KF_WORKERS > 1 the resolvent already runs inside a
-    forked lam task, one task per core.  Which module runs which pass
-    does not pay either way: over 15 interleaved 128^2 x 128
+    forked lam task, one task per core.  In process, which module runs
+    which pass does not pay either way: over 15 interleaved 128^2 x 128
     `duhamel_resolvent` calls, this split took a median 0.047 s, numpy.fft
     throughout 0.048 s and scipy.fft throughout 0.047 s, with the same
-    bits (KF_WORKERS=1, 2-core x86-64 host, numpy 2.4, scipy 1.17; the
-    run manifest records both versions).
+    bits (KF_WORKERS=1).  In forked lam tasks numpy.fft throughout is
+    slower: fresh `zvonkin` runs (T = 1, dt = 1/128, N = 32768, lam = 1,
+    KF_WORKERS=2) took a median 5.13 s against 4.18 s for this split,
+    slower in 8 of 8 alternating pairs, with byte-identical CSVs; the
+    cause is unmeasured.  (2-core x86-64 host, numpy 2.4, scipy 1.17;
+    the run manifest records both versions.)
     """
 
-    def __init__(self, grid, a, gap, method="spectral", tail_tol=1e-6):
+    def __init__(self, grid, a, gap, method="spectral"):
         if method not in ("spectral", "hermite"):
             raise ValidationError(f"unknown backend {method!r}")
         cov = kernel_covariance(a, 0.0, gap)
@@ -291,35 +302,31 @@ class KernelStep:
         self.x_axes = tuple(ax - back for ax in x_axes)
         self.v_axes = tuple(ax - back for ax in v_axes)
         self.grid_axes = grid_axes
-        self.tail_tol = tail_tol
-        self.escapes = None
-        if np.isfinite(tail_tol):
-            # mass within 5 standard deviations of the seam would wrap
-            sig_x = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_xx)), 0.0))
-            sig_v = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_vv)), 0.0))
-            reach_x = 5.0 * (sig_x + cov.gap * sig_v)
-            reach_v = 5.0 * sig_v
-            L = grid.box_half_width
-            mesh = grid.mesh()
-            self.escapes = np.zeros(blur.shape, dtype=bool)
-            for xa, va in zip(x_axes, v_axes):
-                self.escapes |= np.abs(mesh[xa] + cov.gap * mesh[va]) + reach_x > L
-                self.escapes |= np.abs(mesh[va]) + reach_v > L
+        # mass within 5 standard deviations of the seam would wrap
+        sig_x = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_xx)), 0.0))
+        sig_v = math.sqrt(max(np.max(np.linalg.eigvalsh(cov.c_vv)), 0.0))
+        reach_x = 5.0 * (sig_x + cov.gap * sig_v)
+        reach_v = 5.0 * sig_v
+        L = grid.box_half_width
+        mesh = grid.mesh()
+        self.escapes = np.zeros(blur.shape, dtype=bool)
+        for xa, va in zip(x_axes, v_axes):
+            self.escapes |= np.abs(mesh[xa] + cov.gap * mesh[va]) + reach_x > L
+            self.escapes |= np.abs(mesh[va]) + reach_v > L
 
     def guard(self, values):
-        """Raise AccuracyError if one slice has visible mass near the seam."""
-        if self.escapes is None:
-            return
+        """Raise AccuracyError if one slice has more than SEAM_TAIL_TOL of
+        its mass near the seam."""
         if values.ndim > len(self.grid_axes):
             comp_axes = tuple(range(len(self.grid_axes), values.ndim))
             mag = np.sqrt(np.sum(values**2, axis=comp_axes))
         else:
             mag = np.abs(values)
         total = mag.sum()
-        if total != 0.0 and mag[self.escapes].sum() > self.tail_tol * total:
+        if total != 0.0 and mag[self.escapes].sum() > SEAM_TAIL_TOL * total:
             raise AccuracyError(
                 "field mass within kernel reach of the periodic boundary exceeds "
-                f"{self.tail_tol:g} of total; enlarge the box or shrink the gap"
+                f"{SEAM_TAIL_TOL:g} of total; enlarge the box or shrink the gap"
             )
 
     def to_mixed(self, values):
@@ -348,24 +355,27 @@ class KernelStep:
         return self.from_mixed(self.transport(self.to_mixed(values)))
 
 
-def apply_semigroup(f, t, s, a, method="spectral", tail_tol=1e-6):
+def apply_semigroup(f, t, s, a, method="spectral"):
     """Apply the transition operator P_{t,s} to a periodic GridFunction.
 
     method 'spectral' multiplies by the analytic Gaussian characteristic
     function; 'hermite' rebuilds that multiplier from tensor Gauss-Hermite
     quadrature of order HERMITE_ORDER in the displacement (each displaced
-    evaluation being an exact spectral translation).  Fields with visible
-    mass near the periodic seam are rejected at relative tolerance
-    ``tail_tol``; pass ``np.inf`` only for data that is genuinely periodic
-    (a constant, say), where wrap-around is not an error.
+    evaluation being an exact spectral translation).  Fields with more
+    than SEAM_TAIL_TOL of their mass near the periodic seam are rejected.
+    At s == t the grid axes and ``a`` are checked as for s > t, and the
+    result is a copy of f.
     """
     if method not in ("spectral", "hermite"):
         raise ValidationError(f"unknown backend {method!r}")
-    if s < t:
-        raise ValidationError("backward application not defined (need s >= t)")
+    t, s = float(t), float(s)
+    if not (np.isfinite(t) and s >= t):
+        raise ValidationError(f"need finite t <= s, got t={t}, s={s}")
     if s == t:
+        # the checks KernelStep makes for s > t
+        diffusion_matrix(a, len(_phase_space_split(f)[0]))
         return f.with_values(f.values.copy())
-    step = KernelStep(f, a, float(s) - float(t), method=method, tail_tol=tail_tol)
+    step = KernelStep(f, a, s - t, method=method)
     return f.with_values(step(f.values))
 
 

@@ -69,9 +69,9 @@ MAX_WORKERS = 64
 _task = None
 
 
-def worker_count(environ=None):
-    """Worker count from the environment; unset means serial."""
-    raw = (environ if environ is not None else os.environ).get(ENV_VAR)
+def worker_count():
+    """Worker count from KF_WORKERS in os.environ; unset means serial."""
+    raw = os.environ.get(ENV_VAR)
     if raw is None or raw.strip() == "":
         return 1
     try:

@@ -37,6 +37,11 @@ from .parallel import parallel_map, worker_count
 # up after PICARD_MAX_ITER sweeps
 PICARD_TOL = 1e-8
 PICARD_MAX_ITER = 32
+# search_lambda tries lam_init * 2^k for k < MAX_DOUBLINGS
+MAX_DOUBLINGS = 14
+# sup |grad_v u| <= GRADIENT_BOUND makes H = v + u bi-Lipschitz in v:
+# search_lambda accepts a lam against it and zvonkin_transform enforces it
+GRADIENT_BOUND = 0.5
 # paths within this many grid cells of the periodic seam leave the
 # residual statistics
 SEAM_MARGIN_CELLS = 4
@@ -117,11 +122,11 @@ class SpaceTimeField:
             raise ValidationError("field values must be finite")
         self.diffusion = diffusion_matrix(self.diffusion, d)
         self.box_half_width = float(self.box_half_width)
-        if self.box_half_width <= 0:
-            raise ValidationError("box_half_width must be positive")
+        if not (np.isfinite(self.box_half_width) and self.box_half_width > 0):
+            raise ValidationError("box_half_width must be finite and positive")
         self.lam = float(self.lam)
-        if self.lam < 0:
-            raise ValidationError("lam must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValidationError("lam must be finite and >= 0")
         self.values.setflags(write=False)
 
     def __setstate__(self, state):
@@ -204,7 +209,7 @@ class SpaceTimeField:
 # Duhamel quadrature
 
 
-def duhamel_resolvent(source, lam, *, method="recursive", tail_tol=1e-6):
+def duhamel_resolvent(source, lam, *, method="recursive"):
     """u_t = integral_t^T exp(lam (t-s)) P_{t,s} f_s ds, trapezoid in s.
 
     P is the transition operator of the source's own diffusion, applied by
@@ -222,10 +227,10 @@ def duhamel_resolvent(source, lam, *, method="recursive", tail_tol=1e-6):
     rejected lam fails after its whole sweep.  'direct' performs the
     O(slices^2) sum through apply_semigroup and exists to cross-check the
     recursion.  Both run the guard on every slice they transport, at
-    tail_tol.
+    kernel.SEAM_TAIL_TOL.
     """
-    if lam < 0:
-        raise ValidationError("lam must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lam must be finite and >= 0, got {lam}")
     a = source.diffusion
     if method not in ("recursive", "direct"):
         raise ValidationError(f"unknown quadrature method {method!r}")
@@ -234,7 +239,7 @@ def duhamel_resolvent(source, lam, *, method="recursive", tail_tol=1e-6):
     g = source.values
 
     if method == "recursive":
-        kstep = KernelStep(source.slice_grid(0), a, step, tail_tol=tail_tol)
+        kstep = KernelStep(source.slice_grid(0), a, step)
         decay = np.exp(-lam * step)
         half = 0.5 * step
         # the recursion runs in the step's mixed layout, in place: slot i+1
@@ -258,9 +263,8 @@ def duhamel_resolvent(source, lam, *, method="recursive", tail_tol=1e-6):
             acc = 0.5 * step * np.array(g[i])
             for j in range(i + 1, nt + 1):
                 gap = source.times[j] - source.times[i]
-                applied = apply_semigroup(
-                    source.slice_grid(j), 0.0, gap, a, tail_tol=tail_tol,
-                ).values
+                applied = apply_semigroup(source.slice_grid(j), 0.0, gap,
+                                          a).values
                 w = 0.5 * step if j == nt else step
                 acc += w * np.exp(-lam * gap) * applied
             out[i] = acc
@@ -291,7 +295,7 @@ class PicardResult:
 
 
 def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
-                 num_slices, dim=1, tail_tol=1e-6):
+                 num_slices, dim=1):
     """Iterate u^{k+1} = resolvent(b . grad_v u^k + b) from u^0 = 0.
 
     drift is a callable (t, z) -> (..., d), evaluated once at t = 0 (the
@@ -300,8 +304,8 @@ def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
     sweeps without convergence raise LambdaTooSmallError carrying the
     observed contraction ratio.
     """
-    if lam <= 0:
-        raise ValidationError("picard iteration needs lam > 0")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValidationError(f"picard iteration needs a finite lam > 0, got {lam}")
     a = diffusion_matrix(a, dim)
     times = np.linspace(0.0, float(horizon), int(num_slices) + 1)
     mesh = grid_mesh(box_half_width, points_per_axis, 2 * dim)
@@ -321,7 +325,7 @@ def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
             gv = u.grad_v()
             g = b_slices + np.einsum("...j,...cj->...c", b_slices, gv)
         src = SpaceTimeField(times, g, box_half_width, a)
-        u_next = duhamel_resolvent(src, lam, tail_tol=tail_tol)
+        u_next = duhamel_resolvent(src, lam)
         inc = float(np.max(np.abs(u_next.values - u.values)))
         increments.append(inc)
         u = u_next
@@ -341,34 +345,28 @@ def picard_solve(drift, lam, horizon, a, *, box_half_width, points_per_axis,
 
 
 def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
-                  num_slices, dim=1, lam_init=1.0, max_doublings=14,
-                  gradient_target=0.5):
-    """Double lam until the fixed point exists and sup |grad_v u| <= target.
+                  num_slices, dim=1, lam_init=1.0):
+    """Double lam until the fixed point exists and sup |grad_v u| <=
+    GRADIENT_BOUND, the bound `zvonkin_transform` enforces.
 
     Returns the accepted PicardResult; the rate is in result.u.lam.  A lam
     too small shows up either as a non-contracting iteration or as kernel
     mass reaching the periodic seam (the resolvent spreads over ~1/lam of
-    time); both advance the search, as does a gradient above the target.
+    time); both advance the search, as does a gradient above the bound.
     result.lambda_tried lists each lam tried, in ladder order, as
     (lam, reason, value): ("contraction", observed ratio), ("seam", None),
     ("gradient", measured sup), and last ("accepted", None).
 
-    The ladder lam_init * 2^k runs in batches of KF_WORKERS values through
-    `parallel_map`: each worker process runs `picard_solve` and the
-    gradient test for one lam and sends back by pickle the PicardResult
-    (u with its cached grad_v), the rejection reason, or the exception
-    raised.  The caller reads a batch in ladder order and stops at the
+    The ladder lam_init * 2^k, k < MAX_DOUBLINGS, runs in batches of
+    KF_WORKERS values through `parallel_map`: each worker process runs
+    `picard_solve` and the gradient test for one lam and sends back by
+    pickle the PicardResult (u with its cached grad_v), the rejection
+    reason, or the exception raised.  The caller reads a batch in ladder order and stops at the
     first lam the serial loop would stop at, so a speculative lam after it
     is never recorded and never raises.  Each lam's sweep is the same
     arithmetic in any process, so the accepted lam, the returned bits,
     the trace and every error raised do not depend on KF_WORKERS.
     """
-    if max_doublings < 1:
-        raise ValidationError(f"max_doublings must be >= 1, got {max_doublings}")
-    if not gradient_target > 0:
-        raise ValidationError(
-            f"gradient_target must be > 0, got {gradient_target}")
-
     def attempt(lam):
         try:
             try:
@@ -381,7 +379,7 @@ def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
             except AccuracyError:
                 return "seam", None
             sup = res.u.gradient_v_sup()
-            if sup > gradient_target:
+            if sup > GRADIENT_BOUND:
                 return "gradient", sup
             return "accepted", res
         except Exception as exc:
@@ -392,10 +390,10 @@ def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
     # the forked workers inherit it
     import scipy.fft  # noqa: F401
 
-    ladder = [float(lam_init) * 2.0 ** k for k in range(max_doublings)]
+    ladder = [float(lam_init) * 2.0 ** k for k in range(MAX_DOUBLINGS)]
     batch = worker_count()
     tried = []
-    for start in range(0, max_doublings, batch):
+    for start in range(0, len(ladder), batch):
         lams = ladder[start:start + batch]
         for lam, (reason, value) in zip(lams, parallel_map(attempt, lams)):
             if reason == "error":
@@ -405,9 +403,7 @@ def search_lambda(drift, horizon, a, *, box_half_width, points_per_axis,
                 return value
             tried.append((lam, reason, value))
     raise LambdaTooSmallError(
-        f"gradient target {gradient_target:g} not reached up to "
-        f"lam={float(lam_init) * 2.0 ** max_doublings:g}"
-    )
+        f"gradient bound {GRADIENT_BOUND:g} not reached up to lam={ladder[-1]:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +518,7 @@ class ZvonkinTransform:
 
 
 def zvonkin_transform(u, sigma):
-    """Build H = v + u after checking sup |grad_v u| <= 1/2.
+    """Build H = v + u after checking sup |grad_v u| <= GRADIENT_BOUND.
 
     sigma must generate the diffusion the PDE was solved with
     (a = sigma sigma^T / 2); a violation of the gradient bound rejects the
@@ -536,9 +532,9 @@ def zvonkin_transform(u, sigma):
             "sigma does not generate the diffusion the PDE was solved with"
         )
     gsup = u.gradient_v_sup()
-    if gsup > 0.5:
+    if gsup > GRADIENT_BOUND:
         raise GradientBoundError(
-            f"sup |grad_v u| = {gsup:.6f} exceeds 1/2; raise lam",
+            f"sup |grad_v u| = {gsup:.6f} exceeds {GRADIENT_BOUND:g}; raise lam",
             measured=gsup,
         )
     u_coeffs = _prefilter(u.values, u.phase_dim)

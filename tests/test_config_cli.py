@@ -354,13 +354,17 @@ def test_fokker_planck_budget_reads_the_physical_memory(tmp_path, capsys):
 # worker pool
 
 
-def test_worker_count_env_contract():
-    assert worker_count({}) == 1
-    assert worker_count({"KF_WORKERS": ""}) == 1
-    assert worker_count({"KF_WORKERS": "4"}) == 4
+def test_worker_count_env_contract(monkeypatch):
+    monkeypatch.delenv("KF_WORKERS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("KF_WORKERS", "")
+    assert worker_count() == 1
+    monkeypatch.setenv("KF_WORKERS", "4")
+    assert worker_count() == 4
     for bad in ("abc", "0", "-2", "65"):
+        monkeypatch.setenv("KF_WORKERS", bad)
         with pytest.raises(ValidationError):
-            worker_count({"KF_WORKERS": bad})
+            worker_count()
 
 
 def test_parallel_map_preserves_order(monkeypatch):

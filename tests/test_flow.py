@@ -318,8 +318,7 @@ def test_convergence_study_flat_family_degenerates():
     # and the spread/slope diagnostics are undefined
     field = library_field("free", 1)
     table = convergence_study(field, (2, 4, 8), 2, 128, 0.25, 1.0 / 16, 7.0,
-                              z0=np.zeros(2), master_seed=2,
-                              lp_box_half_width=4.0)
+                              z0=np.zeros(2), master_seed=2)
     assert np.all(table.e == 0.0)
     with pytest.raises(DegenerateRatioError):
         table.ratio_spread()
@@ -329,12 +328,13 @@ def test_convergence_study_flat_family_degenerates():
 
 def test_convergence_study_levels_independent_of_workers(monkeypatch):
     field = library_field("hoelder-drift", 1)
+    monkeypatch.setattr(flow, "LP_POINTS_PER_AXIS", 65)
     tables = []
     for workers in ("1", "2"):
         monkeypatch.setenv("KF_WORKERS", workers)
         tables.append(convergence_study(field, (2, 4, 8), 2.0, 128, 0.25,
                                         1.0 / 16, 7.0, z0=np.array([0.3, 0.0]),
-                                        master_seed=5, lp_points_per_axis=65))
+                                        master_seed=5))
     serial, pooled = tables
     for key in ("n", "e", "e_fine", "bound", "dt_ok"):
         assert np.array_equal(getattr(serial, key), getattr(pooled, key))
@@ -362,9 +362,9 @@ def test_convergence_study_samples_each_level_once_on_the_box(monkeypatch,
             return super().drift(t, z)
 
     monkeypatch.setattr(flow, "mollified", Counting)
+    monkeypatch.setattr(flow, "LP_POINTS_PER_AXIS", box_shape[0])
     convergence_study(base, (2, 4, 8), 2.0, 128, 0.25, 1.0 / 16, 7.0,
-                      z0=np.array([0.3, 0.0]), master_seed=5,
-                      lp_points_per_axis=box_shape[0])
+                      z0=np.array([0.3, 0.0]), master_seed=5)
     assert sorted(sampled) == [2, 4, 8]
 
 
@@ -375,8 +375,7 @@ def test_convergence_study_ladder_validation():
                           128, 0.25, 1.0 / 16, 7.0)
     with pytest.raises(ValidationError):
         convergence_study(field, (2, 4), 2, 128, 0.25, 1.0 / 16, 7.0,
-                          z0=np.zeros(2), master_seed=2,
-                          lp_box_half_width=4.0)
+                          z0=np.zeros(2), master_seed=2)
 
 
 @pytest.mark.parametrize("q", [0.0, -1.0, float("nan"), float("inf")])

@@ -11,7 +11,9 @@ from kinetic_flow.errors import (
     ValidationError,
 )
 from kinetic_flow import kernel
-from kinetic_flow.grids import GridFunction
+from kinetic_flow.flow import check_convergence_study
+from kinetic_flow.grids import GridFunction, grid_axis
+from kinetic_flow.integrator import BrownianGrid
 from kinetic_flow.kernel import (
     MIN_TIME_GAP,
     KernelStep,
@@ -225,10 +227,10 @@ def test_kernel_step_reuse_matches_apply_semigroup():
         KernelStep(f, np.eye(2), 0.25)
 
 
-def two_stage_step(grid, a, gap, method, values, tail_tol=1e-6):
+def two_stage_step(grid, a, gap, method, values):
     """Reference step: guard, complex fftn blur over all grid axes, real
     part, complex fft shear over the x axes, real part."""
-    KernelStep(grid, a, gap, method, tail_tol).guard(values)
+    KernelStep(grid, a, gap, method).guard(values)
     cov, ks = kernel_covariance(a, 0.0, gap), grid.mode_vectors()
     d = grid.num_grid_axes // 2
     blur = (kernel._blur_multiplier_spectral(ks, cov) if method == "spectral"
@@ -266,7 +268,7 @@ def test_kernel_step_matches_two_stage_step(d, n, method):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(f.values).max()
 
 
-def test_duhamel_recursion_matches_two_stage_recursion():
+def test_duhamel_recursion_matches_two_stage_recursion(seam_guard_off):
     # the resolvent carries its recursion in the mixed layout and guards
     # the carried slices after it; the sum is the two-stage recursion's.
     # The cusp rings on this coarse grid, so the guard is relaxed
@@ -277,10 +279,53 @@ def test_duhamel_recursion_matches_two_stage_recursion():
     want = np.zeros_like(g)
     for i in range(times.size - 2, -1, -1):
         carried = want[i + 1] + 0.5 * h * g[i + 1]
-        step = two_stage_step(f, 0.5, h, "spectral", carried, tail_tol=1.0)
+        step = two_stage_step(f, 0.5, h, "spectral", carried)
         want[i] = decay * step + 0.5 * h * g[i]
-    u = duhamel_resolvent(SpaceTimeField(times, g, 6.0, 0.5), 2.0, tail_tol=1.0)
+    u = duhamel_resolvent(SpaceTimeField(times, g, 6.0, 0.5), 2.0)
     assert np.abs(u.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _zero_slices(box=6.0, lam=0.0):
+    return SpaceTimeField(np.linspace(0.0, 1.0, 3), np.zeros((3, 4, 4, 1)),
+                          box, 0.5, lam)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: apply_semigroup(f, 0.0, NAN, 0.5),
+    lambda f: apply_semigroup(f, NAN, 1.0, 0.5),
+    lambda f: apply_semigroup(f, 0.0, INF, 0.5),
+    lambda f: kernel_covariance(0.5, 0.0, NAN),
+    lambda f: kernel_covariance(0.5, 0.0, INF),
+    lambda f: apply_semigroup(f, 0.5, 0.5, -1.0),
+    lambda f: apply_semigroup(f, 0.5, 0.5, np.eye(3)),
+    lambda f: apply_semigroup(GridFunction(f.values, f.box_half_width,
+                                           ("v", "x")), 0.5, 0.5, 0.5),
+    lambda f: grid_axis(NAN, 8),
+    lambda f: grid_axis(INF, 8),
+    lambda f: GridFunction(f.values, NAN, ("x", "v")),
+    lambda f: GridFunction(f.values, INF, ("x", "v")),
+    lambda f: _zero_slices(box=NAN),
+    lambda f: _zero_slices(box=INF),
+    lambda f: _zero_slices(lam=NAN),
+    lambda f: BrownianGrid(0, NAN, 4, 1),
+    lambda f: BrownianGrid(0, INF, 4, 1),
+    lambda f: check_convergence_study(1, (2, 4, 8), 128, NAN),
+    lambda f: check_convergence_study(1, (2, 4, 8), 128, INF),
+], ids=[
+    "semigroup-nan-gap", "semigroup-nan-start", "semigroup-inf-gap",
+    "covariance-nan-gap", "covariance-inf-gap", "zero-gap-negative-a",
+    "zero-gap-3x3-a", "zero-gap-v-before-x", "axis-nan-box",
+    "axis-inf-box", "grid-nan-box", "grid-inf-box", "slices-nan-box",
+    "slices-inf-box", "slices-nan-lam", "brownian-nan-dt",
+    "brownian-inf-dt", "converge-nan-p", "converge-inf-p"])
+def test_non_finite_or_mismatched_inputs_are_refused(make):
+    # every sign check is written so NaN fails it, and a zero gap checks
+    # the grid axes and the diffusion matrix before it copies
+    with pytest.raises(ValidationError):
+        make(gaussian_bump(n=16))
 
 
 def test_semigroup_seam_guard():

@@ -140,6 +140,85 @@ def test_every_exported_name_has_a_caller():
         f"{sorted(UNCALLED_EXPORTS - uncalled)}")
 
 
+# optional parameters of public functions and methods that no call in the
+# package passes; the list may only shrink, and each entry gives its reason
+UNPASSED_OPTIONS = {
+    ("zvonkin", "duhamel_resolvent", "method"):
+        "'direct' is the O(slices^2) reference the tests check the "
+        "recursion against",
+    ("cli", "main", "argv"):
+        "the console entry point reads sys.argv; tests pass their own",
+}
+
+
+def _optional_parameters(fn, bound):
+    """(name, positional index or None) of each parameter of ``fn`` with
+    a default; ``bound`` drops the leading self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    skip = 1 if bound else 0
+    for i, arg in enumerate(positional[first_default:], first_default):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _public_options(tree):
+    """(definition, called name, parameter, index) of every optional
+    parameter of a public top-level function, public method or
+    constructor of a public class; a constructor is called by its class
+    name, and calls are matched by name only."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for param, index in _optional_parameters(node, False):
+                yield node.name, node.name, param, index
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                if method.name == "__init__":
+                    called = node.name
+                elif method.name.startswith("_"):
+                    continue
+                else:
+                    called = method.name
+                static = any(_named(d, "staticmethod")
+                             for d in method.decorator_list)
+                for param, index in _optional_parameters(method, not static):
+                    yield node.name, called, param, index
+
+
+def _passes(call, param, index):
+    """Does ``call`` pass ``param``, by keyword, by position or through
+    an unpacked argument?"""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (len(call.args) > index
+            or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_option_is_passed_by_a_package_caller():
+    # an optional parameter that only tests set is a constant in disguise:
+    # the package runs it at its default, so it should be one
+    trees = modules()
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = {
+        (module, definition, param)
+        for module, tree in trees.items()
+        for definition, called, param, index in _public_options(tree)
+        if not any(_named(call.func, called) and _passes(call, param, index)
+                   for call in calls)}
+    assert unpassed == set(UNPASSED_OPTIONS), (
+        f"options no package call passes: "
+        f"{sorted(unpassed - set(UNPASSED_OPTIONS))}; passed now, drop from "
+        f"UNPASSED_OPTIONS: {sorted(set(UNPASSED_OPTIONS) - unpassed)}")
+
+
 def _named(node, name):
     """Is ``node`` a Name, an Attribute, an import alias, a keyword
     argument or a parameter of ``name``?"""

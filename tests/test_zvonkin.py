@@ -8,11 +8,12 @@ import pytest
 
 from kinetic_flow.errors import (
     AccuracyError,
+    GradientBoundError,
     LambdaTooSmallError,
     ValidationError,
 )
 from kinetic_flow.fields import library_field, mollified
-from kinetic_flow import integrator, zvonkin
+from kinetic_flow import integrator, kernel, zvonkin
 from kinetic_flow.integrator import BrownianGrid
 from kinetic_flow.zvonkin import (
     SpaceTimeField,
@@ -51,12 +52,12 @@ def discrete_resolvent_profile(c, lam, times):
 # resolvent
 
 
-def test_duhamel_constant_source_closed_form():
+def test_duhamel_constant_source_closed_form(seam_guard_off):
     # constants are exactly periodic, so the seam guard is the only
     # obstruction and is deliberately disabled here
     lam = 3.0
     src = constant_source(2.0)
-    u = duhamel_resolvent(src, lam, tail_tol=1.0)
+    u = duhamel_resolvent(src, lam)
     prof = discrete_resolvent_profile(2.0, lam, src.times)
     assert np.abs(u.values[..., 0] - prof[:, None, None]).max() <= 1e-13
     # continuum closed form to quadrature accuracy
@@ -74,42 +75,43 @@ def gaussian_source(n=64, slices=16, box=6.0):
     return SpaceTimeField(times, vals, box, np.eye(1))
 
 
-def test_duhamel_recursive_matches_direct():
+def test_duhamel_recursive_matches_direct(seam_guard_off):
     src = gaussian_source()
-    ur = duhamel_resolvent(src, 2.0, tail_tol=1.0)
-    ud = duhamel_resolvent(src, 2.0, method="direct", tail_tol=1.0)
+    ur = duhamel_resolvent(src, 2.0)
+    ud = duhamel_resolvent(src, 2.0, method="direct")
     assert np.abs(ur.values - ud.values).max() <= 1e-5
 
 
-def test_duhamel_linearity_and_lambda_decay():
+def test_duhamel_linearity_and_lambda_decay(seam_guard_off):
     src = gaussian_source()
-    u1 = duhamel_resolvent(src, 1.0, tail_tol=1.0)
+    u1 = duhamel_resolvent(src, 1.0)
     double = SpaceTimeField(src.times, 2.0 * src.values, src.box_half_width,
                             np.eye(1))
-    u2 = duhamel_resolvent(double, 1.0, tail_tol=1.0)
+    u2 = duhamel_resolvent(double, 1.0)
     assert np.abs(u2.values - 2.0 * u1.values).max() <= 1e-12
-    u4 = duhamel_resolvent(src, 4.0, tail_tol=1.0)
+    u4 = duhamel_resolvent(src, 4.0)
     assert np.abs(u4.values).max() < np.abs(u1.values).max()
 
 
-def test_duhamel_pinned_values():
+def test_duhamel_pinned_values(seam_guard_off):
     # bit-for-bit values of the recursion; any reordering of its
     # arithmetic shows up here first
-    u = duhamel_resolvent(gaussian_source(), 2.0, tail_tol=1.0).values
+    u = duhamel_resolvent(gaussian_source(), 2.0).values
     got = (float(u[0, 32, 32, 0]), float(u[8, 30, 36, 0]), float(u.sum()),
            float((u * u).sum()))
     assert got == (0.20306933125792923, 0.0513193428156937,
                    122.65863407014453, 8.40060347995866)
 
 
-def test_resolvent_and_grad_v_independent_of_workers(monkeypatch):
+def test_resolvent_and_grad_v_independent_of_workers(monkeypatch,
+                                                     seam_guard_off):
     # KF_WORKERS counts forked workers only: the resolvent and its
     # velocity gradient run in the calling process, and their bits must
     # not depend on the count
     results = []
     for workers in ("1", "2"):
         monkeypatch.setenv("KF_WORKERS", workers)
-        u = duhamel_resolvent(gaussian_source(), 2.0, tail_tol=1.0)
+        u = duhamel_resolvent(gaussian_source(), 2.0)
         results.append((u.values, u.grad_v()))
     (serial_u, serial_gv), (pooled_u, pooled_gv) = results
     assert np.array_equal(serial_u, pooled_u)
@@ -122,7 +124,7 @@ def test_duhamel_seam_guard_rejects_boundary_mass():
         duhamel_resolvent(constant_source(2.0), 3.0)
 
 
-def test_duhamel_seam_guard_checks_every_slice():
+def test_duhamel_seam_guard_checks_every_slice(monkeypatch):
     # the source vanishes except for mass at the seam on one middle slice,
     # so the first carried slices are zero and only a guard run on every
     # slice sees it
@@ -134,7 +136,8 @@ def test_duhamel_seam_guard_checks_every_slice():
     seam = SpaceTimeField(src.times, vals, src.box_half_width, np.eye(1))
     with pytest.raises(AccuracyError):
         duhamel_resolvent(seam, 2.0)
-    duhamel_resolvent(seam, 2.0, tail_tol=1.0)
+    monkeypatch.setattr(kernel, "SEAM_TAIL_TOL", 1.0)
+    duhamel_resolvent(seam, 2.0)
 
 
 def test_duhamel_validation():
@@ -159,14 +162,14 @@ def test_picard_zero_drift_gives_zero():
     assert np.abs(res.u.values).max() == 0.0
 
 
-def test_picard_constant_drift_closed_form():
+def test_picard_constant_drift_closed_form(seam_guard_off):
     def const_drift(t, z):
         z = np.asarray(z, dtype=float)
         return np.full(z.shape[:-1] + (1,), 0.7)
 
     lam = 3.0
     res = picard_solve(const_drift, lam, 1.0, 0.5, box_half_width=6.0,
-                       points_per_axis=64, num_slices=16, tail_tol=1.0)
+                       points_per_axis=64, num_slices=16)
     prof = discrete_resolvent_profile(0.7, lam, res.u.times)
     assert np.abs(res.u.values[..., 0] - prof[:, None, None]).max() <= 1e-13
     # gradient-free source: the first sweep is already the fixed point
@@ -222,27 +225,15 @@ def test_search_lambda_contraction_and_gradient():
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_search_lambda_unreachable_target(monkeypatch, workers):
+    # the message names the last lam tried: lam_init * 2^(MAX_DOUBLINGS - 1)
     monkeypatch.setenv("KF_WORKERS", workers)
+    monkeypatch.setattr(zvonkin, "GRADIENT_BOUND", 1e-9)
+    monkeypatch.setattr(zvonkin, "MAX_DOUBLINGS", 2)
     field = mollified(library_field("hoelder-drift", 1), 4)
     with pytest.raises(LambdaTooSmallError,
-                       match="^gradient target 1e-09 not reached up to lam=4$"):
+                       match="^gradient bound 1e-09 not reached up to lam=2$"):
         search_lambda(field.drift, 1.0, 0.5, box_half_width=8.0,
-                      points_per_axis=64, num_slices=16,
-                      gradient_target=1e-9, max_doublings=2)
-
-
-def test_search_lambda_refuses_a_bad_search_up_front(monkeypatch):
-    def untouched(*args, **kwargs):
-        raise AssertionError("picard_solve ran")
-
-    monkeypatch.setattr(zvonkin, "picard_solve", untouched)
-    drift = library_field("hoelder-drift", 1).drift
-    for bad in ({"max_doublings": 0}, {"max_doublings": -3},
-                {"gradient_target": 0.0}, {"gradient_target": -0.5},
-                {"gradient_target": float("nan")}):
-        with pytest.raises(ValidationError):
-            search_lambda(drift, 1.0, 0.5, box_half_width=8.0,
-                          points_per_axis=64, num_slices=16, **bad)
+                      points_per_axis=64, num_slices=16)
 
 
 def _no_pool(*args, **kwargs):
@@ -280,16 +271,33 @@ def test_search_lambda_seam_ladder_independent_of_workers(monkeypatch):
 
 
 def test_search_lambda_gradient_rejection_independent_of_workers(monkeypatch):
-    # lam = 32 contracts but leaves sup |grad_v u| = 0.039 above the target;
+    # lam = 32 contracts but leaves sup |grad_v u| = 0.039 above the bound;
     # under two workers lam = 128 runs speculatively and is not recorded
+    monkeypatch.setattr(zvonkin, "GRADIENT_BOUND", 0.03)
     res = search_across_workers(
         monkeypatch, mollified(library_field("hoelder-drift", 1), 4), 64, 32,
-        lam_init=16.0, gradient_target=0.03)
+        lam_init=16.0)
     assert res.u.lam == 64.0
     (lam0, why0, sup0), (lam1, why1, sup1), last = res.lambda_tried
     assert (lam0, why0, sup0) == (16.0, "seam", None)
     assert (lam1, why1) == (32.0, "gradient") and 0.03 < sup1 < 0.05
     assert last == (64.0, "accepted", None)
+
+
+def test_search_and_transform_share_one_gradient_bound(monkeypatch):
+    # the bound the search accepts against is the bound the transform
+    # enforces: lowered below the accepted u's sup, the transform refuses
+    # that u, and the search goes on to a larger lam
+    _, res, transform = searched_state()
+    field = mollified(library_field("hoelder-drift", 1), 4)
+    sup = transform.gradient_sup
+    monkeypatch.setattr(zvonkin, "GRADIENT_BOUND", 0.5 * sup)
+    with pytest.raises(GradientBoundError, match=f"exceeds {0.5 * sup:g}"):
+        zvonkin_transform(res.u, np.eye(1))
+    lowered = search_lambda(field.drift, 1.0, 0.5, box_half_width=8.0,
+                            points_per_axis=64, num_slices=32)
+    assert lowered.u.lam > res.u.lam
+    assert zvonkin_transform(lowered.u, np.eye(1)).gradient_sup <= 0.5 * sup
 
 
 def picard_failing_at(fail_lam, error):
@@ -424,7 +432,7 @@ def test_residual_draws_each_chunk_noise_once(monkeypatch, serial):
     assert calls == [(0, 16), (16, 32), (32, 40)]
 
 
-def test_pde_defect_of_constant_solution():
+def test_pde_defect_of_constant_solution(seam_guard_off):
     # for the constant-drift fixed point the source is the constant itself
     # (grad_v u = 0), and the continuum defect cancels exactly; what is
     # left is the O(step^2) mismatch between the trapezoid profile and the
@@ -435,7 +443,7 @@ def test_pde_defect_of_constant_solution():
 
     lam, slices = 3.0, 32
     res = picard_solve(const_drift, lam, 1.0, 0.5, box_half_width=6.0,
-                       points_per_axis=32, num_slices=slices, tail_tol=1.0)
+                       points_per_axis=32, num_slices=slices)
     source = SpaceTimeField(res.u.times,
                             np.full_like(res.u.values, 0.7),
                             res.u.box_half_width, np.eye(1) * 0.5)
