@@ -4,11 +4,12 @@ A CoefficientField bundles the drift b(t, z) (values in R^d) and diffusion
 sigma(t, z) (values in R^{d x d}) of the kinetic system on phase space
 R^{2d}.  Library fields come from one table, name -> default support
 radius, drift profile, the |z| its plateau cut reads, the phase axes the
-profile reads inside the plateau, and sigma profile: they are
-time-independent, vanish (drift) outside a support ball, and keep sigma's
-singular values inside [1/K, K].  Each library field carries its Plateau:
-those axes, the cut radii r_in < r_out, and the profile with the cut fixed
-at 1.0.
+profile reads inside the plateau, the closed form of the profile's
+quadrature if it has one, and sigma profile: they are time-independent,
+vanish (drift) outside a support ball, and keep sigma's singular values
+inside [1/K, K].  Each library field carries its Plateau: those axes, the
+cut radii r_in < r_out, the profile with the cut fixed at 1.0 and that
+closed form.
 
 Rough fields are consumed through MollifiedField, the CoefficientField
 whose coefficients are a fixed quadrature of the base field's convolution
@@ -19,16 +20,19 @@ the field: the 2/3-Hoelder cusp of hoelder-drift survives in b_n, split
 into copies at the distinct node offsets, so b_n is not the smooth
 b * rho_n of the paper but a rough drift of the same family at every level.
 
-A library field's mollified drift is evaluated in three regions, each
-bit for bit equal to the full quadrature: the plateau, where the uncut
-profile is evaluated once per distinct node projection and gathered back
-to node order; the band, through the full quadrature; and outside the
-support, where it is +0.0, the value numpy's ``np.sum(vals * w, axis=1)``
-gives for a sum of signed zeros, -0.0 terms included.
+A library field's mollified drift is evaluated in three regions.  On the
+plateau the quadrature is re-associated: the smooth drift through the
+closed form in its table row, every other profile once per distinct node
+projection with the weights of the nodes that share it added up; so it
+agrees with the node-order sum to rounding, not bit for bit.  The band
+runs the full quadrature, and outside the support the drift is +0.0, the
+value numpy's ``np.sum(vals * w, axis=1)`` gives for a sum of signed
+zeros, -0.0 terms included: both bit for bit as the full quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,12 +77,15 @@ class Plateau:
     For |z| <= r_in the plateau cut is exactly 1.0: there the drift equals
     ``drift(z)``, the profile with the cut fixed at 1.0, which reads only
     the phase axes ``axes``.  For |z| >= r_out the drift is a signed zero.
+    ``convolved`` is None, or takes quadrature offsets and weights and
+    returns a closed form of ``z -> sum_i w_i drift(z - offsets_i)``.
     """
 
     axes: tuple
     r_in: float
     r_out: float
     drift: callable
+    convolved: callable
 
 
 @dataclass
@@ -145,6 +152,12 @@ def _check_state(z, dim):
 
 
 def _einsum_norm(z):
+    if z.shape[-1] == 2:
+        # the left-to-right sum gives einsum's bits at two columns, at about
+        # half the cost, and like einsum it warns of no overflowing square;
+        # at four columns it does not, so einsum keeps its order there
+        with np.errstate(over="ignore"):
+            return np.sqrt(z[..., 0] * z[..., 0] + z[..., 1] * z[..., 1])
     return np.sqrt(np.einsum("...i,...i->...", z, z))
 
 
@@ -166,12 +179,35 @@ def _smooth_b_drift(z, d, kappa, cut):
     return kappa * cut * (np.sin(z[..., :d]) - z[..., d:])
 
 
+def _fsum(terms):
+    """Correctly rounded sums down the first axis."""
+    return np.array([math.fsum(col) for col in np.transpose(terms)])
+
+
+def _smooth_b_convolved(offsets, weights, d, kappa):
+    """sum_i w_i kappa (sin(x - a_i) - (v - c_i)) for offsets (a_i, c_i),
+    re-associated per component as kappa (C sin x - S cos x - W v + M),
+    with C = sum w cos a, S = sum w sin a, W = sum w and M = sum w c."""
+    w = weights[:, None]
+    a, c = offsets[:, :d], offsets[:, d:]
+    C, S = _fsum(w * np.cos(a)), _fsum(w * np.sin(a))
+    W, M = math.fsum(weights), _fsum(w * c)
+
+    def drift(z):
+        x, v = z[..., :d], z[..., d:]
+        return kappa * (C * np.sin(x) - S * np.cos(x) - W * v + M)
+
+    return drift
+
+
 def _damping_drift(z, d, kappa, cut):
     return -kappa * cut * z[..., d:]
 
 
 def _hoelder_drift(z, d, kappa, cut):
     x1 = z[..., :1]
+    if d == 1:
+        return kappa * np.sign(x1) * np.cbrt(x1 * x1) * cut
     out = np.zeros(z.shape[:-1] + (d,))
     out[..., :1] = kappa * np.sign(x1) * np.cbrt(x1 * x1) * cut
     return out
@@ -188,16 +224,20 @@ def _anisotropic_sigma(z, d, r_in, r_out):
 
 # name -> (default support radius, drift profile, the |z| its plateau cut
 # reads or None for an uncut profile, the phase axes the profile reads
-# inside the plateau, sigma profile or None for the constant identity).
-# The drift is cut off by a smooth plateau from half the support radius
-# out to it; langevin and anisotropic-sigma share a profile but take |z|
-# through different roots, which round differently.
+# inside the plateau, the closed form of its plateau quadrature (offsets,
+# weights, d, kappa) -> (z -> sum_i w_i profile(z - offsets_i)) or None,
+# sigma profile or None for the constant identity).  The drift is cut off
+# by a smooth plateau from half the support radius out to it; langevin and
+# anisotropic-sigma share a profile but take |z| through different roots,
+# which round differently.
 _LIBRARY = {
-    "free": (1.0, _free_drift, None, (), None),
-    "constant-sigma-smooth-b": (4.0, _smooth_b_drift, _einsum_norm, ("x", "v"), None),
-    "langevin": (64.0, _damping_drift, _einsum_norm, ("v",), None),
-    "hoelder-drift": (4.0, _hoelder_drift, _einsum_norm, ("x1",), None),
-    "anisotropic-sigma": (4.0, _damping_drift, _linalg_norm, ("v",), _anisotropic_sigma),
+    "free": (1.0, _free_drift, None, (), None, None),
+    "constant-sigma-smooth-b": (4.0, _smooth_b_drift, _einsum_norm, ("x", "v"),
+                                _smooth_b_convolved, None),
+    "langevin": (64.0, _damping_drift, _einsum_norm, ("v",), None, None),
+    "hoelder-drift": (4.0, _hoelder_drift, _einsum_norm, ("x1",), None, None),
+    "anisotropic-sigma": (4.0, _damping_drift, _linalg_norm, ("v",), None,
+                          _anisotropic_sigma),
 }
 LIBRARY = tuple(_LIBRARY)
 
@@ -216,7 +256,7 @@ def library_field(name, dim, **params):
     """
     if name not in _LIBRARY:
         raise ValidationError(f"unknown field {name!r}; library: {', '.join(LIBRARY)}")
-    radius, drift_profile, cut_norm, axes, sigma_profile = _LIBRARY[name]
+    radius, drift_profile, cut_norm, axes, closed_form, sigma_profile = _LIBRARY[name]
     kappa = float(params.pop("kappa", 1.0))
     radius = float(params.pop("support_radius", radius))
     if params:
@@ -241,7 +281,11 @@ def library_field(name, dim, **params):
             return np.broadcast_to(eye, np.shape(z)[:-1] + eye.shape).copy()
         return sigma_profile(_check_state(z, dim), dim, r_in, r_out)
 
-    plateau = Plateau(_phase_axes(axes, dim), r_in, r_out, uncut_drift)
+    def convolved(offsets, weights):
+        return closed_form(offsets, weights, dim, kappa)
+
+    plateau = Plateau(_phase_axes(axes, dim), r_in, r_out, uncut_drift,
+                      None if closed_form is None else convolved)
     return CoefficientField(dim, drift, sigma, radius, name, eye, plateau)
 
 
@@ -269,12 +313,14 @@ def _mollifier_rule(phase_dim, order=16):
     return nodes, weights
 
 
-# bytes of shifted quadrature nodes per MollifiedField convolution chunk;
-# bounds the temporaries of one evaluation whatever the batch size, and
-# every state's sum reads the same node values in the same order; at
-# 1 << 17 a d = 1 chunk (56 states x 144 nodes x 2 doubles, 126 KiB) stays
-# under glibc's default 128 KiB mmap threshold, so its temporaries reuse
-# heap memory instead of faulting in fresh pages on every chunk
+# bytes of shifted quadrature offsets per MollifiedField convolution
+# chunk; bounds the temporaries of one evaluation whatever the batch size,
+# and every state's sum reads the same values in the same order whatever
+# the chunking; at 1 << 17 a d = 1 chunk of the full rule (56 states x 144
+# nodes x 2 doubles, 126 KiB) stays under glibc's default 128 KiB mmap
+# threshold, so its temporaries reuse heap memory instead of faulting in
+# fresh pages on every chunk; on the plateau hoelder-drift shifts by 16
+# distinct offsets at d = 1 (512 states a chunk) and 14 at d = 2 (292)
 CONVOLVE_CHUNK_BYTES = 1 << 17
 
 # relative slack of MollifiedField's region tests: a state counts as inside
@@ -288,16 +334,20 @@ class MollifiedField(CoefficientField):
     """Coefficients of ``base`` convolved with the bump at scale 1/n.
 
     The quadrature runs over the flattened batch in chunks of at most
-    CONVOLVE_CHUNK_BYTES of shifted nodes, so temporary memory stays
+    CONVOLVE_CHUNK_BYTES of shifted offsets, so temporary memory stays
     bounded however many states one call asks for.
 
     When ``base`` is a library field, the drift splits the finite states
     by |z| against the node reach max |xi_i|/n, with REGION_MARGIN to spare:
 
-    * plateau, |z| + reach <= r_in: every node's cut is exactly 1.0, so the
-      profile is evaluated uncut, once per distinct projection of the nodes
-      onto the axes it reads (16 of the 144 nodes at d = 1 for
-      hoelder-drift), gathered back to node order and summed as below;
+    * plateau, |z| + reach <= r_in: every node's cut is exactly 1.0, so
+      the sum is the uncut profile's.  A profile with a closed form
+      (``Plateau.convolved``, the smooth drift) is evaluated through it;
+      any other is summed once per distinct projection of the nodes onto
+      the axes it reads, with the weights of the nodes that share it added
+      up (16 terms for hoelder-drift at d = 1, 14 at d = 2).  Both are the
+      full quadrature re-associated: they agree with it to rounding, not
+      bit for bit;
     * outside the support, |z| - reach >= r_out: every node's cut is
       exactly 0.0 and the value is +0.0, which is what numpy's
       ``np.sum(vals * w, axis=1)`` returns when every term is a signed zero,
@@ -305,9 +355,8 @@ class MollifiedField(CoefficientField):
     * the band between, and every non-finite state: the full quadrature,
       sum_i w_i b(z - xi_i/n) through ``base.drift``.
 
-    The plateau sum adds the same node values in the same order as the
-    full quadrature, and the outside value is what that sum returns, so the
-    drift agrees bit for bit with the full quadrature everywhere.
+    So the band, the outside, the non-finite states and ``sigma`` agree bit
+    for bit with the full quadrature.
     """
 
     def __init__(self, base, n):
@@ -321,30 +370,38 @@ class MollifiedField(CoefficientField):
         self.plateau = None
         nodes, self._weights = _mollifier_rule(self.phase_dim)
         self._offsets = nodes / n
-        if base.plateau is not None:
-            self._reach = float(_einsum_norm(self._offsets).max())
-            _, first, self._gather = np.unique(
-                self._offsets[:, list(base.plateau.axes)], axis=0,
-                return_index=True, return_inverse=True)
-            self._distinct = self._offsets[first]
+        plateau = base.plateau
+        if plateau is None:
+            return
+        self._reach = float(_einsum_norm(self._offsets).max())
+        if plateau.convolved is not None:
+            self._plateau_sum = plateau.convolved(self._offsets, self._weights)
+            return
+        _, first, gather = np.unique(
+            self._offsets[:, list(plateau.axes)], axis=0,
+            return_index=True, return_inverse=True)
+        distinct = self._offsets[first]
+        gather = gather.reshape(-1)
+        weights = np.array([math.fsum(self._weights[gather == j])
+                            for j in range(len(first))])
+        self._plateau_sum = lambda flat: self._quadrature(
+            plateau.drift, flat, distinct, weights, 1)
 
-    def _quadrature(self, fn, flat, offsets, value_ndim, gather=None):
-        """sum_i w_i fn(z - offsets[gather[i]]) for every row z of ``flat``."""
-        w = self._weights.reshape((-1,) + (1,) * value_ndim)
+    def _quadrature(self, fn, flat, offsets, weights, value_ndim):
+        """sum_i weights_i fn(z - offsets_i) for every row z of ``flat``."""
+        w = weights.reshape((-1,) + (1,) * value_ndim)
         out = np.empty((flat.shape[0],) + (self.dim,) * value_ndim)
-        step = max(1, CONVOLVE_CHUNK_BYTES // self._offsets.nbytes)
+        step = max(1, CONVOLVE_CHUNK_BYTES // offsets.nbytes)
         for lo in range(0, flat.shape[0], step):
             vals = fn(flat[lo:lo + step, None, :] - offsets)
-            if gather is not None:
-                # node order, C-contiguous, so the sum adds in the same order
-                vals = np.take(vals, gather, axis=1)
             out[lo:lo + step] = np.sum(vals * w, axis=1)
         return out
 
     def _convolve(self, fn, t, z, value_ndim):
         z = _check_state(z, self.dim)
         flat = z.reshape(-1, z.shape[-1])
-        out = self._quadrature(lambda s: fn(t, s), flat, self._offsets, value_ndim)
+        out = self._quadrature(lambda s: fn(t, s), flat, self._offsets,
+                               self._weights, value_ndim)
         return out.reshape(z.shape[:-1] + out.shape[1:])
 
     def drift(self, t, z):
@@ -362,10 +419,9 @@ class MollifiedField(CoefficientField):
             >= plateau.r_out * (1.0 + REGION_MARGIN))
         band = ~(inside | outside)
         out = np.zeros((flat.shape[0], self.dim))
-        out[inside] = self._quadrature(plateau.drift, flat[inside],
-                                       self._distinct, 1, self._gather)
+        out[inside] = self._plateau_sum(flat[inside])
         out[band] = self._quadrature(lambda s: self.base.drift(t, s),
-                                     flat[band], self._offsets, 1)
+                                     flat[band], self._offsets, self._weights, 1)
         return out.reshape(z.shape[:-1] + (self.dim,))
 
     def sigma(self, t, z):

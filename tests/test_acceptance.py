@@ -33,10 +33,10 @@ PINNED_MEASURED = {
         2: "0x1.4200000000000p-46",
         3: "0x1.d33760fe6c800p-11",
         4: "0x1.010c98d6d18b9p+0",
-        5: "0x1.e667e458a625fp-2",
+        5: "0x1.e667e458a6305p-2",
         6: "0x0.0p+0",
-        7: "-0x1.2d26c3029d130p+0",
-        8: "0x1.b4034d278a4b4p+0",
+        7: "-0x1.2d26c3029d40dp+0",
+        8: "0x1.b4034d278a4abp+0",
         9: "0x1.14da70314f9b1p+0",
         10: "0x1.0cc88f7a109e1p+0",
         11: "0x1.ae6ffd3ba55efp-3",
@@ -52,10 +52,10 @@ PINNED_MEASURED = {
         2: "0x1.4200000000000p-46",
         3: "0x1.13ec45627ac00p-10",
         4: "0x1.010c98d6d18b9p+0",
-        5: "0x1.aaa15cd962d44p-4",
+        5: "0x1.aaa15cd599ecdp-4",
         6: "0x0.0p+0",
-        7: "-0x1.f289467dada8ap-1",
-        8: "0x1.2893b587ec2b7p+0",
+        7: "-0x1.f289467dad9a0p-1",
+        8: "0x1.2893b587ec2aep+0",
         9: "0x1.15494dbca1961p+0",
         10: "0x1.02a8be4f3ac4dp+0",
         11: "0x1.33f01bb13bccdp-2",

@@ -1,6 +1,9 @@
 """Coefficient library and mollification."""
 
+import dataclasses
 import hashlib
+import itertools
+import math
 import platform
 
 import numpy as np
@@ -98,7 +101,7 @@ def test_library_order_is_fixed():
 
 # (python, numpy, scipy) the library digest was recorded with
 PINNED_VERSIONS = ("3.11.7", "2.4.6", "1.17.1")
-LIBRARY_SHA1 = "f0b5b4b31590c0178a53725849a54462133e220e"
+LIBRARY_SHA1 = "2b78105b4baa0a5f4e205260728d7c52cd7688d0"
 
 
 def test_library_field_bits_are_pinned():
@@ -235,7 +238,7 @@ def test_sigma_sup_gap_nonincreasing_in_n():
 
 
 def unchunked(m, fn, z, value_ndim):
-    """The full quadrature in one pass, the reference for every fast path."""
+    """The full quadrature in one pass, in node order."""
     nodes, weights = _mollifier_rule(m.phase_dim)
     vals = fn(0.0, np.asarray(z)[..., None, :] - nodes / m.n)
     w = weights.reshape((-1,) + (1,) * value_ndim)
@@ -247,21 +250,143 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def test_chunked_convolution_matches_unchunked():
-    nodes, _ = _mollifier_rule(2)
-    chunk = CONVOLVE_CHUNK_BYTES // nodes.nbytes
+EPS = np.finfo(float).eps
+
+
+def exact_node_sum(m, fn, z):
+    """The node-order terms w_i fn(z - xi_i/n), each as np.sum's reference
+    rounds it, summed by math.fsum (correctly rounded), and the sum of their
+    absolute values.  At d = 2 np.sum adds the 5,968 terms one by one, and
+    that rounding alone reads up to about 100 ulp, so the node-order sum
+    itself is no tight reference."""
+    nodes, weights = _mollifier_rule(m.phase_dim)
+    terms = fn(0.0, np.asarray(z)[:, None, :] - nodes / m.n) * weights[:, None]
+    exact = np.array([[math.fsum(col) for col in row.T] for row in terms])
+    return exact.reshape(len(z), m.dim), np.sum(np.abs(terms), axis=1)
+
+
+def plateau_bound(m, base, kappa, z):
+    """A priori bound on |plateau sum - exact node sum| per component.
+
+    The collapse sums K products of correctly rounded weights, one per
+    distinct projection: within (K + 2) eps of sum_i w_i |b_i|.  The
+    smooth closed form rounds a few terms no larger than
+    |kappa| (1 + |x| + |v| + 2/n) once each, as do the node terms it is
+    compared with: 8 eps of that."""
+    d = m.dim
+    if base.plateau.convolved is not None:
+        return 8 * EPS * abs(kappa) * (
+            1.0 + np.abs(z[:, :d]) + np.abs(z[:, d:]) + 2.0 / m.n)
+    nodes, _ = _mollifier_rule(m.phase_dim)
+    axes = list(base.plateau.axes)
+    distinct = len(np.unique(nodes[:, axes], axis=0))
+    return (distinct + 2) * EPS * exact_node_sum(m, base.drift, z)[1]
+
+
+def test_two_column_norm_and_d1_hoelder_match_the_old_forms_bitwise():
+    # the left-to-right two-column norm against einsum, and the d = 1
+    # hoelder profile against the zeros buffer it was written into, on
+    # every pair of signed zeros, subnormals, overflowing squares,
+    # non-finite and ordinary values
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -1e-160,
+                        1.5e154, -1.4e154, 1e200, -1.7e308, np.inf, -np.inf,
+                        np.nan, 1.0, -3.0, 0.3])
+    z = np.stack(np.meshgrid(special, special), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(8)
+    z = np.concatenate([z, rng.normal(size=(4096, 2))
+                        * 10.0 ** rng.integers(-300, 300, size=(4096, 2))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in (z, z[:4380].reshape(-1, 3, 2), z[0]):
+            assert np.array_equal(
+                bits(fields._einsum_norm(batch)),
+                bits(np.sqrt(np.einsum("...i,...i->...", batch, batch))))
+        for kappa in (1.0, 0.05, -3.0):
+            for cut in (1.0, rng.uniform(0.0, 1.0, (len(z), 1)), 0.0):
+                x1 = z[..., :1]
+                old = np.zeros(z.shape[:-1] + (1,))
+                old[..., :1] = kappa * np.sign(x1) * np.cbrt(x1 * x1) * cut
+                new = fields._hoelder_drift(z, 1, kappa, cut)
+                assert new.shape == old.shape
+                assert np.array_equal(bits(new), bits(old))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", LIBRARY)
+def test_plateau_profile_reads_only_its_axes(name, d):
+    # the collapse to distinct node projections is right only if the
+    # uncut profile ignores every phase axis outside plateau.axes
+    plateau = library_field(name, d, kappa=-1.3).plateau
+    rng = np.random.default_rng(9)
+    z = rng.uniform(-3.0, 3.0, size=(200, 2 * d))
+    other = [i for i in range(2 * d) if i not in plateau.axes]
+    want = bits(plateau.drift(z))
+    for scale in (1e-3, 1.0, 1e3):
+        moved = z.copy()
+        moved[:, other] = scale * rng.normal(size=(len(z), len(other)))
+        assert np.array_equal(bits(plateau.drift(moved)), want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_smooth_closed_form_matches_node_sum(d):
+    rng = np.random.default_rng(10)
+    for kappa in (1.0, 0.05, -3.0):
+        base = library_field("constant-sigma-smooth-b", d, kappa=kappa)
+        for n in (1, 2, 4, 64):
+            m = mollified(base, n)
+            z = region_states(base, n, d, rng)[:6]     # plateau rows
+            got = m.drift(0.0, z)
+            exact, _ = exact_node_sum(m, base.drift, z)
+            assert np.all(np.abs(got - exact)
+                          <= plateau_bound(m, base, kappa, z)), (kappa, n)
+
+
+def test_chunked_convolution_matches_unchunked(monkeypatch):
+    # chunks of the default size, of one state and of the whole batch give
+    # the same bits, on the plateau, in the band and outside
     rng = np.random.default_rng(5)
-    shapes = [(2,), (chunk - 1, 2), (chunk, 2), (chunk + 1, 2), (3, 7, 2)]
-    for name in ("hoelder-drift", "anisotropic-sigma"):
-        base = library_field(name, 1)
+    for d, name in itertools.product((1, 2), ("hoelder-drift",
+                                              "constant-sigma-smooth-b",
+                                              "anisotropic-sigma")):
+        base = library_field(name, d)
         m = mollified(base, 4)
-        for shape in shapes:
-            z = rng.uniform(-5.0, 5.0, size=shape)
-            assert np.array_equal(bits(m.drift(0.0, z)),
-                                  bits(unchunked(m, base.drift, z, 1)))
+        plateau = region_states(base, 4, d, rng)[:6]
+        # more plateau states than a chunk of the collapsed sum holds
+        z = np.concatenate([plateau[rng.integers(0, 6, 600)]
+                            * rng.uniform(0.5, 1.0, (600, 1)),
+                            region_states(base, 4, d, rng)])
+        ways = []
+        for chunk_bytes in (CONVOLVE_CHUNK_BYTES, 1, 1 << 40):
+            monkeypatch.setattr(fields, "CONVOLVE_CHUNK_BYTES", chunk_bytes)
+            ways.append([bits(m.drift(0.0, z)), bits(m.drift(0.0, z[:1])),
+                         bits(m.drift(0.0, z[:7].reshape(7, 1, 2 * d)))])
             if name == "anisotropic-sigma":
-                assert np.array_equal(bits(m.sigma(0.0, z)),
-                                      bits(unchunked(m, base.sigma, z, 2)))
+                # one state a chunk of the full rule at d = 2 already
+                ways[-1].append(bits(m.sigma(0.0, z[:40])))
+        for way in ways[1:]:
+            for got, want in zip(way, ways[0]):
+                assert np.array_equal(got, want), (name, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_plateau_chunks_are_sized_by_the_distinct_offsets(d):
+    # a plateau chunk holds CONVOLVE_CHUNK_BYTES of the distinct offsets it
+    # shifts, not of the full rule's (at d = 2 that was one state a chunk)
+    base = library_field("hoelder-drift", d)
+    uncut, calls = base.plateau.drift, []
+
+    def counted(z):
+        calls.append(z.shape[0])
+        return uncut(z)
+
+    base.plateau = dataclasses.replace(base.plateau, drift=counted)
+    m = mollified(base, 4)
+    nodes, _ = _mollifier_rule(2 * d)
+    distinct = len(np.unique(nodes[:, 0]))
+    per_chunk = CONVOLVE_CHUNK_BYTES // (distinct * 2 * d * 8)
+    z = region_states(base, 4, d, np.random.default_rng(6))[:6]
+    m.drift(0.0, z[np.arange(1000) % 6])
+    assert per_chunk >= 256
+    assert calls == [per_chunk] * (1000 // per_chunk) + [1000 % per_chunk]
 
 
 def region_states(field, n, d, rng):
@@ -283,8 +408,11 @@ def region_states(field, n, d, rng):
 
 
 @pytest.mark.parametrize("name,d", [(name, 1) for name in LIBRARY]
-                         + [("hoelder-drift", 2), ("langevin", 2)])
+                         + [("hoelder-drift", 2), ("langevin", 2),
+                            ("constant-sigma-smooth-b", 2)])
 def test_mollified_drift_fast_paths_match_full_quadrature_bitwise(name, d):
+    # band, outside and non-finite rows agree with the full quadrature bit
+    # for bit; plateau rows, re-associated, within plateau_bound of it
     rng = np.random.default_rng(17)
     num_nodes = len(_mollifier_rule(2 * d)[0])
     for kappa in (1.0, 0.05, -3.0):
@@ -301,14 +429,19 @@ def test_mollified_drift_fast_paths_match_full_quadrature_bitwise(name, d):
             z = region_states(base, n, d, rng)
             evaluated.clear()
             got = m.drift(0.0, z)
+            # at n = 1 the free field's node ball never fits in its plateau
+            inside = 6 if 0.5 * base.support_radius >= 1.0 / n else 0
+            # only the band rows and the NaN row reach the base drift
+            assert sum(evaluated) == (13 - inside) * num_nodes, (kappa, n)
             want = unchunked(m, full_drift, z, 1)
-            assert np.array_equal(bits(got), bits(want)), (kappa, n)
+            assert np.array_equal(bits(got[inside:]), bits(want[inside:])), (
+                kappa, n)
             # the outside rows are +0.0, not merely zero
             assert np.all(bits(got[12:-1]) == 0)
-            # only the band rows and the NaN row reach the base drift; at
-            # n = 1 the free field's node ball never fits in its plateau
-            band_rows = 7 if 0.5 * base.support_radius >= 1.0 / n else 13
-            assert sum(evaluated) == band_rows * num_nodes, (kappa, n)
+            if inside:
+                exact, _ = exact_node_sum(m, full_drift, z[:6])
+                assert np.all(np.abs(got[:6] - exact) <= plateau_bound(
+                    m, base, kappa, z[:6])), (kappa, n)
 
 
 def test_mollified_rejects_bad_level():

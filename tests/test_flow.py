@@ -338,11 +338,12 @@ def test_convergence_study_levels_independent_of_workers(monkeypatch):
     serial, pooled = tables
     for key in ("n", "e", "e_fine", "bound", "dt_ok"):
         assert np.array_equal(getattr(serial, key), getattr(pooled, key))
-    # caching the levels leaves every e_n and B_n bit for bit as it was
+    # e_n and B_n as recorded once the plateau summed one term per distinct
+    # node projection
     assert [repr(float(x)) for x in serial.e] == [
-        "0.005803750263401782", "0.0009257974135139845"]
+        "0.005803750263401787", "0.0009257974135139815"]
     assert [repr(float(x)) for x in serial.e_fine] == [
-        "0.005800159328549603", "0.0009362336208310615"]
+        "0.005800159328549607", "0.0009362336208310622"]
     assert [repr(float(x)) for x in serial.bound] == [
         "0.659286195361074", "0.3858834138883508"]
 

@@ -26,7 +26,7 @@ PINNED_SHA1 = {
     ("kernel", "covariance.csv"): "2ce077203e221b2b88eadd358415407bedcae27d",
     ("spaces", "spaces.csv"): "75ae01717795facf980c52187b8be464b76a4ea3",
     ("flow", "flow.csv"): "51eb1a7cfc79565a5cd2c2a0fe004e787c2aac4f",
-    ("converge", "converge.csv"): "a65fd01b2e741f9d0e3076d96f2339d5fd66e691",
+    ("converge", "converge.csv"): "318f841dd01cea77828dc59f9ac59d69eb441d8d",
     ("krylov", "krylov.csv"): "550eafe1b80735f2f5e2b62ed3115894916759f4",
     ("krylov", "mgf.csv"): "b53fe3ae9722ecc8ef501fdd1abdbd360305bc06",
     ("fokker-planck", "atoms.csv"): "e6f4327fbdd642d1413de9b2b1d0c2eeedcdb6f2",

@@ -379,17 +379,18 @@ def test_residual_checkpoints_share_the_grid_tolerance():
 
 
 # float.hex of (mean, std_error) per checkpoint and num_excluded, recorded
-# before the residual streamed its paths through integrator.walk
+# once the mollified drift summed one term per distinct node projection on
+# its plateau
 RESIDUAL_PINS = {
     "kinetic-exact": (
-        ["-0x1.5e6ff762dea71p-7", "-0x1.51a9b5a94c7dcp-6",
-         "-0x1.f2a3fc34e9a6fp-6", "-0x1.3f2fae90fd43bp-5"],
-        ["0x1.b5ba362416e7ep-16", "0x1.b49882c19443ep-14",
-         "0x1.c952963be29abp-13", "0x1.69f948b3348e8p-12"],
+        ["-0x1.5e6ff762dea74p-7", "-0x1.51a9b5a94c7dcp-6",
+         "-0x1.f2a3fc34e9a6fp-6", "-0x1.3f2fae90fd439p-5"],
+        ["0x1.b5ba362416e65p-16", "0x1.b49882c194437p-14",
+         "0x1.c952963be29a5p-13", "0x1.69f948b3348ebp-12"],
         [0, 0, 0, 0]),
     "em-coarsened": (
-        ["-0x1.03397d5c152acp-17", "-0x1.2aac9411ee666p-18"],
-        ["0x1.952ab448f9322p-23", "0x1.2fa101ee25632p-21"],
+        ["-0x1.03397d5c15b8ap-17", "-0x1.2aac9411f2eefp-18"],
+        ["0x1.952ab448fb15fp-23", "0x1.2fa101ee26f38p-21"],
         [4084, 4380]),
 }
 
